@@ -39,6 +39,8 @@ from .problems import (
 )
 from .solver import StepCoefficients, run
 from .weights import (
+    MAX_CORRECTION_TERMS,
+    _check_exponents,
     binomial_weights,
     history_quadratic_form,
     rl_power,
@@ -48,7 +50,6 @@ from .weights import (
     starting_weights_perturb,
 )
 
-MAX_M = 6
 SNAPSHOT_POINTS = 101
 
 
@@ -119,8 +120,10 @@ class RunConfig:
             errors.append(f"M: step count must be nonnegative, got {self.M}")
         if self.T <= 0.0:
             errors.append(f"T: final time must be positive, got {fmt(self.T)}")
-        if not 0 <= self.m <= MAX_M:
-            errors.append(f"m: correction count must lie in 0..{MAX_M}, got {self.m}")
+        if not 0 <= self.m <= MAX_CORRECTION_TERMS:
+            errors.append(
+                f"m: correction count must lie in 0..{MAX_CORRECTION_TERMS}, got {self.m}"
+            )
         if self.sigma is not None:
             if self.m and len(self.sigma) != self.m:
                 errors.append(
@@ -538,15 +541,18 @@ def cmd_weights(args, out=sys.stdout):
         raise ConfigError([f"order: must lie in [-1, 1], got {fmt(order)}"])
     if args.count < 0:
         raise ConfigError([f"count: must be nonnegative, got {args.count}"])
+    sig = None
+    if args.sigma:
+        try:
+            sig = _check_exponents(args.sigma)
+        except ValueError as exc:
+            raise ConfigError([f"sigma: {exc}"]) from None
     raw = binomial_weights(order, args.count)
     lam = shifted_weights(order, args.count).weights
     print("# j g_j lambda_j", file=out)
     for j in range(args.count + 1):
         print(f"{j} {fmt(raw[j])} {fmt(lam[j])}", file=out)
-    if args.sigma:
-        sig = tuple(args.sigma)
-        if any(s <= 0.0 for s in sig) or any(b <= a for a, b in zip(sig, sig[1:])):
-            raise ConfigError(["sigma: exponents must be positive and strictly increasing"])
+    if sig:
         print(f"# frac rows, order {fmt(order)}, sigma {' '.join(map(fmt, sig))}", file=out)
         for k in range(1, args.rows + 1):
             w = starting_weights_frac(order, sig, k)

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModalField2D, SpectralBasis1D, ShenSystemSolver, build_basis, l2_error
+from .basis import ModalField2D, SpectralBasis1D, ShenSystemSolver, _error_rule, build_basis, l2_error
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
-from .weights import (
-    apply_gl,
-    build_correction_set,
-    rl_power,
-    shifted_weights,
-)
+from .weights import build_correction_set, shifted_weights
 
 
 @dataclass(frozen=True)
@@ -171,17 +166,6 @@ def step_coefficients(tp, tau):
     return StepCoefficients(tau=tau, mass_coef=mass, grad_coef=grad)
 
 
-def fractional_integral_of_f(samples, order, step):
-    """Fractional integral of sampled data at the newest sample time.
-
-    samples = f(t_0), ..., f(t_{k+1}); second-order shifted GL rule for
-    the integral of positive order `order`.
-    """
-    if order <= 0.0:
-        raise ValueError("integral order must be positive")
-    return apply_gl(-order, step, samples)
-
-
 def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     """Modal projections of the reduced source at every time level.
 
@@ -239,8 +223,9 @@ class AdiSolver:
     """Marches the reduced problem on one tensor basis.
 
     Holds the factored sweep operators, the precomputed source
-    projections, the weight tables, and the full modal history (the
-    memory terms need it anyway).
+    projections, one memory kernel per operator (plus the starting-weight
+    loads of corrected runs), and the full modal history (the memory
+    terms need it anyway).
     """
 
     def __init__(
@@ -280,13 +265,6 @@ class AdiSolver:
                 self.u[j] = val
             self.count = 1 + len(starting_values)
 
-        # lam tables up to index steps + 1 (pair sums need one extra)
-        self._orders = tuple(tp.betas) + (-tp.beta,)
-        self._lam = {
-            b: shifted_weights(b, steps + 1).weights for b in set(self._orders)
-        }
-        self._pairs = {b: lam[1:] + lam[:-1] for b, lam in self._lam.items()}
-
         p = math.sqrt(self.coeffs.mass_coef)
         q = self.coeffs.grad_coef
         jx, jy = basis_x.jacobian, basis_y.jacobian
@@ -295,9 +273,31 @@ class AdiSolver:
         self._sx = np.diag(basis_x.stiffness).copy()
         self._sy = np.diag(basis_y.stiffness).copy()
 
-        self.corrections = None
+        # The mass and stiffness applications are linear, so every order's
+        # memory sum folds into one kernel per operator: row 0 (mass) sums
+        # the memory orders, row 1 (stiffness) is the integral order -beta.
+        # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
+        # starting weights fold the same way into load rows (mass,
+        # stiffness, cross); frac rows k and k-1 average the endpoint
+        # systems, and load row 0 is unused (stepping starts at k = m >= 1).
+        channels = (
+            [(b, 0.5 * a * self.tau ** (1.0 - b)) for b, a in zip(tp.betas, tp.coeffs)],
+            [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
+        )
+        self._kernel = np.zeros((2, steps + 1))
+        self._loads = None
         if self.m:
-            self.corrections = build_correction_set(self._orders, exponents, steps)
+            cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
+            self._loads = np.zeros((3, steps, self.m))
+            self._loads[0] = cs.delta
+            self._loads[2] = self.coeffs.cross_coef * cs.perturb
+        for row, terms in enumerate(channels):
+            for b, scale in terms:
+                lam = shifted_weights(b, steps + 1).weights
+                self._kernel[row] += scale * (lam[1:] + lam[:-1])
+                if self._loads is not None:
+                    frac = cs.frac[b]
+                    self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
 
         self._prepare_source(source_mode)
 
@@ -333,39 +333,19 @@ class AdiSolver:
         rhs = self._mass_apply(uk)
         rhs += tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
         rhs += self.coeffs.cross_coef * self._cross_apply(uk)
-        hist = self.u[: k + 1]
-        for b, a in zip(self.tp.betas, self.tp.coeffs):
-            pair = self._pairs[b]
-            mem = np.tensordot(pair[k::-1], hist, axes=(0, 0))
-            rhs -= 0.5 * a * tau ** (1.0 - b) * self._mass_apply(mem)
-        pair = self._pairs[-self.tp.beta]
-        mem = np.tensordot(pair[k::-1], hist, axes=(0, 0))
-        rhs -= 0.5 * self.tp.mu * tau ** (1.0 + self.tp.beta) * self._stiff_apply(mem)
+        mem = np.tensordot(self._kernel[:, k::-1], self.u[: k + 1], axes=(1, 0))
+        rhs -= self._mass_apply(mem[0]) + self._stiff_apply(mem[1])
         return rhs
 
     def correction_load(self, k):
         """Starting-weight additions to the right-hand side at step k."""
-        cs = self.corrections
-        if cs is None:
+        if self._loads is None:
             raise ValueError("solver built without corrections")
         if k < self.m:
             raise ValueError("corrected stepping starts at k = m")
-        tau = self.tau
         diffs = self.u[1 : self.m + 1] - self.u[0]
-        # mass-type loads: first-difference family plus one GL family per
-        # memory order; frac rows (k, k-1) average the endpoint systems
-        coef = cs.delta[k].copy()
-        for b, a in zip(self.tp.betas, self.tp.coeffs):
-            rows = cs.frac[b]
-            coef += 0.5 * a * tau ** (1.0 - b) * (rows[k] + rows[k - 1])
-        load = -self._mass_apply(np.tensordot(coef, diffs, axes=(0, 0)))
-        rows = cs.frac[-self.tp.beta]
-        coef = 0.5 * self.tp.mu * tau ** (1.0 + self.tp.beta) * (rows[k] + rows[k - 1])
-        load -= self._stiff_apply(np.tensordot(coef, diffs, axes=(0, 0)))
-        load -= self.coeffs.cross_coef * self._cross_apply(
-            np.tensordot(cs.perturb[k], diffs, axes=(0, 0))
-        )
-        return load
+        mass, stiff, cross = np.tensordot(self._loads[:, k], diffs, axes=(1, 0))
+        return -(self._mass_apply(mass) + self._stiff_apply(stiff) + self._cross_apply(cross))
 
     def sweep_solve(self, rhs):
         """Apply the two factored one-dimensional solves."""
@@ -375,7 +355,7 @@ class AdiSolver:
     def step_once(self):
         k = self.count - 1
         rhs = self.assemble_rhs(k)
-        if self.corrections is not None:
+        if self._loads is not None:
             rhs += self.correction_load(k)
         self.u[k + 1] = self.sweep_solve(rhs)
         self.count += 1
@@ -384,16 +364,6 @@ class AdiSolver:
         while self.count <= self.steps:
             self.step_once()
         return self.u
-
-
-def adi_step(solver, k):
-    """One uncorrected step: assemble at level k, sweep, return u^{k+1}."""
-    return solver.sweep_solve(solver.assemble_rhs(k))
-
-
-def corrected_step(solver, k):
-    """One corrected step (starting weights included), return u^{k+1}."""
-    return solver.sweep_solve(solver.assemble_rhs(k) + solver.correction_load(k))
 
 
 def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, source_mode="auto"):
@@ -441,13 +411,6 @@ class RunResult:
     def field(self, n=-1):
         return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
 
-    def stability_bound(self, n):
-        """Right side of the a-priori estimate for ||u^n||^2."""
-        t_final = self.times[-1]
-        return math.exp(2.0 * t_final) * 2.0 * self.tau * float(
-            np.sum(self.half_source_norms[:n] ** 2)
-        )
-
 
 def _initial_only(tp, basis_x, basis_y):
     """Zero-step trajectory: the (zero) transformed initial state alone."""
@@ -474,17 +437,6 @@ def _initial_only(tp, basis_x, basis_y):
         error_final=error_final,
         error_max=error_max,
     )
-
-
-def _error_tables(basis):
-    from .basis import gauss_legendre, legendre_table
-
-    need = basis.degree + 8
-    if basis.quad_count >= need:
-        return basis.quad_nodes, basis.quad_weights, basis.basis_at_quad
-    nodes, weights = gauss_legendre(need)
-    table = legendre_table(basis.degree, nodes)
-    return nodes, weights, table[: basis.dim] - table[2 : basis.dim + 2]
 
 
 def run(
@@ -551,8 +503,8 @@ def run(
 
     errors = error_final = error_max = None
     if tp.exact is not None:
-        nx, wxq, px = _error_tables(basis_x)
-        ny, wyq, py = _error_tables(basis_y)
+        nx, wxq, px = _error_rule(basis_x)
+        ny, wyq, py = _error_rule(basis_y)
         xphys = basis_x.offset + basis_x.jacobian * nx
         yphys = basis_y.offset + basis_y.jacobian * ny
         wx = wxq * basis_x.jacobian

@@ -370,6 +370,13 @@ class TestMainWeights:
         assert main(["weights", "--order", "1.5"]) == 1
         assert "config error: order" in capfd.readouterr().err
 
+    def test_too_many_exponents_rejected_before_output(self, capfd):
+        argv = ["weights", "--order", "0.5", "--sigma", "1", "2", "3", "4", "5", "6", "7"]
+        assert main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert "config error: sigma:" in captured.err
+
 
 class TestMainExitCodes:
     def test_config_errors_all_printed(self, capfd):

@@ -11,16 +11,13 @@ from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
 from fracadi.solver import (
     AdiSolver,
     TransformedProblem,
-    adi_step,
     bootstrap_starting_values,
-    corrected_step,
-    fractional_integral_of_f,
     project_time_series,
     reduce_order,
     run,
     step_coefficients,
 )
-from fracadi.weights import shifted_weights
+from fracadi.weights import apply_gl, build_correction_set, shifted_weights
 
 UNIT_SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
 
@@ -227,7 +224,7 @@ class TestStepCoefficients:
 
 class TestFractionalIntegral:
     def test_zero_history(self):
-        assert fractional_integral_of_f(np.zeros(9), 0.5, 0.125) == pytest.approx(0.0)
+        assert apply_gl(-0.5, 0.125, np.zeros(9)) == pytest.approx(0.0)
 
     def test_half_integral_of_quadratic(self):
         # I^{1/2} t^2 = Gamma(3)/Gamma(3.5) t^{5/2}
@@ -235,15 +232,11 @@ class TestFractionalIntegral:
         for steps in (64, 128):
             tau = 1.0 / steps
             t = tau * np.arange(steps + 1)
-            got = fractional_integral_of_f(t**2, 0.5, tau)
+            got = apply_gl(-0.5, tau, t**2)
             want = 2.0 / math.gamma(3.5)
             errs.append(abs(got - want))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9
-
-    def test_nonpositive_order_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fractional_integral_of_f(np.ones(4), 0.0, 0.1)
 
 
 class TestProjectTimeSeries:
@@ -320,13 +313,15 @@ class TestAssembleRhs:
         want = 0.5 * 0.1 * (solver.source_hat[0] + solver.source_hat[1])
         np.testing.assert_array_equal(solver.assemble_rhs(0), want)
 
-    def test_single_history_level(self, rng):
+    @pytest.mark.parametrize("j,k", [(0, 0), (0, 6), (2, 6), (6, 6)])
+    def test_single_history_level(self, rng, j, k):
         # one nonzero past value isolates the memory-sum coefficients,
-        # which must match the endpoint-averaged reference weights
+        # which must match the endpoint-averaged reference weights summed
+        # over both memory orders and the integral order
         tp = quiet_tp()
         bx = build_basis(7, (-1.0, 1.0))
         by = build_basis(7, (-1.0, 1.0))
-        steps, tau, j, k = 10, 0.1, 2, 6
+        steps, tau = 10, 0.1
         solver = AdiSolver(tp, bx, by, tau, steps)
         e = rng.standard_normal((bx.dim, by.dim))
         solver.u[j] = e
@@ -340,6 +335,8 @@ class TestAssembleRhs:
             want -= a * tau ** (1.0 - b) * half_sum_coefficients(lam, k)[j] * mass_e
         lam = shifted_weights(-tp.beta, steps + 1).weights
         want -= tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, k)[j] * stiff_e
+        if j == k:  # the current level also enters the explicit mass and cross terms
+            want += mass_e + solver.coeffs.cross_coef * (bx.stiffness @ e) @ by.stiffness
         np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("k", [-1, 6])
@@ -368,7 +365,7 @@ class TestStepVersusDense:
         by = build_basis(8, tp.domain.y_interval)
         solver = AdiSolver(tp, bx, by, 0.1, 8)
         solver.march()
-        np.testing.assert_array_equal(adi_step(solver, 5), solver.u[6])
+        np.testing.assert_array_equal(solver.sweep_solve(solver.assemble_rhs(5)), solver.u[6])
 
 
 EXACTNESS_CASES = [
@@ -431,7 +428,8 @@ class TestCorrectedMarch:
             starting_values=starting,
         )
         solver.march()
-        np.testing.assert_array_equal(corrected_step(solver, 4), solver.u[5])
+        step = solver.sweep_solve(solver.assemble_rhs(4) + solver.correction_load(4))
+        np.testing.assert_array_equal(step, solver.u[5])
 
     def test_run_with_exact_seed_is_exact(self):
         sigmas, amps = (1.1, 1.2, 1.3), (1.3, -0.4, 0.7)
@@ -447,6 +445,43 @@ class TestCorrectedMarch:
             correction_terms=3, exponents=sigmas, starting_values=starting,
         )
         assert res.error_max <= 1e-12
+
+    @pytest.mark.parametrize("k", [3, 7, 11])
+    def test_correction_load_matches_per_order_formula(self, rng, k):
+        # the folded load table against the starting-weight families
+        # applied one memory order at a time, on a mapped domain
+        tp = quiet_tp()
+        domain = Rectangle(0.0, 2.0, -1.0, 3.0)
+        bx = build_basis(6, domain.x_interval)
+        by = build_basis(6, domain.y_interval)
+        steps, tau, sigmas = 12, 1.0 / 16.0, (1.1, 1.2, 1.3)
+        starting = [rng.standard_normal((bx.dim, by.dim)) for _ in sigmas]
+        solver = AdiSolver(
+            tp, bx, by, tau, steps,
+            correction_terms=3, exponents=sigmas, starting_values=starting,
+        )
+        load = solver.correction_load(k)
+
+        cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), sigmas, steps)
+        diffs = np.array(starting)
+        jx, jy = bx.jacobian, by.jacobian
+
+        def combine(coef):
+            return np.tensordot(coef, diffs, axes=(0, 0))
+
+        def averaged(order):
+            return cs.frac[order][k] + cs.frac[order][k - 1]
+
+        coef = cs.delta[k].copy()
+        for b, a in zip(tp.betas, tp.coeffs):
+            coef += 0.5 * a * tau ** (1.0 - b) * averaged(b)
+        want = -jx * jy * bx.mass @ combine(coef) @ by.mass
+        stiff = combine(0.5 * tp.mu * tau ** (1.0 + tp.beta) * averaged(-tp.beta))
+        want -= (jy / jx) * bx.stiffness @ stiff @ by.mass
+        want -= (jx / jy) * bx.mass @ stiff @ by.stiffness
+        cross = combine(cs.perturb[k])
+        want -= solver.coeffs.cross_coef * bx.stiffness @ cross @ by.stiffness / (jx * jy)
+        np.testing.assert_allclose(load, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_correction_load_guards(self):
         tp, wfun = power_shape_problem((1.1, 1.7), (1.3, -0.4))
