@@ -743,6 +743,10 @@ def main(argv=None):
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the size of the array that did not fit
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -15,10 +15,53 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from .basis import ModalField2D, SpectralBasis1D, ShenSystemSolver, _error_rule, build_basis, l2_error
+from .basis import (
+    ModalField2D,
+    SpectralBasis1D,
+    ShenSystemSolver,
+    _error_rule,
+    build_basis,
+    l2_error,
+    l2_norm,
+)
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
 from .weights import build_correction_set, shifted_weights
+
+# Steps per block of the memory sum: the last < BLOCK levels are contracted
+# directly, the older ones come from one FFT far part per block.  At 256
+# and N = 20 the direct contraction stays below OpenBLAS's threading size.
+BLOCK = 256
+# Columns per FFT chunk in causal_sum; it bounds the FFT temporaries.  At
+# 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
+# steps; 16 columns cost no measurable CPU time.
+FFT_COLUMNS = 16
+
+
+def causal_sum(kernel, hist, lo, hi, out=None):
+    """Rows lo..hi-1 of the causal convolution sum_j kernel[:, t - j] hist[j].
+
+    kernel is (rows, length) and hist (n, ...); the result has shape
+    (rows, hi - lo, ...) and equals the direct sum to round-off.  It is
+    computed by real FFTs along time on chunks of FFT_COLUMNS columns
+    (scipy's FFT, one thread, no BLAS).  A C-contiguous `out` may alias
+    hist: each column chunk is read in full before it is overwritten.
+    """
+    n = len(hist)
+    first = max(lo - n + 1, 0)  # smallest lag the requested rows use
+    # a circular length of hi - lo + n - 1 leaves rows lo..hi-1 unaliased
+    size = sp_fft.next_fast_len(hi - lo + n - 1, real=True)
+    kernel_hat = sp_fft.rfft(kernel[:, first:hi], size, axis=1)[:, :, None]
+    cols = hist.reshape(n, -1)
+    if out is None:
+        out = np.empty((len(kernel), hi - lo) + hist.shape[1:])
+    dest = out.reshape(len(kernel), hi - lo, -1)
+    for c in range(0, cols.shape[1], FFT_COLUMNS):
+        chunk = slice(c, c + FFT_COLUMNS)
+        conv = sp_fft.irfft(kernel_hat * sp_fft.rfft(cols[:, chunk], size, axis=0), size, axis=1)
+        dest[:, :, chunk] = conv[:, lo - first : hi - first]
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,7 +216,8 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     inner products of g(t_n) against the tensor basis and
     half_source_norms[k] = ||(g(t_k) + g(t_{k+1})) / 2|| in L2.  The
     sampled mode reconstructs the fractional integral of f on the
-    quadrature grid with the shifted GL rule before projecting.
+    quadrature grid with the shifted GL rule (an FFT causal sum written
+    back into the sampled grid) before projecting.
     """
     if mode not in ("auto", "analytic", "sampled"):
         raise ValueError(f"unknown source mode {mode!r}")
@@ -199,6 +243,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         for n, t in enumerate(times):
             f_grid[n] = np.broadcast_to(tp.f(x, yv, t), shape)
         lam = shifted_weights(-tp.beta, steps).weights
+        causal_sum(lam[None], f_grid, 0, n_levels, out=f_grid[None])
 
     source_hat = np.empty((n_levels, bx.dim, by.dim))
     half_source_norms = np.empty(steps)
@@ -207,8 +252,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         if mode == "analytic":
             vals = np.broadcast_to(tp.g(x, yv, t), shape)
         else:
-            acc = np.tensordot(lam[n::-1], f_grid[: n + 1], axes=(0, 0))
-            vals = tau**tp.beta * acc
+            vals = tau**tp.beta * f_grid[n]
             if tp.g_smooth is not None:
                 vals = vals + np.broadcast_to(tp.g_smooth(x, yv, t), shape)
         source_hat[n] = px @ vals @ py.T
@@ -222,10 +266,10 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
 class AdiSolver:
     """Marches the reduced problem on one tensor basis.
 
-    Holds the factored sweep operators, the precomputed source
+    Holds the inverses of the two sweep operators, the precomputed source
     projections, one memory kernel per operator (plus the starting-weight
-    loads of corrected runs), and the full modal history (the memory
-    terms need it anyway).
+    loads of corrected runs), the full modal history (the memory terms
+    need it anyway) and the far part of the memory sum for one block.
     """
 
     def __init__(
@@ -270,6 +314,9 @@ class AdiSolver:
         jx, jy = basis_x.jacobian, basis_y.jacobian
         self.sweep_x = ShenSystemSolver(basis_x, p * jx, q / (p * jx))
         self.sweep_y = ShenSystemSolver(basis_y, p * jy, q / (p * jy))
+        # small dense inverses beat two banded solves per sweep at these sizes
+        self._inv_x = self.sweep_x.solve(np.eye(dx))
+        self._inv_y_t = self.sweep_y.solve(np.eye(dy)).T
         self._sx = np.diag(basis_x.stiffness).copy()
         self._sy = np.diag(basis_y.stiffness).copy()
 
@@ -285,6 +332,7 @@ class AdiSolver:
             [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
         )
         self._kernel = np.zeros((2, steps + 1))
+        self._far_start, self._far = 0, None
         self._loads = None
         if self.m:
             cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
@@ -325,7 +373,15 @@ class AdiSolver:
         return (self._sx[:, None] * mat * self._sy[None, :]) / (bx.jacobian * by.jacobian)
 
     def assemble_rhs(self, k):
-        """Right-hand side of the step from t_k to t_{k+1} (no corrections)."""
+        """Right-hand side of the step from t_k to t_{k+1} (no corrections).
+
+        The memory sum over u[0..k] splits at b0 = k - k % BLOCK: the
+        levels b0..k are contracted directly, and the older ones enter
+        through a far part that causal_sum computes for the whole block
+        from u[:b0] and that is cached by b0.  The march never rewrites
+        u[:b0] once a block has started; a call for another block
+        recomputes that block's far part from the current history.
+        """
         if not 0 <= k < self.steps:
             raise ValueError("step index out of range")
         tau = self.tau
@@ -333,7 +389,14 @@ class AdiSolver:
         rhs = self._mass_apply(uk)
         rhs += tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
         rhs += self.coeffs.cross_coef * self._cross_apply(uk)
-        mem = np.tensordot(self._kernel[:, k::-1], self.u[: k + 1], axes=(1, 0))
+        b0 = k - k % BLOCK
+        mem = np.tensordot(self._kernel[:, k - b0 :: -1], self.u[b0 : k + 1], axes=(1, 0))
+        if b0:
+            if self._far_start != b0:
+                hi = min(b0 + BLOCK, self.steps)
+                self._far = causal_sum(self._kernel, self.u[:b0], b0, hi)
+                self._far_start = b0
+            mem += self._far[:, k - b0]
         rhs -= self._mass_apply(mem[0]) + self._stiff_apply(mem[1])
         return rhs
 
@@ -348,9 +411,8 @@ class AdiSolver:
         return -(self._mass_apply(mass) + self._stiff_apply(stiff) + self._cross_apply(cross))
 
     def sweep_solve(self, rhs):
-        """Apply the two factored one-dimensional solves."""
-        half = self.sweep_x.solve(rhs)
-        return self.sweep_y.solve(half.T).T
+        """Apply the two one-dimensional inverses (x, then y)."""
+        return self._inv_x @ rhs @ self._inv_y_t
 
     def step_once(self):
         k = self.count - 1
@@ -488,9 +550,7 @@ def run(
     wall = time.perf_counter() - t0
 
     times = tau * np.arange(steps + 1)
-    jxjy = basis_x.jacobian * basis_y.jacobian
-    mass_u = np.einsum("nij,nij->n", solver.u, (basis_x.mass @ solver.u) @ basis_y.mass)
-    norms = np.sqrt(np.maximum(jxjy * mass_u, 0.0))
+    norms = np.array([l2_norm(level, basis_x, basis_y) for level in solver.u])
 
     ratio = 0.0
     acc = 0.0

@@ -1,5 +1,6 @@
 """Driver behavior: config parsing, rate tables, output files, exit codes."""
 import io
+import pathlib
 
 import pytest
 
@@ -404,6 +405,21 @@ class TestMainExitCodes:
         ])
         assert code == 2
         assert "numerical failure" in capfd.readouterr().err
+
+    def test_history_too_large_for_memory(self, tmp_path, capfd):
+        # the (M + 1) * 15**2 history needs 1.6 PiB, beyond any address
+        # space, so the allocation fails at once
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+        outdir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config), "--M", "1000000000000", "--output", str(outdir),
+        ])
+        assert code == 1
+        err = capfd.readouterr().err
+        assert err.startswith("config error: ")
+        assert "1.60 PiB" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
 
 class TestMainVerify:

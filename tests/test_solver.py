@@ -9,9 +9,12 @@ from fracadi.basis import build_basis, project_source
 from fracadi.oracle import dense_kronecker_solve, half_sum_coefficients
 from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
 from fracadi.solver import (
+    BLOCK,
+    FFT_COLUMNS,
     AdiSolver,
     TransformedProblem,
     bootstrap_starting_values,
+    causal_sum,
     project_time_series,
     reduce_order,
     run,
@@ -313,15 +316,19 @@ class TestAssembleRhs:
         want = 0.5 * 0.1 * (solver.source_hat[0] + solver.source_hat[1])
         np.testing.assert_array_equal(solver.assemble_rhs(0), want)
 
-    @pytest.mark.parametrize("j,k", [(0, 0), (0, 6), (2, 6), (6, 6)])
+    @pytest.mark.parametrize(
+        "j,k",
+        [(0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK), (0, 2 * BLOCK + 1)],
+    )
     def test_single_history_level(self, rng, j, k):
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
-        # over both memory orders and the integral order
+        # over both memory orders and the integral order; j < k - k % BLOCK
+        # puts the level in the far part of the sum
         tp = quiet_tp()
         bx = build_basis(7, (-1.0, 1.0))
         by = build_basis(7, (-1.0, 1.0))
-        steps, tau = 10, 0.1
+        steps, tau = 2 * BLOCK + 10, 0.1
         solver = AdiSolver(tp, bx, by, tau, steps)
         e = rng.standard_normal((bx.dim, by.dim))
         solver.u[j] = e
@@ -346,6 +353,30 @@ class TestAssembleRhs:
             solver.assemble_rhs(k)
 
 
+class TestCausalSum:
+    @pytest.mark.parametrize(
+        "lo,hi,in_place",
+        [(0, 40, False), (25, 40, False), (17, 23, False), (30, 60, False), (0, 30, True)],
+    )
+    def test_matches_convolve(self, rng, lo, hi, in_place):
+        # several full column chunks and a ragged one
+        n, shape = 30, (4 * FFT_COLUMNS + 9,)
+        rows = 1 if in_place else 2
+        kernel = rng.standard_normal((rows, 70))  # longer than every hi
+        hist = rng.standard_normal((n,) + shape)
+        want = np.empty((rows, hi - lo) + shape)
+        for r in range(rows):
+            for c in range(shape[0]):
+                want[r, :, c] = np.convolve(kernel[r], hist[:, c])[lo:hi]
+        scale = np.max(np.abs(kernel)) * np.max(np.abs(hist))
+        if in_place:
+            got = causal_sum(kernel, hist, lo, hi, out=hist[None])
+            assert got.base is hist
+        else:
+            got = causal_sum(kernel, hist, lo, hi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 class TestStepVersusDense:
     def test_sweeps_match_dense_kronecker(self):
         tp = reduce_order(get_problem("compatible_smooth"))
@@ -359,13 +390,27 @@ class TestStepVersusDense:
             scale = np.max(np.abs(solver.u[k + 1]))
             assert np.max(np.abs(dense - solver.u[k + 1])) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("degree", [20, 64])
+    def test_inverse_sweeps_match_banded_solves(self, rng, degree):
+        bx = build_basis(degree, (0.0, 2.0))
+        by = build_basis(degree, (-1.0, 3.0))
+        solver = AdiSolver(quiet_tp(), bx, by, 0.01, 4)
+        rhs = rng.standard_normal((bx.dim, by.dim))
+        want = solver.sweep_y.solve(solver.sweep_x.solve(rhs).T).T
+        got = solver.sweep_solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_adi_step_reproduces_march(self):
+        # after the march the cached far part belongs to the last block,
+        # so k = BLOCK + 3 recomputes its own block's far part
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
-        solver = AdiSolver(tp, bx, by, 0.1, 8)
+        solver = AdiSolver(tp, bx, by, 0.01, 2 * BLOCK + 8)
         solver.march()
-        np.testing.assert_array_equal(solver.sweep_solve(solver.assemble_rhs(5)), solver.u[6])
+        for k in (5, BLOCK + 3):
+            step = solver.sweep_solve(solver.assemble_rhs(k))
+            np.testing.assert_array_equal(step, solver.u[k + 1])
 
 
 EXACTNESS_CASES = [
