@@ -37,7 +37,12 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """A spatial factor and (when known) its Laplacian, both vectorized."""
+    """A spatial factor and (when known) its Laplacian, both vectorized.
+
+    values(x, y) and laplacian(x, y) must broadcast their arguments like
+    numpy ufuncs: the solver passes x of shape (1, Qx, 1) and y of shape
+    (1, 1, Qy) and scales the result by time factors of shape (B, 1, 1).
+    """
 
     values: callable
     laplacian: callable = None
@@ -57,9 +62,20 @@ class SeparableTerm:
 
 
 def evaluate_terms(terms, x, y, t):
-    total = 0.0
+    """Sum of coefficient * t**exponent * profile.values(x, y) over terms.
+
+    The time factors of terms that share a profile are added first, so
+    each distinct profile is evaluated once per call.  t may be an array
+    that broadcasts against x and y, e.g. (B, 1, 1) against (1, Qx, 1)
+    and (1, 1, Qy) for B time levels at once.
+    """
+    factors = {}
     for term in terms:
-        total = total + term.coefficient * t**term.exponent * term.profile.values(x, y)
+        part = term.coefficient * t**term.exponent
+        factors[term.profile] = factors.get(term.profile, 0.0) + part
+    total = 0.0
+    for profile, factor in factors.items():
+        total = total + factor * profile.values(x, y)
     return total
 
 

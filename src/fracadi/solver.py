@@ -21,10 +21,10 @@ from .basis import (
     ModalField2D,
     SpectralBasis1D,
     ShenSystemSolver,
-    _error_rule,
     build_basis,
-    l2_error,
+    l2_errors,
     l2_norm,
+    level_blocks,
 )
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
 from .weights import build_correction_set, shifted_weights
@@ -71,6 +71,12 @@ class TransformedProblem:
     d/dt u + sum_i coeffs_i D^{betas_i} u = mu D^{-beta} Laplacian(u) + g,
     with u(0) = 0; `lift` holds the subtracted initial value (added back
     for physical output) and `exact` is the reduced exact solution.
+
+    g, f, g_smooth and exact are called as func(x, y, t) on blocks of
+    time levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy).
+    They must broadcast over all three (a result that ignores t, such
+    as a zero source of shape (1, Qx, Qy), is broadcast to the block);
+    lift(x, y) takes no time.
     """
 
     name: str
@@ -217,7 +223,8 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     half_source_norms[k] = ||(g(t_k) + g(t_{k+1})) / 2|| in L2.  The
     sampled mode reconstructs the fractional integral of f on the
     quadrature grid with the shifted GL rule (an FFT causal sum written
-    back into the sampled grid) before projecting.
+    back into the sampled grid) before projecting.  The source callables
+    are evaluated on blocks of time levels (see basis.level_blocks).
     """
     if mode not in ("auto", "analytic", "sampled"):
         raise ValueError(f"unknown source mode {mode!r}")
@@ -229,7 +236,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         raise ValueError("problem has no forcing to sample")
 
     bx, by = basis_x, basis_y
-    x, yv = bx.nodes[:, None], by.nodes[None, :]
+    x, y = bx.nodes[None, :, None], by.nodes[None, None, :]
     wx = bx.quad_weights * bx.jacobian
     wy = by.quad_weights * by.jacobian
     px = bx.basis_at_quad * wx
@@ -237,29 +244,40 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     shape = (bx.quad_count, by.quad_count)
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
+    blocks = level_blocks(n_levels, shape[0] * shape[1])
+
+    def at(func, b, e):
+        """func on the quadrature grid at times[b:e], shape (e - b, Qx, Qy)."""
+        return np.broadcast_to(func(x, y, times[b:e, None, None]), (e - b,) + shape)
+
+    def grid_norm(vals):
+        """L2 norms by quadrature of one grid level or a stack of them."""
+        return np.sqrt(wx @ vals**2 @ wy)
 
     if mode == "sampled":
         f_grid = np.empty((n_levels,) + shape)
-        for n, t in enumerate(times):
-            f_grid[n] = np.broadcast_to(tp.f(x, yv, t), shape)
+        for b, e in blocks:
+            f_grid[b:e] = at(tp.f, b, e)
         lam = shifted_weights(-tp.beta, steps).weights
         causal_sum(lam[None], f_grid, 0, n_levels, out=f_grid[None])
 
     source_hat = np.empty((n_levels, bx.dim, by.dim))
     half_source_norms = np.empty(steps)
     prev = None
-    for n, t in enumerate(times):
+    for b, e in blocks:
         if mode == "analytic":
-            vals = np.broadcast_to(tp.g(x, yv, t), shape)
+            vals = at(tp.g, b, e)
         else:
-            vals = tau**tp.beta * f_grid[n]
+            vals = tau**tp.beta * f_grid[b:e]
             if tp.g_smooth is not None:
-                vals = vals + np.broadcast_to(tp.g_smooth(x, yv, t), shape)
-        source_hat[n] = px @ vals @ py.T
+                vals = vals + at(tp.g_smooth, b, e)
+        source_hat[b:e] = px @ vals @ py.T
+        # half_source_norms[n - 1] pairs levels n - 1 and n; the first
+        # pair of a block reaches back to the last level of the previous one
         if prev is not None:
-            half = 0.5 * (prev + vals)
-            half_source_norms[n - 1] = math.sqrt(float(wx @ half**2 @ wy))
-        prev = vals
+            half_source_norms[b - 1] = grid_norm(0.5 * (prev + vals[0]))
+        half_source_norms[b : e - 1] = grid_norm(0.5 * (vals[:-1] + vals[1:]))
+        prev = vals[-1]
     return mode, source_hat, half_source_norms
 
 
@@ -474,15 +492,29 @@ class RunResult:
         return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
 
 
+def _check_finite(norms, half_source_norms, times):
+    """Raise FloatingPointError at the first level with a non-finite norm.
+
+    half_source_norms[n - 1] belongs to level n, the end of its step.
+    """
+    bad_source = np.zeros(len(norms), dtype=bool)
+    bad_source[1:] = ~np.isfinite(half_source_norms)
+    bad = bad_source | ~np.isfinite(norms)
+    if bad.any():
+        n = int(np.argmax(bad))
+        what = "source" if bad_source[n] else "solution"
+        raise FloatingPointError(
+            f"non-finite {what} norm at time level {n} of {len(norms) - 1} (t = {times[n]:.15g})"
+        )
+
+
 def _initial_only(tp, basis_x, basis_y):
     """Zero-step trajectory: the (zero) transformed initial state alone."""
     coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
     errors = error_final = error_max = None
     if tp.exact is not None:
-        field = ModalField2D(coeffs[0], basis_x, basis_y)
-        e0 = l2_error(field, lambda x, y: tp.exact(x, y, 0.0))
-        errors = np.array([e0])
-        error_final = error_max = float(e0)
+        errors = l2_errors(coeffs, basis_x, basis_y, tp.exact, np.zeros(1))
+        error_final = error_max = float(errors[0])
     return RunResult(
         tp=tp,
         basis_x=basis_x,
@@ -550,31 +582,18 @@ def run(
     wall = time.perf_counter() - t0
 
     times = tau * np.arange(steps + 1)
-    norms = np.array([l2_norm(level, basis_x, basis_y) for level in solver.u])
+    norms = l2_norm(solver.u, basis_x, basis_y)
+    _check_finite(norms, solver.half_source_norms, times)
 
-    ratio = 0.0
-    acc = 0.0
-    factor = math.exp(2.0 * final_time) * 2.0 * tau
-    for n in range(1, steps + 1):
-        acc += solver.half_source_norms[n - 1] ** 2
-        bound = factor * acc
-        if bound > 0.0:
-            ratio = max(ratio, norms[n] ** 2 / bound)
+    # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
+    # cumsum accumulates in sequence, as a running Python sum would
+    bound = math.exp(2.0 * final_time) * 2.0 * tau * np.cumsum(solver.half_source_norms**2)
+    positive = bound > 0.0
+    ratio = float(np.max(norms[1:][positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
     errors = error_final = error_max = None
     if tp.exact is not None:
-        nx, wxq, px = _error_rule(basis_x)
-        ny, wyq, py = _error_rule(basis_y)
-        xphys = basis_x.offset + basis_x.jacobian * nx
-        yphys = basis_y.offset + basis_y.jacobian * ny
-        wx = wxq * basis_x.jacobian
-        wy = wyq * basis_y.jacobian
-        shape = (len(xphys), len(yphys))
-        errors = np.empty(steps + 1)
-        for n, t in enumerate(times):
-            target = np.broadcast_to(tp.exact(xphys[:, None], yphys[None, :], t), shape)
-            diff2 = (px.T @ solver.u[n] @ py - target) ** 2
-            errors[n] = math.sqrt(float(wx @ diff2 @ wy))
+        errors = l2_errors(solver.u, basis_x, basis_y, tp.exact, times)
         error_final = float(errors[-1])
         error_max = float(np.max(errors))
 

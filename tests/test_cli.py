@@ -406,6 +406,26 @@ class TestMainExitCodes:
         assert code == 2
         assert "numerical failure" in capfd.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_values_are_a_numerical_failure(self, tmp_path, capfd):
+        # forcing coefficients of 1e308 overflow the source from t_1 on
+        source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+        text = source.read_text(encoding="utf-8")
+        assert "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0" in text
+        config = tmp_path / "huge_forcing.ini"
+        config.write_text(
+            text.replace("forcing_mode_1_1 = 1.0 1.5, 2.0 3.0", "forcing_mode_1_1 = 1e308 1.5, 1e308 3.0"),
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--output", str(outdir)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert "numerical failure: non-finite source norm at time level 1 of 100 (t = 0.01)" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_history_too_large_for_memory(self, tmp_path, capfd):
         # the (M + 1) * 15**2 history needs 1.6 PiB, beyond any address
         # space, so the allocation fails at once

@@ -49,6 +49,36 @@ class TestSeparableTerm:
         terms = (SeparableTerm(2.0, 1.0, prof), SeparableTerm(3.0, 0.0, prof))
         assert evaluate_terms(terms, 1.0, 2.0, 0.5) == pytest.approx((2.0 * 0.5 + 3.0) * 3.0)
 
+    @pytest.mark.parametrize("t", [0.7, np.array([0.0, 0.3, 1.0, 2.5])[:, None, None]])
+    def test_evaluate_terms_groups_profiles(self, t, rng):
+        calls = []
+
+        def counted(name, func):
+            def values(x, y):
+                calls.append(name)
+                return func(x, y)
+
+            return SpatialProfile(values=values)
+
+        lobe = counted("lobe", lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        hump = counted("hump", lambda x, y: np.cos(x) * np.exp(y))
+        terms = (
+            SeparableTerm(1.5, 1.1, lobe),
+            SeparableTerm(-0.4, 0.0, hump),
+            SeparableTerm(2.0, 2.6, lobe),
+            SeparableTerm(0.3, 1.5, hump),
+            SeparableTerm(-1.2, 3.0, lobe),
+        )
+        x = rng.uniform(-1.0, 1.0, 6)[None, :, None]
+        y = rng.uniform(-1.0, 1.0, 5)[None, None, :]
+        got = evaluate_terms(terms, x, y, t)
+        assert sorted(calls) == ["hump", "lobe"]
+        want = 0.0
+        for term in terms:
+            want = want + term.coefficient * t**term.exponent * term.profile.values(x, y)
+        assert got.shape == np.broadcast(x, y, t).shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
 
 class TestCaputoPowerFactor:
     def test_cubic_under_order_three_halves(self):

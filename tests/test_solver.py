@@ -1,11 +1,12 @@
 """Order reduction, step assembly, corrected marching, run diagnostics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import project_field
-from fracadi.basis import build_basis, project_source
+from fracadi.basis import LEVEL_BLOCK_VALUES, build_basis, l2_error, l2_norm, project_source
 from fracadi.oracle import dense_kronecker_solve, half_sum_coefficients
 from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
 from fracadi.solver import (
@@ -284,6 +285,78 @@ class TestProjectTimeSeries:
             half = 0.5 * (self.tp.g(x, yv, tau * k) + self.tp.g(x, yv, tau * (k + 1)))
             want = math.sqrt(float(wx @ half**2 @ wy))
             assert norms[k] == pytest.approx(want, rel=1e-13)
+
+    def blocked_steps(self):
+        """A step count whose levels span three blocks, the last one partial."""
+        return 2 * (LEVEL_BLOCK_VALUES // (self.bx.quad_count * self.by.quad_count)) + 40
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_blocks_match_per_level_formulas(self, mode):
+        def lobe(x, y):
+            return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+        def hump(x, y):
+            return (1.0 - x**2) * np.cos(y)
+
+        tp = TransformedProblem(
+            name="blocked",
+            beta=0.4,
+            betas=(0.3,),
+            coeffs=(1.0,),
+            mu=1.0,
+            domain=UNIT_SQUARE,
+            g=lambda x, y, t: (t**1.4 + 2.0) * lobe(x, y) - t * hump(x, y),
+            f=lambda x, y, t: (1.0 + t**1.2) * lobe(x, y) + t**2 * hump(x, y),
+            g_smooth=lambda x, y, t: t**0.5 * hump(x, y),
+        )
+        steps = self.blocked_steps()
+        tau = 1.0 / steps
+        _, source_hat, half_norms = project_time_series(tp, self.bx, self.by, tau, steps, mode)
+
+        x, yv = self.bx.nodes[:, None], self.by.nodes[None, :]
+        times = tau * np.arange(steps + 1)
+        if mode == "analytic":
+            vals = [tp.g(x, yv, t) for t in times]
+        else:
+            f = np.array([tp.f(x, yv, t) for t in times])
+            lam = shifted_weights(-tp.beta, steps).weights
+            vals = [
+                tau**tp.beta * np.tensordot(lam[n::-1], f[: n + 1], axes=(0, 0))
+                + tp.g_smooth(x, yv, t)
+                for n, t in enumerate(times)
+            ]
+        want_hat = np.array([project_source(lambda x, y, v=v: v, self.bx, self.by) for v in vals])
+        np.testing.assert_allclose(
+            source_hat, want_hat, rtol=1e-13, atol=1e-13 * np.abs(want_hat).max()
+        )
+        wx = self.bx.quad_weights * self.bx.jacobian
+        wy = self.by.quad_weights * self.by.jacobian
+        for k in range(steps):
+            half = 0.5 * (vals[k] + vals[k + 1])
+            assert half_norms[k] == pytest.approx(math.sqrt(float(wx @ half**2 @ wy)), rel=1e-13)
+
+    def test_zero_source_ignoring_time_across_blocks(self):
+        steps = self.blocked_steps()
+        _, source_hat, half_norms = project_time_series(quiet_tp(), self.bx, self.by, 0.01, steps)
+        assert source_hat.shape == (steps + 1, self.bx.dim, self.by.dim)
+        assert not source_hat.any()
+        assert half_norms.shape == (steps,)
+        assert not half_norms.any()
+
+    def test_analytic_source_holds_no_trajectory_of_grids(self):
+        # the (steps + 1) * Qx * Qy grid stack would be 4.1 MB here; the
+        # blocked projection may hold source_hat plus a few block temporaries
+        steps = 2000
+        grid_bytes = 8 * self.bx.quad_count * self.by.quad_count
+        budget = 8 * steps * self.bx.dim * self.by.dim + 6 * 8 * LEVEL_BLOCK_VALUES
+        assert budget < (steps + 1) * grid_bytes
+        tracemalloc.start()
+        try:
+            project_time_series(self.tp, self.bx, self.by, 1.0 / steps, steps, "analytic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="source mode"):
@@ -682,9 +755,40 @@ class TestRun:
             assert errs[mode][0] / errs[mode][1] >= 2.5
         assert errs["analytic"][1] != errs["sampled"][1]
 
-    def test_field_accessor_matches_exact(self):
-        from fracadi.basis import l2_error
+    def test_blocked_norms_and_errors_match_per_level(self):
+        # three blocks of norms (dim**2 values per level) and more of errors
+        # (the error grid is larger than dim**2)
+        degree = 20
+        steps = 2 * (LEVEL_BLOCK_VALUES // (degree - 1) ** 2) + 7
+        res = run(get_problem("compatible_nonsmooth"), degree, steps, 1.0)
+        tol = 1e-13 * np.max(res.norms)
+        for n, t in enumerate(res.times):
+            want = l2_error(res.field(n), lambda x, y: res.tp.exact(x, y, t))
+            assert res.errors[n] == pytest.approx(want, rel=1e-12, abs=tol)
+            want = l2_norm(res.coeffs[n], res.basis_x, res.basis_y)
+            assert res.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
 
+    def test_stability_ratio_matches_running_sum(self):
+        # the largest ratio sits at level 59, where a pairwise (np.sum)
+        # accumulation already differs from the running sum in the last bits
+        res = run(get_problem("compatible_smooth"), 8, 300, 1.0)
+        ratio = acc = 0.0
+        factor = math.exp(2.0 * 1.0) * 2.0 * res.tau
+        for n in range(1, len(res.norms)):
+            acc += res.half_source_norms[n - 1] ** 2
+            bound = factor * acc
+            if bound > 0.0:
+                ratio = max(ratio, res.norms[n] ** 2 / bound)
+        assert ratio > 0.0
+        assert res.stability_ratio == ratio
+
+    def test_zero_source_ignoring_time_across_blocks(self):
+        res = run(quiet_tp(), 20, 200, 1.0)
+        assert res.norms.shape == (201,)
+        assert not res.norms.any()
+        assert res.stability_ratio == 0.0
+
+    def test_field_accessor_matches_exact(self):
         res = run(get_problem("compatible_smooth"), 12, 32, 1.0)
         err = l2_error(res.field(-1), lambda x, y: res.tp.exact(x, y, 1.0))
         assert err == pytest.approx(res.error_final, rel=1e-10)
@@ -695,7 +799,7 @@ class TestRun:
         bx = build_basis(12, tp.domain.x_interval)
         by = build_basis(12, tp.domain.y_interval)
         coeffs = project_field(lambda x, y: tp.exact(x, y, 0.5), bx, by)
-        from fracadi.basis import ModalField2D, l2_error
+        from fracadi.basis import ModalField2D
 
         err = l2_error(ModalField2D(coeffs, bx, by), lambda x, y: tp.exact(x, y, 0.5))
         assert err <= 1e-6
