@@ -29,17 +29,6 @@ def legendre_table(nmax, x):
     return table
 
 
-def legendre_eval(n, x):
-    """L_n(x) by the three-term recurrence; x scalar or array."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    prev, cur = np.ones_like(x), x.copy()
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return cur
-
-
 def legendre_deriv_table(nmax, x):
     """Values of L_0'..L_nmax' at x, via (1-x^2) L_n' = n (L_{n-1} - x L_n)."""
     x = np.asarray(x, dtype=float)
@@ -307,9 +296,6 @@ class ShenSystemSolver:
     def __init__(self, basis, mass_coef, stiff_coef):
         if mass_coef <= 0.0 or stiff_coef < 0.0:
             raise ValueError("need mass_coef > 0 and stiff_coef >= 0")
-        self.basis = basis
-        self.mass_coef = mass_coef
-        self.stiff_coef = stiff_coef
         dim = basis.dim
         matrix = mass_coef * basis.mass + stiff_coef * basis.stiffness
         self._parts = []
@@ -330,6 +316,3 @@ class ShenSystemSolver:
         for idx, factor in self._parts:
             out[idx] = cho_solve_banded((factor, False), rhs[idx])
         return out
-
-    def matrix(self):
-        return self.mass_coef * self.basis.mass + self.stiff_coef * self.basis.stiffness

@@ -22,12 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ShenSystemSolver, build_basis, evaluate_field
-from .oracle import (
-    dense_kronecker_solve,
-    gauss_rule_deviation,
-    quadrature_matrix_check,
-)
+from .basis import evaluate_field
+from .oracle import verify_checks
 from .problems import (
     PROBLEM_IDS,
     ProblemSpec,
@@ -37,13 +33,12 @@ from .problems import (
     boundary_mismatch,
     get_problem,
 )
-from .solver import StepCoefficients, run
+from .solver import run
 from .weights import (
     MAX_CORRECTION_TERMS,
     _check_exponents,
     binomial_weights,
-    history_quadratic_form,
-    rl_power,
+    default_sigmas,
     shifted_weights,
     starting_weights_delta,
     starting_weights_frac,
@@ -64,10 +59,6 @@ class ConfigError(Exception):
 def fmt(value):
     """15-significant-digit text for any real number."""
     return f"{value:.15g}"
-
-
-def default_sigmas(m):
-    return tuple(1.1 + 0.1 * p for p in range(m))
 
 
 @dataclass
@@ -476,7 +467,8 @@ def _ensure_outdir(path):
     return outdir
 
 
-def cmd_run(args, out=sys.stdout):
+def cmd_run(args, out=None):
+    out = out or sys.stdout
     cfg = build_run_config(args)
     cfg.validate()
     problem = cfg.make_problem()
@@ -494,7 +486,8 @@ def cmd_run(args, out=sys.stdout):
     return 0
 
 
-def cmd_study(args, out=sys.stdout):
+def cmd_study(args, out=None):
+    out = out or sys.stdout
     cfg = build_run_config(args)
     cfg.validate(need_study=True)
     problem = cfg.make_problem()
@@ -535,7 +528,8 @@ def cmd_study(args, out=sys.stdout):
     return 0
 
 
-def cmd_weights(args, out=sys.stdout):
+def cmd_weights(args, out=None):
+    out = out or sys.stdout
     order = args.order
     if not -1.0 <= order <= 1.0:
         raise ConfigError([f"order: must lie in [-1, 1], got {fmt(order)}"])
@@ -568,99 +562,10 @@ def cmd_weights(args, out=sys.stdout):
     return 0
 
 
-# -- verification -------------------------------------------------------------
-
-
-def weight_identity_residual(order, exponents, row):
-    """Largest defect of the three starting-weight identities at one row.
-
-    The corrected GL sum must reproduce the Riemann-Liouville derivative
-    of t^sigma at t_{row+1}; the averaged difference quotient must hit
-    (t^sigma)' at the half point; the perturbation weights must cancel
-    the forward difference of t^sigma.  All with unit step.
-
-    The sums are evaluated in extended precision: for clustered
-    exponents the weights reach O(1e3) with alternating signs, so a
-    double-precision evaluation would measure its own rounding rather
-    than the defect of the weights as shipped.
-    """
-    ld = np.longdouble
-    sig = tuple(exponents)
-    j = np.arange(1, len(sig) + 1, dtype=ld)
-    grid = np.arange(row + 2, dtype=ld)
-    lam = shifted_weights(order, row + 1).weights.astype(ld)
-    w_frac = starting_weights_frac(order, sig, row).astype(ld)
-    w_pert = starting_weights_perturb(sig, row).astype(ld)
-    w_delta = None
-    if row >= 1 or min(sig) >= 1.0:
-        w_delta = starting_weights_delta(sig, row).astype(ld)
-    worst = ld(0.0)
-    for s in sig:
-        powers = grid ** ld(s)
-        jp = j ** ld(s)
-        target = ld(rl_power(order, s, float(row + 1)))
-        # same contraction as apply_gl with unit step, kept in extended
-        # precision (apply_gl works in double)
-        corrected = lam[::-1] @ powers + w_frac @ jp
-        worst = max(worst, abs(corrected - target) / max(ld(1.0), abs(target)))
-        diff = powers[row + 1] - powers[row]
-        worst = max(worst, abs(diff + w_pert @ jp))
-        if w_delta is not None:
-            half = ld(0.5) * ld(s) * (grid[row] ** ld(s - 1.0) + grid[row + 1] ** ld(s - 1.0))
-            worst = max(worst, abs(diff + w_delta @ jp - half))
-    return float(worst)
-
-
-def _verify_checks():
-    """Deterministic oracle cross-checks; yields (name, ok, metric)."""
-    for n in (8, 24, 64):
-        dev = gauss_rule_deviation(n)
-        yield f"gauss_rule_n{n}", dev <= 1e-13, dev
-    for n in (8, 16, 24):
-        dev = quadrature_matrix_check(build_basis(n, (-1.0, 1.0)))
-        yield f"matrix_quadrature_N{n}", dev <= 1e-11, dev
-
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(10):
-        degree = int(rng.integers(6, 13))
-        ax = float(rng.uniform(-2.0, 1.0))
-        ay = float(rng.uniform(-2.0, 1.0))
-        bx = build_basis(degree, (ax, ax + float(rng.uniform(0.5, 3.0))))
-        by = build_basis(degree, (ay, ay + float(rng.uniform(0.5, 3.0))))
-        p2 = 1.0 + float(rng.uniform(0.0, 2.0))
-        q = float(rng.uniform(0.05, 1.0))
-        coeffs = StepCoefficients(tau=0.1, mass_coef=p2, grad_coef=q)
-        p = math.sqrt(p2)
-        sweep_x = ShenSystemSolver(bx, p * bx.jacobian, q / (p * bx.jacobian))
-        sweep_y = ShenSystemSolver(by, p * by.jacobian, q / (p * by.jacobian))
-        rhs = rng.standard_normal((bx.dim, by.dim))
-        via_sweeps = sweep_y.solve(sweep_x.solve(rhs).T).T
-        dense = dense_kronecker_solve(coeffs, bx, by, rhs)
-        worst = max(worst, float(np.abs(via_sweeps - dense).max() / np.abs(dense).max()))
-    yield "adi_sweeps_vs_kronecker", worst <= 1e-10, worst
-
-    worst = 0.0
-    for order in (-0.5, 0.1, 0.9):
-        for m in (1, 2, 3):
-            sig = default_sigmas(m)
-            for k in (1, 5, 20, 60):
-                worst = max(worst, weight_identity_residual(order, sig, k))
-    yield "starting_weight_identities", worst <= 1e-12, worst
-
-    rng = np.random.default_rng(7)
-    worst = -math.inf
-    for order in (-0.9, 0.5, 1.0):
-        for _ in range(50):
-            v = rng.standard_normal(48)
-            qf = history_quadratic_form(order, v)
-            worst = max(worst, -qf / float(v @ v))
-    yield "memory_quadratic_form", worst <= 1e-12, worst
-
-
-def cmd_verify(args, out=sys.stdout):
+def cmd_verify(args, out=None):
+    out = out or sys.stdout
     failures = 0
-    for name, ok, metric in _verify_checks():
+    for name, ok, metric in verify_checks():
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
         print(f"{status} {name} ({metric:.3e})", file=out)

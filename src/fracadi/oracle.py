@@ -1,10 +1,11 @@
 """Independent reference paths used to check the production solver.
 
 Everything here is deliberately structured differently from the code it
-validates: dense pivoted LU instead of factored banded sweeps, direct
-endpoint-averaged weight sums instead of telescoped pair sums, library
-quadrature instead of the closed Gamma forms, and an external
-Gauss-Legendre rule for the matrix entries.
+validates: dense pivoted LU instead of the factored sweep inverses,
+direct endpoint-averaged weight sums instead of telescoped pair sums,
+library quadrature instead of the closed Gamma forms, and an external
+Gauss-Legendre rule for the matrix entries.  verify_checks() is the
+battery that `fracadi verify` prints.
 """
 from __future__ import annotations
 
@@ -15,9 +16,17 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import legendre_deriv_table, legendre_table
-from .solver import project_time_series
-from .weights import shifted_weights
+from .basis import build_basis, gauss_legendre, legendre_deriv_table, legendre_table
+from .solver import StepCoefficients, project_time_series, sweep_inverses
+from .weights import (
+    default_sigmas,
+    history_quadratic_form,
+    rl_power,
+    shifted_weights,
+    starting_weights_delta,
+    starting_weights_frac,
+    starting_weights_perturb,
+)
 
 
 def dense_step_matrix(mass_coef, grad_coef, basis_x, basis_y, cross_coef=None):
@@ -185,8 +194,100 @@ def quadrature_matrix_check(basis):
 
 def gauss_rule_deviation(n):
     """Max node/weight gap between the built-in rule and numpy's."""
-    from .basis import gauss_legendre
-
     x, w = gauss_legendre(n)
     xref, wref = leggauss(n)
     return max(float(np.max(np.abs(x - xref))), float(np.max(np.abs(w - wref))))
+
+
+def sweep_kronecker_gap(rng, cases):
+    """Largest relative gap of solver.sweep_inverses from the dense solve.
+
+    Each case draws a degree in 6..12, two mapped intervals, mass_coef in
+    [1, 3), grad_coef in [0.02, 1) and a random right side.
+    """
+    worst = 0.0
+    for _ in range(cases):
+        degree = int(rng.integers(6, 13))
+        ax = float(rng.uniform(-2.0, 1.0))
+        ay = float(rng.uniform(-2.0, 1.0))
+        bx = build_basis(degree, (ax, ax + float(rng.uniform(0.5, 3.0))))
+        by = build_basis(degree, (ay, ay + float(rng.uniform(0.5, 3.0))))
+        mass_coef = 1.0 + float(rng.uniform(0.0, 2.0))
+        grad_coef = float(rng.uniform(0.02, 1.0))
+        coeffs = StepCoefficients(tau=0.1, mass_coef=mass_coef, grad_coef=grad_coef)
+        inv_x, inv_y_t = sweep_inverses(coeffs, bx, by)
+        rhs = rng.standard_normal((bx.dim, by.dim))
+        dense = dense_kronecker_solve(coeffs, bx, by, rhs)
+        gap = np.abs(inv_x @ rhs @ inv_y_t - dense).max() / np.abs(dense).max()
+        worst = max(worst, float(gap))
+    return worst
+
+
+def weight_identity_residual(order, exponents, row):
+    """Largest defect of the three starting-weight identities at one row.
+
+    The corrected GL sum must reproduce the Riemann-Liouville derivative
+    of t^sigma at t_{row+1}; the averaged difference quotient must hit
+    (t^sigma)' at the half point; the perturbation weights must cancel
+    the forward difference of t^sigma.  All with unit step.
+
+    The sums are evaluated in extended precision: for clustered
+    exponents the weights reach O(1e3) with alternating signs, so a
+    double-precision evaluation would measure its own rounding rather
+    than the defect of the weights as shipped.
+    """
+    ld = np.longdouble
+    sig = tuple(exponents)
+    j = np.arange(1, len(sig) + 1, dtype=ld)
+    grid = np.arange(row + 2, dtype=ld)
+    lam = shifted_weights(order, row + 1).weights.astype(ld)
+    w_frac = starting_weights_frac(order, sig, row).astype(ld)
+    w_pert = starting_weights_perturb(sig, row).astype(ld)
+    w_delta = None
+    if row >= 1 or min(sig) >= 1.0:
+        w_delta = starting_weights_delta(sig, row).astype(ld)
+    worst = ld(0.0)
+    for s in sig:
+        powers = grid ** ld(s)
+        jp = j ** ld(s)
+        target = ld(rl_power(order, s, float(row + 1)))
+        # same contraction as apply_gl with unit step, kept in extended
+        # precision (apply_gl works in double)
+        corrected = lam[::-1] @ powers + w_frac @ jp
+        worst = max(worst, abs(corrected - target) / max(ld(1.0), abs(target)))
+        diff = powers[row + 1] - powers[row]
+        worst = max(worst, abs(diff + w_pert @ jp))
+        if w_delta is not None:
+            half = ld(0.5) * ld(s) * (grid[row] ** ld(s - 1.0) + grid[row + 1] ** ld(s - 1.0))
+            worst = max(worst, abs(diff + w_delta @ jp - half))
+    return float(worst)
+
+
+def verify_checks():
+    """Deterministic oracle cross-checks; yields (name, ok, metric)."""
+    for n in (8, 24, 64):
+        dev = gauss_rule_deviation(n)
+        yield f"gauss_rule_n{n}", dev <= 1e-13, dev
+    for n in (8, 16, 24):
+        dev = quadrature_matrix_check(build_basis(n, (-1.0, 1.0)))
+        yield f"matrix_quadrature_N{n}", dev <= 1e-11, dev
+
+    gap = sweep_kronecker_gap(np.random.default_rng(42), 10)
+    yield "adi_sweeps_vs_kronecker", gap <= 1e-10, gap
+
+    worst = 0.0
+    for order in (-0.5, 0.1, 0.9):
+        for m in (1, 2, 3):
+            sig = default_sigmas(m)
+            for k in (1, 5, 20, 60):
+                worst = max(worst, weight_identity_residual(order, sig, k))
+    yield "starting_weight_identities", worst <= 1e-12, worst
+
+    rng = np.random.default_rng(7)
+    worst = -math.inf
+    for order in (-0.9, 0.5, 1.0):
+        for _ in range(50):
+            v = rng.standard_normal(48)
+            qf = history_quadratic_form(order, v)
+            worst = max(worst, -qf / float(v @ v))
+    yield "memory_quadratic_form", worst <= 1e-12, worst

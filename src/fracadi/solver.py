@@ -203,6 +203,20 @@ class StepCoefficients:
         return self.grad_coef**2 / self.mass_coef
 
 
+def sweep_inverses(coeffs, basis_x, basis_y):
+    """Inverses (inv_x, inv_y_t) of the factors p J M + q/(p J) S of the step.
+
+    p = sqrt(mass_coef), q = grad_coef; a step solves as inv_x @ rhs @
+    inv_y_t.  At these sizes small dense inverses beat banded solves.
+    """
+    p = math.sqrt(coeffs.mass_coef)
+    q = coeffs.grad_coef
+    jx, jy = basis_x.jacobian, basis_y.jacobian
+    sweep_x = ShenSystemSolver(basis_x, p * jx, q / (p * jx))
+    sweep_y = ShenSystemSolver(basis_y, p * jy, q / (p * jy))
+    return sweep_x.solve(np.eye(basis_x.dim)), sweep_y.solve(np.eye(basis_y.dim)).T
+
+
 def step_coefficients(tp, tau):
     if tau <= 0.0:
         raise ValueError("step must be positive")
@@ -319,22 +333,14 @@ class AdiSolver:
         if self.m and steps <= self.m:
             raise ValueError("need more steps than correction terms")
 
-        dx, dy = basis_x.dim, basis_y.dim
-        self.u = np.zeros((steps + 1, dx, dy))
+        self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
         self.count = 1
         if starting_values is not None:
             for j, val in enumerate(starting_values, start=1):
                 self.u[j] = val
             self.count = 1 + len(starting_values)
 
-        p = math.sqrt(self.coeffs.mass_coef)
-        q = self.coeffs.grad_coef
-        jx, jy = basis_x.jacobian, basis_y.jacobian
-        self.sweep_x = ShenSystemSolver(basis_x, p * jx, q / (p * jx))
-        self.sweep_y = ShenSystemSolver(basis_y, p * jy, q / (p * jy))
-        # small dense inverses beat two banded solves per sweep at these sizes
-        self._inv_x = self.sweep_x.solve(np.eye(dx))
-        self._inv_y_t = self.sweep_y.solve(np.eye(dy)).T
+        self._inv_x, self._inv_y_t = sweep_inverses(self.coeffs, basis_x, basis_y)
         self._sx = np.diag(basis_x.stiffness).copy()
         self._sy = np.diag(basis_y.stiffness).copy()
 
@@ -458,12 +464,7 @@ def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, sourc
         return []
     if ratio < 1:
         raise ValueError("ratio must be at least one")
-    if ratio == 1:
-        fine = AdiSolver(tp, basis_x, basis_y, tau, count, source_mode=source_mode)
-    else:
-        fine = AdiSolver(
-            tp, basis_x, basis_y, tau / ratio, count * ratio, source_mode=source_mode
-        )
+    fine = AdiSolver(tp, basis_x, basis_y, tau / ratio, count * ratio, source_mode=source_mode)
     fine.march()
     return [fine.u[j * ratio].copy() for j in range(1, count + 1)]
 

@@ -19,6 +19,11 @@ MAX_CORRECTION_TERMS = 6
 CONDITION_LIMIT = 1e13
 
 
+def default_sigmas(m):
+    """Correction exponents 1.1, 1.2, ... used when a run names none."""
+    return tuple(1.1 + 0.1 * p for p in range(m))
+
+
 class StartingWeightError(ValueError):
     """Starting-weight system too ill-conditioned (or singular) to trust."""
 
@@ -77,7 +82,7 @@ def shifted_weights(order, count):
     return WeightSequence(order=order, weights=lam, raw=raw)
 
 
-def apply_gl(order, step, history, weights=None):
+def apply_gl(order, step, history):
     """Shifted GL operator at the newest time in `history`.
 
     history holds u(t_0), ..., u(t_{k+1}) (the value being acted on
@@ -92,7 +97,7 @@ def apply_gl(order, step, history, weights=None):
     if step <= 0.0:
         raise ValueError("step must be positive")
     k1 = hist.shape[0] - 1
-    lam = weights.weights if weights is not None else shifted_weights(order, k1).weights
+    lam = shifted_weights(order, k1).weights
     # sum_j lam_j u^{k+1-j} = sum_m lam_{k+1-m} u^m
     acc = np.tensordot(lam[k1::-1], hist, axes=(0, 0))
     return step ** (-order) * acc
@@ -135,11 +140,6 @@ def _check_exponents(exponents):
     if any(b <= a for a, b in zip(sig, sig[1:])):
         raise ValueError("correction exponents must be strictly increasing")
     return sig
-
-
-def _check_step(step):
-    if step <= 0.0:
-        raise ValueError("step must be positive")
 
 
 def _solve_power_system(exponents, rhs):
@@ -221,17 +221,16 @@ def _frac_rhs(order, exponents, rows, lam):
     return rhs
 
 
-def starting_weights_frac(order, exponents, row, step=1.0):
+def starting_weights_frac(order, exponents, row):
     """GL starting weights w_{row,1..m} for one fractional order.
 
-    Row k makes step**(-order) * (sum_i lam_i u^{k+1-i} +
-    sum_j w_{k,j} u^j) exact on u = t^sigma_p at t = (k+1) step, for
-    every correction exponent.  The scaled weights do not depend on
-    step.
+    Row k makes tau**(-order) * (sum_i lam_i u^{k+1-i} +
+    sum_j w_{k,j} u^j) exact on u = t^sigma_p at t = (k+1) tau, for
+    every correction exponent.  The weights do not depend on the step
+    tau.
     """
     _check_order(order)
     sig = _check_exponents(exponents)
-    _check_step(step)
     if row < 0:
         raise ValueError("row must be nonnegative")
     lam = shifted_weights(order, row + 1).weights
@@ -257,16 +256,15 @@ def _delta_rhs(exponents, rows, first_row):
     return out
 
 
-def starting_weights_delta(exponents, row, step=1.0):
+def starting_weights_delta(exponents, row):
     """Starting weights for the averaged first-difference quotient.
 
-    Row k makes (u^{k+1} - u^k)/step + step**-1 sum_j w_{k,j} u^j match
+    Row k makes (u^{k+1} - u^k)/tau + tau**-1 sum_j w_{k,j} u^j match
     (d/dt t^sigma)(t_{k+1/2}) in the endpoint-averaged sense for each
     exponent.  Undefined at row 0 when some exponent is below one (the
     derivative of t^sigma is singular at t = 0).
     """
     sig = _check_exponents(exponents)
-    _check_step(step)
     if row < 0:
         raise ValueError("row must be nonnegative")
     if row == 0 and min(sig) < 1.0:
@@ -286,15 +284,14 @@ def _perturb_rhs(exponents, rows):
     return out
 
 
-def starting_weights_perturb(exponents, row, step=1.0):
+def starting_weights_perturb(exponents, row):
     """Starting weights cancelling the splitting perturbation on t^sigma.
 
-    Row k makes step**-1 * (u^{k+1} - u^k + sum_j W_{k,j} u^j) vanish on
+    Row k makes tau**-1 * (u^{k+1} - u^k + sum_j W_{k,j} u^j) vanish on
     u = t^sigma_p, so the cross term of the splitting stays second
     order on the correction powers.  For sigma = 1 every weight is -1.
     """
     sig = _check_exponents(exponents)
-    _check_step(step)
     if row < 0:
         raise ValueError("row must be nonnegative")
     rhs = _perturb_rhs(sig, row + 1)[:, row]

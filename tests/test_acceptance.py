@@ -8,21 +8,19 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import exact_starting_values
-from fracadi.basis import build_basis, ShenSystemSolver
-from fracadi.cli import convergence_rates, default_sigmas, weight_identity_residual
-from fracadi.oracle import dense_kronecker_solve, quadrature_matrix_check
-from fracadi.problems import PROBLEM_IDS, Rectangle, get_problem, pde_residual
-from fracadi.solver import (
-    AdiSolver,
-    StepCoefficients,
-    TransformedProblem,
-    reduce_order,
-    run,
+from fracadi.basis import build_basis
+from fracadi.cli import convergence_rates
+from fracadi.oracle import (
+    dense_kronecker_solve,
+    quadrature_matrix_check,
+    sweep_kronecker_gap,
+    weight_identity_residual,
 )
-from fracadi.weights import apply_gl, history_quadratic_form
+from fracadi.problems import PROBLEM_IDS, Rectangle, get_problem, pde_residual
+from fracadi.solver import AdiSolver, TransformedProblem, reduce_order, run
+from fracadi.weights import apply_gl, default_sigmas, history_quadratic_form
 
 TEMPORAL_LEVELS = (10, 20, 40, 80, 160, 320)
 
@@ -136,24 +134,7 @@ def test_criterion_3_nonsmooth_corrections():
 
 def test_criterion_4_adi_matches_dense():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(50):
-        degree = int(rng.choice((6, 8, 10, 12)))
-        ax = float(rng.uniform(-2.0, 1.0))
-        ay = float(rng.uniform(-2.0, 1.0))
-        bx = build_basis(degree, (ax, ax + float(rng.uniform(0.5, 3.0))))
-        by = build_basis(degree, (ay, ay + float(rng.uniform(0.5, 3.0))))
-        p2 = 1.0 + float(rng.uniform(0.0, 2.0))
-        q = float(rng.uniform(0.02, 1.0))
-        coeffs = StepCoefficients(tau=0.1, mass_coef=p2, grad_coef=q)
-        p = math.sqrt(p2)
-        sweep_x = ShenSystemSolver(bx, p * bx.jacobian, q / (p * bx.jacobian))
-        sweep_y = ShenSystemSolver(by, p * by.jacobian, q / (p * by.jacobian))
-        rhs = rng.standard_normal((bx.dim, by.dim))
-        via_sweeps = sweep_y.solve(sweep_x.solve(rhs).T).T
-        dense = dense_kronecker_solve(coeffs, bx, by, rhs)
-        worst = max(worst, float(np.abs(via_sweeps - dense).max() / np.abs(dense).max()))
+    worst = sweep_kronecker_gap(np.random.default_rng(20240817), 50)
 
     # a few live marches: factored step against the dense Kronecker solve
     for name in ("compatible_smooth", "compatible_nonsmooth"):

@@ -13,7 +13,6 @@ from fracadi.basis import (
     l2_error,
     l2_norm,
     legendre_deriv_table,
-    legendre_eval,
     legendre_table,
     project_source,
     shen_mass_matrix,
@@ -34,7 +33,7 @@ class TestLegendre:
         np.testing.assert_allclose(table[3], 0.5 * (5.0 * x**3 - 3.0 * x), atol=1e-15)
 
     def test_value_at_half(self):
-        assert legendre_eval(2, np.array([0.5]))[0] == pytest.approx(-0.125, abs=1e-16)
+        assert legendre_table(2, np.array([0.5]))[2, 0] == pytest.approx(-0.125, abs=1e-16)
 
     def test_endpoint_values_exact(self):
         table = legendre_table(64, np.array([1.0, -1.0]))

@@ -1,4 +1,5 @@
 """Driver behavior: config parsing, rate tables, output files, exit codes."""
+import contextlib
 import io
 import pathlib
 
@@ -10,26 +11,23 @@ from fracadi.cli import (
     RunConfig,
     build_custom_problem,
     build_run_config,
-    cmd_run,
-    cmd_verify,
-    cmd_weights,
     convergence_rates,
-    default_sigmas,
     fmt,
     load_config_file,
     main,
     make_parser,
     parse_rate_csv,
-    weight_identity_residual,
 )
+from fracadi.oracle import weight_identity_residual
+from fracadi.weights import default_sigmas
 
 
 def run_command(argv):
-    """Dispatch like main() but with the output stream captured."""
-    args = make_parser().parse_args(argv)
+    """main(argv) with standard output captured: (exit code, text)."""
     buf = io.StringIO()
-    command = {"run": cmd_run, "weights": cmd_weights, "verify": cmd_verify}[args.command]
-    return command(args, out=buf), buf.getvalue()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
 
 
 def read_kv(path):
@@ -367,6 +365,13 @@ class TestMainWeights:
         assert [row.split()[0] for row in delta] == ["1", "2"]
         assert all(abs(float(row.split()[1])) <= 1e-15 for row in delta)
 
+    def test_output_follows_redirected_stdout(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["weights", "--order", "0.5", "--count", "2"]) == 0
+        table = ["# j g_j lambda_j", "0 1 1.25", "1 -0.5 -0.875", "2 -0.125 -0.03125"]
+        assert buf.getvalue().splitlines() == table
+
     def test_order_out_of_range(self, capfd):
         assert main(["weights", "--order", "1.5"]) == 1
         assert "config error: order" in capfd.readouterr().err
@@ -449,3 +454,9 @@ class TestMainVerify:
         assert out.count("PASS") == 9
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+    def test_failed_check_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr("fracadi.cli.verify_checks", lambda: iter([("broken", False, 1.0)]))
+        code, out = run_command(["verify"])
+        assert code == 2
+        assert out.splitlines() == ["FAIL broken (1.000e+00)", "1 check(s) failed"]

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import project_field
-from fracadi.basis import LEVEL_BLOCK_VALUES, build_basis, l2_error, l2_norm, project_source
+from fracadi.basis import (
+    LEVEL_BLOCK_VALUES,
+    ShenSystemSolver,
+    build_basis,
+    l2_error,
+    l2_norm,
+    project_source,
+)
 from fracadi.oracle import dense_kronecker_solve, half_sum_coefficients
 from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
 from fracadi.solver import (
@@ -20,6 +27,7 @@ from fracadi.solver import (
     reduce_order,
     run,
     step_coefficients,
+    sweep_inverses,
 )
 from fracadi.weights import apply_gl, build_correction_set, shifted_weights
 
@@ -467,10 +475,14 @@ class TestStepVersusDense:
     def test_inverse_sweeps_match_banded_solves(self, rng, degree):
         bx = build_basis(degree, (0.0, 2.0))
         by = build_basis(degree, (-1.0, 3.0))
-        solver = AdiSolver(quiet_tp(), bx, by, 0.01, 4)
+        coeffs = step_coefficients(quiet_tp(), 0.01)
+        p, q = math.sqrt(coeffs.mass_coef), coeffs.grad_coef
+        sweep_x = ShenSystemSolver(bx, p * bx.jacobian, q / (p * bx.jacobian))
+        sweep_y = ShenSystemSolver(by, p * by.jacobian, q / (p * by.jacobian))
+        inv_x, inv_y_t = sweep_inverses(coeffs, bx, by)
         rhs = rng.standard_normal((bx.dim, by.dim))
-        want = solver.sweep_y.solve(solver.sweep_x.solve(rhs).T).T
-        got = solver.sweep_solve(rhs)
+        want = sweep_y.solve(sweep_x.solve(rhs).T).T
+        got = inv_x @ rhs @ inv_y_t
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_adi_step_reproduces_march(self):

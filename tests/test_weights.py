@@ -141,13 +141,6 @@ class TestApplyGl:
         rate = math.log2(errs[0] / errs[1])
         assert rate >= 1.9
 
-    def test_explicit_weights_match_default(self):
-        hist = np.linspace(0.0, 1.0, 7) ** 1.5
-        ws = shifted_weights(-0.3, 6)
-        a = apply_gl(-0.3, 0.2, hist)
-        b = apply_gl(-0.3, 0.2, hist, weights=ws)
-        assert a == b
-
     def test_short_history_rejected(self):
         with pytest.raises(ValueError):
             apply_gl(0.5, 0.1, np.array([1.0]))
@@ -189,7 +182,7 @@ class TestRlPower:
 def corrected_gl(order, exponents, s, k, tau=1.0):
     """Corrected operator applied to samples of t^s at row k."""
     t = tau * np.arange(k + 2)
-    w = starting_weights_frac(order, exponents, k, step=tau)
+    w = starting_weights_frac(order, exponents, k)
     jvals = (tau * np.arange(1.0, len(exponents) + 1.0)) ** s
     return apply_gl(order, tau, t**s) + tau ** (-order) * float(w @ jvals)
 
@@ -222,11 +215,6 @@ class TestStartingWeightsFrac:
         got = starting_weights_frac(order, (s,), k)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(want, rel=1e-12)
-
-    def test_step_does_not_change_scaled_weights(self):
-        a = starting_weights_frac(0.3, (1.1, 1.4), 5, step=1.0)
-        b = starting_weights_frac(0.3, (1.1, 1.4), 5, step=0.01)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_improves_plain_rule_a_hundredfold(self):
         # the uncorrected rule on t^1.1 carries an O(tau^{2.1-order})
