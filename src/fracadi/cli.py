@@ -36,13 +36,11 @@ from .problems import (
 from .solver import run
 from .weights import (
     MAX_CORRECTION_TERMS,
-    _check_exponents,
+    StartingWeightError,
     binomial_weights,
+    build_correction_set,
     default_sigmas,
     shifted_weights,
-    starting_weights_delta,
-    starting_weights_frac,
-    starting_weights_perturb,
 )
 
 SNAPSHOT_POINTS = 101
@@ -467,8 +465,7 @@ def _ensure_outdir(path):
     return outdir
 
 
-def cmd_run(args, out=None):
-    out = out or sys.stdout
+def cmd_run(args):
     cfg = build_run_config(args)
     cfg.validate()
     problem = cfg.make_problem()
@@ -479,15 +476,14 @@ def cmd_run(args, out=None):
     write_lines(outdir / "diagnostics.txt", diag)
     write_lines(outdir / "surface.dat", snapshot_lines(result))
     for line in diag:
-        print(line, file=out)
-    print(f"wall_time_s = {result.wall_time:.3f}", file=out)
-    print(f"wrote {outdir / 'diagnostics.txt'}", file=out)
-    print(f"wrote {outdir / 'surface.dat'}", file=out)
+        print(line)
+    print(f"wall_time_s = {result.wall_time:.3f}")
+    print(f"wrote {outdir / 'diagnostics.txt'}")
+    print(f"wrote {outdir / 'surface.dat'}")
     return 0
 
 
-def cmd_study(args, out=None):
-    out = out or sys.stdout
+def cmd_study(args):
     cfg = build_run_config(args)
     cfg.validate(need_study=True)
     problem = cfg.make_problem()
@@ -522,57 +518,54 @@ def cmd_study(args, out=None):
     conv += [f"{fmt(p)} {fmt(e)}" for p, e in zip(table.params, table.l2_errors)]
     write_lines(outdir / "convergence.dat", conv)
     for line in table.csv_lines():
-        print(line, file=out)
-    print(f"wrote {outdir / 'rates.csv'}", file=out)
-    print(f"wrote {outdir / 'convergence.dat'}", file=out)
+        print(line)
+    print(f"wrote {outdir / 'rates.csv'}")
+    print(f"wrote {outdir / 'convergence.dat'}")
     return 0
 
 
-def cmd_weights(args, out=None):
-    out = out or sys.stdout
+def cmd_weights(args):
     order = args.order
     if not -1.0 <= order <= 1.0:
         raise ConfigError([f"order: must lie in [-1, 1], got {fmt(order)}"])
     if args.count < 0:
         raise ConfigError([f"count: must be nonnegative, got {args.count}"])
-    sig = None
+    cs = None
     if args.sigma:
         try:
-            sig = _check_exponents(args.sigma)
+            cs = build_correction_set((order,), args.sigma, max(args.rows + 1, 2))
+        except StartingWeightError:
+            raise
         except ValueError as exc:
             raise ConfigError([f"sigma: {exc}"]) from None
     raw = binomial_weights(order, args.count)
-    lam = shifted_weights(order, args.count).weights
-    print("# j g_j lambda_j", file=out)
+    lam = shifted_weights(order, args.count)
+    print("# j g_j lambda_j")
     for j in range(args.count + 1):
-        print(f"{j} {fmt(raw[j])} {fmt(lam[j])}", file=out)
-    if sig:
-        print(f"# frac rows, order {fmt(order)}, sigma {' '.join(map(fmt, sig))}", file=out)
-        for k in range(1, args.rows + 1):
-            w = starting_weights_frac(order, sig, k)
-            print(f"{k} " + " ".join(fmt(v) for v in w), file=out)
-        print("# delta rows", file=out)
-        for k in range(1, args.rows + 1):
-            w = starting_weights_delta(sig, k)
-            print(f"{k} " + " ".join(fmt(v) for v in w), file=out)
-        print("# perturb rows", file=out)
-        for k in range(1, args.rows + 1):
-            w = starting_weights_perturb(sig, k)
-            print(f"{k} " + " ".join(fmt(v) for v in w), file=out)
+        print(f"{j} {fmt(raw[j])} {fmt(lam[j])}")
+    if cs is not None:
+        sigma = " ".join(map(fmt, cs.exponents))
+        for title, table in (
+            (f"# frac rows, order {fmt(order)}, sigma {sigma}", cs.frac[order]),
+            ("# delta rows", cs.delta),
+            ("# perturb rows", cs.perturb),
+        ):
+            print(title)
+            for k in range(1, args.rows + 1):
+                print(f"{k} " + " ".join(fmt(v) for v in table[k]))
     return 0
 
 
-def cmd_verify(args, out=None):
-    out = out or sys.stdout
+def cmd_verify(args):
     failures = 0
     for name, ok, metric in verify_checks():
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        print(f"{status} {name} ({metric:.3e})", file=out)
+        print(f"{status} {name} ({metric:.3e})")
     if failures:
-        print(f"{failures} check(s) failed", file=out)
+        print(f"{failures} check(s) failed")
         return 2
-    print("all checks passed", file=out)
+    print("all checks passed")
     return 0
 
 

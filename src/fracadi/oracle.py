@@ -19,13 +19,11 @@ from scipy.linalg import lu_factor, lu_solve
 from .basis import build_basis, gauss_legendre, legendre_deriv_table, legendre_table
 from .solver import StepCoefficients, project_time_series, sweep_inverses
 from .weights import (
+    build_correction_set,
     default_sigmas,
     history_quadratic_form,
     rl_power,
     shifted_weights,
-    starting_weights_delta,
-    starting_weights_frac,
-    starting_weights_perturb,
 )
 
 
@@ -85,7 +83,7 @@ class UnsplitReference:
         self.steps = steps
         self._lam = {}
         for b in tuple(tp.betas) + (-tp.beta,):
-            self._lam[b] = shifted_weights(b, steps + 1).weights
+            self._lam[b] = shifted_weights(b, steps + 1)
         mass_coef = 1.0
         for b, a in zip(tp.betas, tp.coeffs):
             mass_coef += a * tau ** (1.0 - b) * 0.5 * self._lam[b][0]
@@ -223,13 +221,16 @@ def sweep_kronecker_gap(rng, cases):
     return worst
 
 
-def weight_identity_residual(order, exponents, row):
-    """Largest defect of the three starting-weight identities at one row.
+def weight_identity_residual(order, exponents, rows):
+    """Defects of the three starting-weight identities, rows 0..rows-1.
 
-    The corrected GL sum must reproduce the Riemann-Liouville derivative
-    of t^sigma at t_{row+1}; the averaged difference quotient must hit
-    (t^sigma)' at the half point; the perturbation weights must cancel
-    the forward difference of t^sigma.  All with unit step.
+    Checks the rows of build_correction_set((order,), exponents, rows),
+    the table the stepper loads.  Row k of the corrected GL sum must
+    reproduce the Riemann-Liouville derivative of t^sigma at t_{k+1};
+    the averaged difference quotient must hit (t^sigma)' at the half
+    point (from row 1 on; row 0 of delta is padding); the perturbation
+    weights must cancel the forward difference of t^sigma.  All with
+    unit step.  Returns the largest defect of each row.
 
     The sums are evaluated in extended precision: for clustered
     exponents the weights reach O(1e3) with alternating signs, so a
@@ -238,29 +239,28 @@ def weight_identity_residual(order, exponents, row):
     """
     ld = np.longdouble
     sig = tuple(exponents)
+    cs = build_correction_set((order,), sig, rows)
     j = np.arange(1, len(sig) + 1, dtype=ld)
-    grid = np.arange(row + 2, dtype=ld)
-    lam = shifted_weights(order, row + 1).weights.astype(ld)
-    w_frac = starting_weights_frac(order, sig, row).astype(ld)
-    w_pert = starting_weights_perturb(sig, row).astype(ld)
-    w_delta = None
-    if row >= 1 or min(sig) >= 1.0:
-        w_delta = starting_weights_delta(sig, row).astype(ld)
-    worst = ld(0.0)
+    grid = np.arange(rows + 1, dtype=ld)
+    lam = shifted_weights(order, rows).astype(ld)
+    w_frac = cs.frac[float(order)].astype(ld)
+    w_pert = cs.perturb.astype(ld)
+    w_delta = cs.delta[1:].astype(ld)
+    worst = np.zeros(rows, dtype=ld)
     for s in sig:
         powers = grid ** ld(s)
         jp = j ** ld(s)
-        target = ld(rl_power(order, s, float(row + 1)))
-        # same contraction as apply_gl with unit step, kept in extended
-        # precision (apply_gl works in double)
-        corrected = lam[::-1] @ powers + w_frac @ jp
-        worst = max(worst, abs(corrected - target) / max(ld(1.0), abs(target)))
-        diff = powers[row + 1] - powers[row]
-        worst = max(worst, abs(diff + w_pert @ jp))
-        if w_delta is not None:
-            half = ld(0.5) * ld(s) * (grid[row] ** ld(s - 1.0) + grid[row + 1] ** ld(s - 1.0))
-            worst = max(worst, abs(diff + w_delta @ jp - half))
-    return float(worst)
+        for k in range(rows):
+            target = ld(rl_power(order, s, float(k + 1)))
+            # same contraction as apply_gl with unit step, kept in
+            # extended precision (apply_gl works in double)
+            corrected = lam[k + 1 :: -1] @ powers[: k + 2] + w_frac[k] @ jp
+            worst[k] = max(worst[k], abs(corrected - target) / max(ld(1.0), abs(target)))
+        diff = powers[1:] - powers[:-1]
+        worst = np.maximum(worst, np.abs(diff + w_pert @ jp))
+        half = ld(0.5) * ld(s) * (grid[1:-1] ** ld(s - 1.0) + grid[2:] ** ld(s - 1.0))
+        worst[1:] = np.maximum(worst[1:], np.abs(diff[1:] + w_delta @ jp - half))
+    return worst.astype(float)
 
 
 def verify_checks():
@@ -278,9 +278,8 @@ def verify_checks():
     worst = 0.0
     for order in (-0.5, 0.1, 0.9):
         for m in (1, 2, 3):
-            sig = default_sigmas(m)
-            for k in (1, 5, 20, 60):
-                worst = max(worst, weight_identity_residual(order, sig, k))
+            defects = weight_identity_residual(order, default_sigmas(m), 61)
+            worst = max(worst, float(defects[[1, 5, 20, 60]].max()))
     yield "starting_weight_identities", worst <= 1e-12, worst
 
     rng = np.random.default_rng(7)

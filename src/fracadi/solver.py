@@ -229,6 +229,9 @@ def step_coefficients(tp, tau):
     return StepCoefficients(tau=tau, mass_coef=mass, grad_coef=grad)
 
 
+# Overflow of the source shows up as a non-finite half-source norm, which
+# AdiSolver reports with the level it happened at; no warnings on the way.
+@np.errstate(over="ignore", invalid="ignore")
 def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     """Modal projections of the reduced source at every time level.
 
@@ -272,7 +275,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         f_grid = np.empty((n_levels,) + shape)
         for b, e in blocks:
             f_grid[b:e] = at(tp.f, b, e)
-        lam = shifted_weights(-tp.beta, steps).weights
+        lam = shifted_weights(-tp.beta, steps)
         causal_sum(lam[None], f_grid, 0, n_levels, out=f_grid[None])
 
     source_hat = np.empty((n_levels, bx.dim, by.dim))
@@ -365,7 +368,7 @@ class AdiSolver:
             self._loads[2] = self.coeffs.cross_coef * cs.perturb
         for row, terms in enumerate(channels):
             for b, scale in terms:
-                lam = shifted_weights(b, steps + 1).weights
+                lam = shifted_weights(b, steps + 1)
                 self._kernel[row] += scale * (lam[1:] + lam[:-1])
                 if self._loads is not None:
                     frac = cs.frac[b]
@@ -379,6 +382,10 @@ class AdiSolver:
         self.source_mode, self.source_hat, self.half_source_norms = project_time_series(
             self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode
         )
+        # a march on a non-finite source would only spread it; the steps
+        # before self.count are not marched (a weak power source may be
+        # singular at t = 0 when the starting values are given)
+        _check_finite("source", self.half_source_norms[self.count - 1 :], self.tau, self.steps)
 
     # -- one step ---------------------------------------------------------
 
@@ -493,19 +500,18 @@ class RunResult:
         return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
 
 
-def _check_finite(norms, half_source_norms, times):
-    """Raise FloatingPointError at the first level with a non-finite norm.
+def _check_finite(what, norms, tau, steps):
+    """Raise FloatingPointError at the first time level with a non-finite norm.
 
-    half_source_norms[n - 1] belongs to level n, the end of its step.
+    norms belong to the last len(norms) of the levels 0..steps; the
+    half-source norms, for instance, to levels 1..steps (the end of
+    each step).
     """
-    bad_source = np.zeros(len(norms), dtype=bool)
-    bad_source[1:] = ~np.isfinite(half_source_norms)
-    bad = bad_source | ~np.isfinite(norms)
+    bad = ~np.isfinite(norms)
     if bad.any():
-        n = int(np.argmax(bad))
-        what = "source" if bad_source[n] else "solution"
+        n = steps + 1 - len(norms) + int(np.argmax(bad))
         raise FloatingPointError(
-            f"non-finite {what} norm at time level {n} of {len(norms) - 1} (t = {times[n]:.15g})"
+            f"non-finite {what} norm at time level {n} of {steps} (t = {n * tau:.15g})"
         )
 
 
@@ -584,7 +590,9 @@ def run(
 
     times = tau * np.arange(steps + 1)
     norms = l2_norm(solver.u, basis_x, basis_y)
-    _check_finite(norms, solver.half_source_norms, times)
+    # the stability bound sums every half-source norm, marched or not
+    _check_finite("source", solver.half_source_norms, tau, steps)
+    _check_finite("solution", norms, tau, steps)
 
     # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
     # cumsum accumulates in sequence, as a running Python sum would

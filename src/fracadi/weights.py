@@ -54,32 +54,18 @@ def binomial_weights(order, count):
     return g
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """Shifted weights of one fractional order, indices 0..count."""
-
-    order: float
-    weights: np.ndarray
-    raw: np.ndarray
-
-    def __post_init__(self):
-        self.weights.flags.writeable = False
-        self.raw.flags.writeable = False
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def shifted_weights(order, count):
     """Second-order weighted-shifted weights lam_0..lam_count.
 
     lam_0 = (1 + order/2) g_0 and
     lam_j = (1 + order/2) g_j - (order/2) g_{j-1} for j >= 1.
+    The returned array is read-only.
     """
     raw = binomial_weights(order, count)
     lam = (1.0 + order / 2.0) * raw
     lam[1:] -= (order / 2.0) * raw[:-1]
-    return WeightSequence(order=order, weights=lam, raw=raw)
+    lam.flags.writeable = False
+    return lam
 
 
 def apply_gl(order, step, history):
@@ -97,7 +83,7 @@ def apply_gl(order, step, history):
     if step <= 0.0:
         raise ValueError("step must be positive")
     k1 = hist.shape[0] - 1
-    lam = shifted_weights(order, k1).weights
+    lam = shifted_weights(order, k1)
     # sum_j lam_j u^{k+1-j} = sum_m lam_{k+1-m} u^m
     acc = np.tensordot(lam[k1::-1], hist, axes=(0, 0))
     return step ** (-order) * acc
@@ -112,7 +98,7 @@ def history_quadratic_form(order, values):
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    lam = shifted_weights(order, len(v) - 1).weights
+    lam = shifted_weights(order, len(v) - 1)
     partial = np.convolve(lam, v)[: len(v)]
     return float(partial @ v)
 
@@ -148,16 +134,13 @@ def _solve_power_system(exponents, rhs):
     The Vandermonde-like matrix A[p][j] = j^{sigma_p} is tiny (m <= 6)
     but can be poorly conditioned for clustered exponents, so the
     elimination runs in extended precision and the float64 result keeps
-    the defining identities at round-off.  rhs may be (m,) or (m, r).
+    the defining identities at round-off.  rhs is (m, rows); the
+    result is (m, rows) as well.
     """
     m = len(exponents)
     j = np.arange(1, m + 1, dtype=np.longdouble)
     a = j[None, :] ** np.asarray(exponents, dtype=np.longdouble)[:, None]
-    b = np.atleast_2d(np.asarray(rhs, dtype=np.longdouble))
-    if b.shape[0] != m:
-        b = b.T
-    a = a.copy()
-    b = b.copy()
+    b = np.array(rhs, dtype=np.longdouble)
 
     col_perm = np.arange(m)
     first_pivot = None
@@ -198,8 +181,7 @@ def _solve_power_system(exponents, rhs):
         x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
     out = np.empty_like(x)
     out[col_perm] = x
-    out = np.asarray(out, dtype=float)
-    return out[:, 0] if np.ndim(rhs) == 1 else out
+    return np.asarray(out, dtype=float)
 
 
 def _frac_rhs(order, exponents, rows, lam):
@@ -221,58 +203,22 @@ def _frac_rhs(order, exponents, rows, lam):
     return rhs
 
 
-def starting_weights_frac(order, exponents, row):
-    """GL starting weights w_{row,1..m} for one fractional order.
+def _delta_rhs(exponents, rows):
+    """Central-difference starting-weight right sides, rows 1..rows-1.
 
-    Row k makes tau**(-order) * (sum_i lam_i u^{k+1-i} +
-    sum_j w_{k,j} u^j) exact on u = t^sigma_p at t = (k+1) tau, for
-    every correction exponent.  The weights do not depend on the step
-    tau.
+    Row 0 is left out: the derivative of t^sigma at t = 0 is singular
+    for sigma < 1, and stepping starts at k >= 1 anyway.  Built in
+    extended precision: the forward difference cancels the leading
+    digits of k**sigma, and the rhs rounding would otherwise show up
+    verbatim in the weight identity defect.
     """
-    _check_order(order)
-    sig = _check_exponents(exponents)
-    if row < 0:
-        raise ValueError("row must be nonnegative")
-    lam = shifted_weights(order, row + 1).weights
-    rhs = _frac_rhs(order, sig, row + 1, lam)[:, row]
-    return _solve_power_system(sig, rhs)
-
-
-def _delta_rhs(exponents, rows, first_row):
-    """Central-difference starting-weight right sides, rows first_row..rows-1.
-
-    Built in extended precision: the forward difference cancels the
-    leading digits of k**sigma, and the rhs rounding would otherwise
-    show up verbatim in the weight identity defect.
-    """
-    out = np.empty((len(exponents), rows - first_row), dtype=np.longdouble)
-    k = np.arange(first_row, rows, dtype=np.longdouble)
+    out = np.empty((len(exponents), rows - 1), dtype=np.longdouble)
+    k = np.arange(1, rows, dtype=np.longdouble)
     for p, sig in enumerate(exponents):
-        # d/dt t^sigma at t = 0: zero for sigma > 1, one for sigma = 1,
-        # singular below (callers exclude row 0 in that case).
-        with np.errstate(divide="ignore"):
-            lower = k ** (sig - 1.0)
-        out[p] = 0.5 * sig * (lower + (k + 1.0) ** (sig - 1.0)) - ((k + 1.0) ** sig - k**sig)
-    return out
-
-
-def starting_weights_delta(exponents, row):
-    """Starting weights for the averaged first-difference quotient.
-
-    Row k makes (u^{k+1} - u^k)/tau + tau**-1 sum_j w_{k,j} u^j match
-    (d/dt t^sigma)(t_{k+1/2}) in the endpoint-averaged sense for each
-    exponent.  Undefined at row 0 when some exponent is below one (the
-    derivative of t^sigma is singular at t = 0).
-    """
-    sig = _check_exponents(exponents)
-    if row < 0:
-        raise ValueError("row must be nonnegative")
-    if row == 0 and min(sig) < 1.0:
-        raise ValueError(
-            "row 0 is undefined for exponents < 1; corrected stepping starts at row >= 1"
+        out[p] = 0.5 * sig * (k ** (sig - 1.0) + (k + 1.0) ** (sig - 1.0)) - (
+            (k + 1.0) ** sig - k**sig
         )
-    rhs = _delta_rhs(sig, row + 1, row)[:, 0]
-    return _solve_power_system(sig, rhs)
+    return out
 
 
 def _perturb_rhs(exponents, rows):
@@ -284,38 +230,26 @@ def _perturb_rhs(exponents, rows):
     return out
 
 
-def starting_weights_perturb(exponents, row):
-    """Starting weights cancelling the splitting perturbation on t^sigma.
-
-    Row k makes tau**-1 * (u^{k+1} - u^k + sum_j W_{k,j} u^j) vanish on
-    u = t^sigma_p, so the cross term of the splitting stays second
-    order on the correction powers.  For sigma = 1 every weight is -1.
-    """
-    sig = _check_exponents(exponents)
-    if row < 0:
-        raise ValueError("row must be nonnegative")
-    rhs = _perturb_rhs(sig, row + 1)[:, row]
-    return _solve_power_system(sig, rhs)
-
-
 @dataclass(frozen=True)
 class CorrectionSet:
     """Precomputed starting-weight tables for a corrected run.
 
-    frac[order] has shape (rows, m) with row k enforcing exactness at
-    t_{k+1}; delta and perturb have the same shape with row k used at
-    step k.  Row 0 of delta is zero-filled padding (stepping starts at
-    k >= m >= 1).
+    Every table has shape (rows, m); row k is used at step k and no
+    weight depends on the step tau.  Row k of frac[order] makes
+    tau**(-order) * (sum_i lam_i u^{k+1-i} + sum_j w_{k,j} u^j) exact
+    on u = t^sigma_p at t_{k+1}, for every correction exponent.  Row k
+    of delta makes (u^{k+1} - u^k + sum_j w_{k,j} u^j) / tau equal the
+    endpoint average of (d/dt t^sigma) over t_k and t_{k+1}; row 0 is
+    zero-filled padding (stepping starts at k >= m >= 1).  Row k of
+    perturb makes u^{k+1} - u^k + sum_j w_{k,j} u^j vanish on t^sigma,
+    so the cross term of the splitting stays second order on the
+    correction powers.
     """
 
     exponents: tuple
     frac: dict
     delta: np.ndarray
     perturb: np.ndarray
-
-    @property
-    def count(self):
-        return len(self.exponents)
 
 
 def build_correction_set(orders, exponents, rows):
@@ -331,10 +265,10 @@ def build_correction_set(orders, exponents, rows):
     frac = {}
     for order in set(float(o) for o in orders):
         _check_order(order)
-        lam = shifted_weights(order, rows + 1).weights
+        lam = shifted_weights(order, rows + 1)
         rhs = _frac_rhs(order, sig, rows, lam)
         frac[order] = _solve_power_system(sig, rhs).T
     delta = np.zeros((rows, len(sig)))
-    delta[1:] = _solve_power_system(sig, _delta_rhs(sig, rows, 1)).T
+    delta[1:] = _solve_power_system(sig, _delta_rhs(sig, rows)).T
     perturb = _solve_power_system(sig, _perturb_rhs(sig, rows)).T
     return CorrectionSet(exponents=sig, frac=frac, delta=delta, perturb=perturb)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import pathlib
 
+import numpy as np
 import pytest
 
 from fracadi.cli import (
@@ -19,7 +20,7 @@ from fracadi.cli import (
     parse_rate_csv,
 )
 from fracadi.oracle import weight_identity_residual
-from fracadi.weights import default_sigmas
+from fracadi.weights import build_correction_set, default_sigmas
 
 
 def run_command(argv):
@@ -229,7 +230,18 @@ class TestWeightIdentityResidual:
     @pytest.mark.parametrize("order", [-0.5, 0.3, 0.9])
     @pytest.mark.parametrize("row", [0, 1, 10])
     def test_identities_hold(self, order, row):
-        assert weight_identity_residual(order, (1.1, 1.2), row) <= 1e-12
+        assert weight_identity_residual(order, (1.1, 1.2), 11)[row] <= 1e-12
+
+    @pytest.mark.parametrize("table", ["frac", "delta", "perturb"])
+    def test_defect_in_each_table_is_seen(self, monkeypatch, table):
+        def corrupted(orders, exponents, rows):
+            cs = build_correction_set(orders, exponents, rows)
+            for weights in cs.frac.values() if table == "frac" else [getattr(cs, table)]:
+                weights[1:] += 1e-9
+            return cs
+
+        monkeypatch.setattr("fracadi.oracle.build_correction_set", corrupted)
+        assert np.all(weight_identity_residual(0.3, (1.1, 1.2), 11)[1:] > 1e-11)
 
 
 class TestMainRun:
@@ -365,6 +377,29 @@ class TestMainWeights:
         assert [row.split()[0] for row in delta] == ["1", "2"]
         assert all(abs(float(row.split()[1])) <= 1e-15 for row in delta)
 
+    def test_rows_come_from_the_correction_table(self):
+        sig = (1.1, 1.2, 1.3)
+        code, out = run_command([
+            "weights", "--order", "-0.9", "--count", "0", "--sigma", *map(str, sig), "--rows", "4",
+        ])
+        assert code == 0
+        cs = build_correction_set((-0.9,), sig, 5)
+
+        def rows(table):
+            return [f"{k} " + " ".join(fmt(v) for v in table[k]) for k in range(1, 5)]
+
+        want = ["# j g_j lambda_j", "0 1 0.55", "# frac rows, order -0.9, sigma 1.1 1.2 1.3"]
+        want += rows(cs.frac[-0.9]) + ["# delta rows"] + rows(cs.delta)
+        want += ["# perturb rows"] + rows(cs.perturb)
+        assert out.splitlines() == want
+
+    def test_ill_conditioned_sigma_fails_before_output(self, capfd):
+        argv = ["weights", "--order", "0.5", "--sigma", "1.1", "1.1000000000001"]
+        assert main(argv) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: starting-weight system too ill-conditioned")
+
     def test_output_follows_redirected_stdout(self):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -411,10 +446,13 @@ class TestMainExitCodes:
         assert code == 2
         assert "numerical failure" in capfd.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_values_are_a_numerical_failure(self, tmp_path, capfd):
-        # forcing coefficients of 1e308 overflow the source from t_1 on
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m, t", [("0", "0.01"), ("1", "0.0001")], ids=["0", "1"])
+    def test_non_finite_values_are_a_numerical_failure(self, tmp_path, capfd, m, t):
+        # forcing coefficients of 1e308 overflow the source from t_1 on; the
+        # check after the projection stops the run, with no warnings, before
+        # the main march (m = 0) or the bootstrap's fine march of 100 steps
+        # (m = 1) starts
         source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         text = source.read_text(encoding="utf-8")
         assert "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0" in text
@@ -424,11 +462,11 @@ class TestMainExitCodes:
             encoding="utf-8",
         )
         outdir = tmp_path / "out"
-        code = main(["run", "--config", str(config), "--output", str(outdir)])
+        code = main(["run", "--config", str(config), "--m", m, "--output", str(outdir)])
         assert code == 2
-        err = capfd.readouterr().err
-        assert "numerical failure: non-finite source norm at time level 1 of 100 (t = 0.01)" in err
-        assert "Traceback" not in err
+        assert capfd.readouterr().err.splitlines() == [
+            f"numerical failure: non-finite source norm at time level 1 of 100 (t = {t})"
+        ]
         assert not outdir.exists()
 
     def test_history_too_large_for_memory(self, tmp_path, capfd):

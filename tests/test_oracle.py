@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracadi.basis import build_basis
+from fracadi.basis import build_basis, l2_norm
 from fracadi.oracle import (
     UnsplitReference,
     dense_kronecker_solve,
@@ -14,7 +14,13 @@ from fracadi.oracle import (
     half_sum_coefficients,
     quadrature_matrix_check,
 )
-from fracadi.problems import Rectangle, get_problem
+from fracadi.problems import (
+    ProblemSpec,
+    Rectangle,
+    SeparableTerm,
+    SpatialProfile,
+    get_problem,
+)
 from fracadi.solver import (
     AdiSolver,
     StepCoefficients,
@@ -60,7 +66,7 @@ class TestHalfSumCoefficients:
     @pytest.mark.parametrize("order", [-0.5, 0.1, 0.9])
     def test_matches_endpoint_average(self, order):
         k = 7
-        lam = shifted_weights(order, k + 2).weights
+        lam = shifted_weights(order, k + 2)
         c = half_sum_coefficients(lam, k)
         assert c.shape == (k + 2,)
         for j in range(k + 1):
@@ -83,6 +89,34 @@ class TestUnsplitReference:
             gaps[steps] = np.max(np.abs(split.u[-1] - plain.u[-1]))
         assert gaps[20] > 0.0
         assert 4.0 <= gaps[20] / gaps[40] <= 16.0
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    def test_splitting_gap_order(self, beta):
+        # the splitting term cross_coef * (S x S)(u^{k+1} - u^k) has
+        # cross_coef ~ tau^(2 + 2 beta), and on a smooth solution the gap
+        # between the split and the unsplit march shrinks at that order
+        lobe = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        spec = ProblemSpec(
+            name="smooth_forcing",
+            alpha=1.0 + beta,
+            alphas=(),
+            coeffs=(),
+            mu=1.0,
+            domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
+            forcing_terms=(SeparableTerm(1.0, 3.0, lobe), SeparableTerm(1.0, 4.0, lobe)),
+        )
+        tp = reduce_order(spec)
+        bx = build_basis(12, tp.domain.x_interval)
+        by = build_basis(12, tp.domain.y_interval)
+        gaps = []
+        for steps in (20, 40, 80, 160):
+            split = AdiSolver(tp, bx, by, 1.0 / steps, steps)
+            split.march()
+            plain = UnsplitReference(tp, bx, by, 1.0 / steps, steps)
+            plain.march()
+            gaps.append(float(np.max(l2_norm(split.u - plain.u, bx, by))))
+        orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+        assert np.all(np.abs(orders - (2.0 + 2.0 * beta)) <= 0.1), orders
 
     def test_vanishing_diffusion_removes_the_gap(self):
         # with mu = 0 the splitting perturbation is identically zero, so

@@ -1,4 +1,5 @@
 """Order reduction, step assembly, corrected marching, run diagnostics."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from fracadi.basis import (
     l2_norm,
     project_source,
 )
-from fracadi.oracle import dense_kronecker_solve, half_sum_coefficients
+from fracadi.oracle import half_sum_coefficients
 from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
 from fracadi.solver import (
     BLOCK,
@@ -327,7 +328,7 @@ class TestProjectTimeSeries:
             vals = [tp.g(x, yv, t) for t in times]
         else:
             f = np.array([tp.f(x, yv, t) for t in times])
-            lam = shifted_weights(-tp.beta, steps).weights
+            lam = shifted_weights(-tp.beta, steps)
             vals = [
                 tau**tp.beta * np.tensordot(lam[n::-1], f[: n + 1], axes=(0, 0))
                 + tp.g_smooth(x, yv, t)
@@ -419,9 +420,9 @@ class TestAssembleRhs:
         stiff_e = (bx.stiffness @ e) @ by.mass + (bx.mass @ e) @ by.stiffness
         want = np.zeros_like(rhs)
         for b, a in zip(tp.betas, tp.coeffs):
-            lam = shifted_weights(b, steps + 1).weights
+            lam = shifted_weights(b, steps + 1)
             want -= a * tau ** (1.0 - b) * half_sum_coefficients(lam, k)[j] * mass_e
-        lam = shifted_weights(-tp.beta, steps + 1).weights
+        lam = shifted_weights(-tp.beta, steps + 1)
         want -= tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, k)[j] * stiff_e
         if j == k:  # the current level also enters the explicit mass and cross terms
             want += mass_e + solver.coeffs.cross_coef * (bx.stiffness @ e) @ by.stiffness
@@ -459,18 +460,6 @@ class TestCausalSum:
 
 
 class TestStepVersusDense:
-    def test_sweeps_match_dense_kronecker(self):
-        tp = reduce_order(get_problem("compatible_smooth"))
-        bx = build_basis(8, tp.domain.x_interval)
-        by = build_basis(8, tp.domain.y_interval)
-        solver = AdiSolver(tp, bx, by, 1.0 / 12.0, 12)
-        solver.march()
-        for k in (0, 5, 11):
-            rhs = solver.assemble_rhs(k)
-            dense = dense_kronecker_solve(solver.coeffs, bx, by, rhs)
-            scale = np.max(np.abs(solver.u[k + 1]))
-            assert np.max(np.abs(dense - solver.u[k + 1])) <= 1e-10 * scale
-
     @pytest.mark.parametrize("degree", [20, 64])
     def test_inverse_sweeps_match_banded_solves(self, rng, degree):
         bx = build_basis(degree, (0.0, 2.0))
@@ -700,6 +689,21 @@ class TestSolverValidation:
                 quiet_tp(), self.bx, self.by, 0.1, 2,
                 correction_terms=2, exponents=(1.1, 1.2),
             )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_source_stops_before_the_march(self):
+        # a unit source, infinite at t = 0 and after t = 0.65; the step
+        # from level 0 is checked only when the march takes it
+        def g(x, y, t):
+            blows_up = (t == 0.0) | (t > 0.65)
+            return np.where(blows_up, np.inf, 1.0) * np.ones(np.broadcast(x, y).shape)
+
+        tp = dataclasses.replace(quiet_tp(), g=g)
+        with pytest.raises(FloatingPointError, match=r"level 1 of 10 \(t = 0.1\)"):
+            AdiSolver(tp, self.bx, self.by, 0.1, 10)
+        start = [np.zeros((self.bx.dim, self.by.dim))]
+        with pytest.raises(FloatingPointError, match=r"level 7 of 10 \(t = 0.7\)"):
+            AdiSolver(tp, self.bx, self.by, 0.1, 10, starting_values=start)
 
 
 class TestRun:

@@ -7,16 +7,12 @@ import pytest
 from fracadi.weights import (
     MAX_CORRECTION_TERMS,
     StartingWeightError,
-    WeightSequence,
     apply_gl,
     binomial_weights,
     build_correction_set,
     history_quadratic_form,
     rl_power,
     shifted_weights,
-    starting_weights_delta,
-    starting_weights_frac,
-    starting_weights_perturb,
 )
 
 
@@ -86,36 +82,32 @@ class TestBinomialWeights:
 
 class TestShiftedWeights:
     def test_order_zero_is_identity(self):
-        lam = shifted_weights(0.0, 8).weights
+        lam = shifted_weights(0.0, 8)
         assert lam[0] == 1.0
         np.testing.assert_allclose(lam[1:], 0.0, atol=0.0)
 
     def test_order_one_is_bdf2(self):
-        lam = shifted_weights(1.0, 6).weights
+        lam = shifted_weights(1.0, 6)
         np.testing.assert_allclose(lam[:3], [1.5, -2.0, 0.5], atol=0.0)
         np.testing.assert_allclose(lam[3:], 0.0, atol=0.0)
 
     @pytest.mark.parametrize("order", [-1.0, -0.4, 0.1, 0.5, 0.9])
     def test_leading_weight(self, order):
-        lam = shifted_weights(order, 3).weights
+        lam = shifted_weights(order, 3)
         assert lam[0] == pytest.approx(1.0 + order / 2.0, rel=1e-15)
 
-    def test_recombination_of_binomials(self, rng):
+    def test_recombination_of_binomials(self):
         order = 0.6
-        ws = shifted_weights(order, 20)
-        g = ws.raw
-        want = (1.0 + order / 2.0) * g.copy()
+        g = binomial_weights(order, 20)
+        want = (1.0 + order / 2.0) * g
         want[1:] -= (order / 2.0) * g[:-1]
-        np.testing.assert_allclose(ws.weights, want, rtol=1e-15)
+        np.testing.assert_allclose(shifted_weights(order, 20), want, rtol=1e-15)
 
     def test_sequences_are_read_only(self):
-        ws = shifted_weights(0.5, 4)
+        lam = shifted_weights(0.5, 4)
         with pytest.raises(ValueError):
-            ws.weights[0] = 7.0
-        with pytest.raises(ValueError):
-            ws.raw[1] = 7.0
-        assert isinstance(ws, WeightSequence)
-        assert len(ws) == 5
+            lam[0] = 7.0
+        assert len(lam) == 5
 
 
 class TestApplyGl:
@@ -179,10 +171,15 @@ class TestRlPower:
             rl_power(0.5, -1.0, 1.0)
 
 
+def frac_row(order, exponents, k):
+    """Row k of the stepper's GL starting-weight table for one order."""
+    return build_correction_set((order,), exponents, max(k + 1, 2)).frac[order][k]
+
+
 def corrected_gl(order, exponents, s, k, tau=1.0):
     """Corrected operator applied to samples of t^s at row k."""
     t = tau * np.arange(k + 2)
-    w = starting_weights_frac(order, exponents, k)
+    w = frac_row(order, exponents, k)
     jvals = (tau * np.arange(1.0, len(exponents) + 1.0)) ** s
     return apply_gl(order, tau, t**s) + tau ** (-order) * float(w @ jvals)
 
@@ -208,11 +205,11 @@ class TestStartingWeightsFrac:
     def test_single_exponent_closed_form(self):
         # m = 1: the system is 1x1, w = target - GL sum directly
         order, s, k = 0.5, 1.1, 4
-        lam = shifted_weights(order, k + 1).weights
+        lam = shifted_weights(order, k + 1)
         grid = np.arange(k + 2, dtype=float)
         plain = float(lam[k + 1 :: -1] @ grid**s)
         want = rl_power(order, s, float(k + 1)) - plain
-        got = starting_weights_frac(order, (s,), k)
+        got = frac_row(order, (s,), k)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(want, rel=1e-12)
 
@@ -225,7 +222,7 @@ class TestStartingWeightsFrac:
         powers = t**1.1
         target = rl_power(order, 1.1, t[-1])
         plain_err = abs(apply_gl(order, tau, powers) - target)
-        w = starting_weights_frac(order, sig, steps - 1)
+        w = frac_row(order, sig, steps - 1)
         corrected = apply_gl(order, tau, powers) + tau ** (-order) * float(
             w @ powers[1 : len(sig) + 1]
         )
@@ -233,73 +230,45 @@ class TestStartingWeightsFrac:
         assert plain_err > 1e-7
         assert corrected_err <= plain_err / 100.0
 
-    def test_negative_row_rejected(self):
-        with pytest.raises(ValueError):
-            starting_weights_frac(0.5, (1.1,), -1)
-
 
 class TestStartingWeightsDelta:
     def test_sigma_one_gives_zero_rows(self):
-        for k in (1, 2, 9):
-            w = starting_weights_delta((1.0,), k)
-            np.testing.assert_allclose(w, 0.0, atol=1e-14)
+        delta = build_correction_set((0.5,), (1.0,), 10).delta
+        np.testing.assert_allclose(delta[[1, 2, 9]], 0.0, atol=1e-14)
 
     def test_closed_form_single_exponent(self):
         s, k = 1.5, 1
         want = 0.5 * s * (k ** (s - 1.0) + (k + 1) ** (s - 1.0)) - ((k + 1) ** s - k**s)
-        got = starting_weights_delta((s,), k)
+        got = build_correction_set((0.5,), (s,), 2).delta[k]
         assert got[0] == pytest.approx(want, rel=1e-13)
 
     def test_corrects_difference_quotient(self):
         sig = (1.1, 1.3)
+        delta = build_correction_set((0.5,), sig, 13).delta
         for k in (1, 4, 12):
-            w = starting_weights_delta(sig, k)
             for s in sig:
                 jvals = np.arange(1.0, len(sig) + 1.0) ** s
                 diff = (k + 1.0) ** s - float(k) ** s
                 target = 0.5 * s * (k ** (s - 1.0) + (k + 1.0) ** (s - 1.0))
-                assert diff + float(w @ jvals) == pytest.approx(target, abs=1e-12)
-
-    def test_row_zero_undefined_below_one(self):
-        with pytest.raises(ValueError, match="row 0"):
-            starting_weights_delta((0.9,), 0)
-
-    def test_row_zero_fine_at_or_above_one(self):
-        w = starting_weights_delta((1.5,), 0)
-        assert np.isfinite(w).all()
+                assert diff + float(delta[k] @ jvals) == pytest.approx(target, abs=1e-12)
 
 
 class TestStartingWeightsPerturb:
     def test_sigma_one_gives_minus_one(self):
-        for k in (0, 1, 7):
-            w = starting_weights_perturb((1.0,), k)
-            assert w[0] == pytest.approx(-1.0, rel=1e-14)
+        perturb = build_correction_set((0.5,), (1.0,), 8).perturb
+        np.testing.assert_allclose(perturb[[0, 1, 7], 0], -1.0, rtol=1e-14)
 
     def test_cancels_forward_difference(self):
         sig = (1.1, 1.2, 1.3)
+        perturb = build_correction_set((0.5,), sig, 10).perturb
         for k in (0, 2, 9):
-            w = starting_weights_perturb(sig, k)
             for s in sig:
                 jvals = np.arange(1.0, len(sig) + 1.0) ** s
                 diff = (k + 1.0) ** s - float(k) ** s
-                assert diff + float(w @ jvals) == pytest.approx(0.0, abs=1e-12)
+                assert diff + float(perturb[k] @ jvals) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCorrectionSet:
-    def test_tables_match_row_functions(self):
-        orders = (0.5, -0.1, -0.5)
-        sig = (1.1, 1.2)
-        cs = build_correction_set(orders, sig, rows=8)
-        assert cs.count == 2
-        for order in orders:
-            for k in (1, 4, 7):
-                np.testing.assert_allclose(
-                    cs.frac[order][k], starting_weights_frac(order, sig, k), atol=1e-13, rtol=1e-10
-                )
-        for k in (1, 5):
-            np.testing.assert_allclose(cs.delta[k], starting_weights_delta(sig, k), rtol=1e-12)
-            np.testing.assert_allclose(cs.perturb[k], starting_weights_perturb(sig, k), rtol=1e-12)
-
     def test_delta_row_zero_padding(self):
         cs = build_correction_set((0.5,), (1.1,), rows=4)
         np.testing.assert_allclose(cs.delta[0], 0.0, atol=0.0)
@@ -312,22 +281,22 @@ class TestCorrectionSet:
 class TestExponentValidation:
     def test_empty_exponents_rejected(self):
         with pytest.raises(ValueError):
-            starting_weights_perturb((), 1)
+            build_correction_set((0.5,), (), 2)
 
     def test_too_many_exponents_rejected(self):
         sig = tuple(1.1 + 0.05 * p for p in range(MAX_CORRECTION_TERMS + 1))
         with pytest.raises(ValueError):
-            starting_weights_perturb(sig, 1)
+            build_correction_set((0.5,), sig, 2)
 
     def test_nonincreasing_exponents_rejected(self):
         with pytest.raises(ValueError):
-            starting_weights_frac(0.5, (1.2, 1.1), 1)
+            build_correction_set((0.5,), (1.2, 1.1), 2)
 
     def test_nonpositive_exponents_rejected(self):
         with pytest.raises(ValueError):
-            starting_weights_frac(0.5, (0.0, 1.1), 1)
+            build_correction_set((0.5,), (0.0, 1.1), 2)
 
     def test_near_duplicate_exponents_flagged(self):
         with pytest.raises(StartingWeightError) as info:
-            starting_weights_frac(0.5, (1.1, 1.1 + 1e-13), 3)
+            build_correction_set((0.5,), (1.1, 1.1 + 1e-13), 4)
         assert info.value.condition > 1e12
