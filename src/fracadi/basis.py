@@ -276,12 +276,32 @@ def l2_norm(coeffs, basis_x, basis_y):
     if coeffs.ndim == 2:
         return float(l2_norm(coeffs[None], basis_x, basis_y)[0])
     scale = basis_x.jacobian * basis_y.jacobian
-    out = np.empty(len(coeffs))
-    for b, e in level_blocks(len(coeffs), coeffs.shape[1] * coeffs.shape[2]):
-        block = coeffs[b:e]
+
+    def squared(block):
         quad = scale * np.sum(block * (basis_x.mass @ block @ basis_y.mass), axis=(1, 2))
         # tiny negative round-off can appear for near-zero fields
-        out[b:e] = np.sqrt(np.maximum(quad, 0.0))
+        return np.maximum(quad, 0.0)
+
+    out = np.empty(len(coeffs))
+    for b, e in level_blocks(len(coeffs), coeffs.shape[1] * coeffs.shape[2]):
+        out[b:e] = stack_norms(squared, coeffs[b:e])
+    return out
+
+
+def stack_norms(squared, stack):
+    """Square roots of squared(stack), one per level of a (levels, n, m) stack.
+
+    squared must be a sum of squares of the entries (homogeneous of degree
+    two).  Where a result is not finite, every level is first divided by a
+    power of two near its largest entry, which keeps the squares of a
+    finite level finite; the division is exact, so both ways give the same
+    bits wherever the plain squares do not overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # handled below
+        out = np.sqrt(squared(stack))
+    if not np.isfinite(out).all():
+        shift = np.frexp(np.max(np.abs(stack), axis=(1, 2), keepdims=True))[1]
+        out = np.ldexp(np.sqrt(squared(np.ldexp(stack, -shift))), shift[:, 0, 0])
     return out
 
 

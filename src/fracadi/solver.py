@@ -10,6 +10,7 @@ perturbation and all memory sums live on the right-hand side.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .basis import (
     l2_errors,
     l2_norm,
     level_blocks,
+    stack_norms,
 )
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
 from .weights import build_correction_set, shifted_weights
@@ -268,8 +270,8 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         return np.broadcast_to(func(x, y, times[b:e, None, None]), (e - b,) + shape)
 
     def grid_norm(vals):
-        """L2 norms by quadrature of one grid level or a stack of them."""
-        return np.sqrt(wx @ vals**2 @ wy)
+        """L2 norms by quadrature of a stack of grid levels."""
+        return stack_norms(lambda v: wx @ v**2 @ wy, vals)
 
     if mode == "sampled":
         f_grid = np.empty((n_levels,) + shape)
@@ -292,19 +294,39 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         # half_source_norms[n - 1] pairs levels n - 1 and n; the first
         # pair of a block reaches back to the last level of the previous one
         if prev is not None:
-            half_source_norms[b - 1] = grid_norm(0.5 * (prev + vals[0]))
+            half_source_norms[b - 1 : b] = grid_norm(0.5 * (prev + vals[:1]))
         half_source_norms[b : e - 1] = grid_norm(0.5 * (vals[:-1] + vals[1:]))
         prev = vals[-1]
     return mode, source_hat, half_source_norms
+
+
+def physical_memory():
+    """Bytes of physical memory on this machine (inf where unknown)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _binary_size(nbytes):
+    """A byte count in numpy's binary units, e.g. '1.60 PiB'."""
+    units = ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")
+    i = min(max(int(nbytes).bit_length() - 1, 0) // 10, len(units) - 1)
+    if i == 0:
+        return f"{nbytes:.0f} bytes"
+    return f"{nbytes / 2 ** (10 * i):#.3g} {units[i]}"
 
 
 class AdiSolver:
     """Marches the reduced problem on one tensor basis.
 
     Holds the inverses of the two sweep operators, the precomputed source
-    projections, one memory kernel per operator (plus the starting-weight
-    loads of corrected runs), the full modal history (the memory terms
-    need it anyway) and the far part of the memory sum for one block.
+    projections, one memory kernel per operator (plus, in corrected runs,
+    the starting-weight loads and the right-hand-side images of the
+    starting differences), the full modal history (the memory terms need
+    it anyway) and the far part of the memory sum for one block.  The
+    starting values are fixed at construction: correction_load reads
+    their images, not u[1..m].
     """
 
     def __init__(
@@ -321,6 +343,7 @@ class AdiSolver:
     ):
         if steps < 1:
             raise ValueError("need at least one step")
+        _check_memory(tp, basis_x, basis_y, steps, source_mode)
         self.tp = tp
         self.basis_x = basis_x
         self.basis_y = basis_y
@@ -344,13 +367,22 @@ class AdiSolver:
             self.count = 1 + len(starting_values)
 
         self._inv_x, self._inv_y_t = sweep_inverses(self.coeffs, basis_x, basis_y)
-        self._sx = np.diag(basis_x.stiffness).copy()
-        self._sy = np.diag(basis_y.stiffness).copy()
+        # jacobian-scaled factors of the mass, stiffness and cross operators
+        jx, jy = basis_x.jacobian, basis_y.jacobian
+        sx, sy = np.diag(basis_x.stiffness), np.diag(basis_y.stiffness)
+        self._mass_x = jx * jy * basis_x.mass
+        self._mass_y = basis_y.mass
+        self._stiff_x = (jy / jx) * sx[:, None]
+        self._stiff_mass_x = (jx / jy) * basis_x.mass
+        self._stiff_y = sy
+        self._cross = np.outer(sx, sy) / (jx * jy)
 
         # The mass and stiffness applications are linear, so every order's
         # memory sum folds into one kernel per operator: row 0 (mass) sums
         # the memory orders, row 1 (stiffness) is the integral order -beta.
         # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
+        # kernel is stored reversed (column steps - j holds lag j), so the
+        # near part of a step is one matmul with a contiguous slice.  The
         # starting weights fold the same way into load rows (mass,
         # stiffness, cross); frac rows k and k-1 average the endpoint
         # systems, and load row 0 is unused (stepping starts at k = m >= 1).
@@ -358,7 +390,7 @@ class AdiSolver:
             [(b, 0.5 * a * self.tau ** (1.0 - b)) for b, a in zip(tp.betas, tp.coeffs)],
             [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
         )
-        self._kernel = np.zeros((2, steps + 1))
+        kernel = np.zeros((2, steps + 1))
         self._far_start, self._far = 0, None
         self._loads = None
         if self.m:
@@ -369,12 +401,30 @@ class AdiSolver:
         for row, terms in enumerate(channels):
             for b, scale in terms:
                 lam = shifted_weights(b, steps + 1)
-                self._kernel[row] += scale * (lam[1:] + lam[:-1])
+                kernel[row] += scale * (lam[1:] + lam[:-1])
                 if self._loads is not None:
                     frac = cs.frac[b]
                     self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
+        self._rkernel = np.ascontiguousarray(kernel[:, ::-1])
+        if self._loads is not None:
+            self._images = self._starting_images()
 
         self._prepare_source(source_mode)
+
+    def _starting_images(self):
+        """(3 m, dim_x * dim_y) images of the starting differences u[j] - u[0].
+
+        Rows o * m + j - 1 hold minus the mass (o = 0), stiffness (o = 1)
+        and cross (o = 2) operator applied to u[j] - u[0], in the order of
+        a raveled (3, m) load column.
+        """
+        diffs = self.u[1 : self.m + 1] - self.u[0]
+        images = np.stack([
+            -self._mass_apply(diffs),
+            -self._stiff_apply(diffs),
+            -self._cross * diffs,
+        ])
+        return images.reshape(3 * self.m, -1)
 
     # -- source handling ------------------------------------------------
 
@@ -390,18 +440,10 @@ class AdiSolver:
     # -- one step ---------------------------------------------------------
 
     def _mass_apply(self, mat):
-        bx, by = self.basis_x, self.basis_y
-        return bx.jacobian * by.jacobian * (bx.mass @ mat @ by.mass)
+        return self._mass_x @ mat @ self._mass_y
 
     def _stiff_apply(self, mat):
-        bx, by = self.basis_x, self.basis_y
-        rx = (by.jacobian / bx.jacobian) * (self._sx[:, None] * (mat @ by.mass))
-        ry = (bx.jacobian / by.jacobian) * ((bx.mass @ mat) * self._sy[None, :])
-        return rx + ry
-
-    def _cross_apply(self, mat):
-        bx, by = self.basis_x, self.basis_y
-        return (self._sx[:, None] * mat * self._sy[None, :]) / (bx.jacobian * by.jacobian)
+        return self._stiff_x * (mat @ self._mass_y) + (self._stiff_mass_x @ mat) * self._stiff_y
 
     def assemble_rhs(self, k):
         """Right-hand side of the step from t_k to t_{k+1} (no corrections).
@@ -411,35 +453,38 @@ class AdiSolver:
         through a far part that causal_sum computes for the whole block
         from u[:b0] and that is cached by b0.  The march never rewrites
         u[:b0] once a block has started; a call for another block
-        recomputes that block's far part from the current history.
+        recomputes that block's far part from the current history.  The
+        mass operator is applied once, to u[k] minus the mass memory.
         """
         if not 0 <= k < self.steps:
             raise ValueError("step index out of range")
-        tau = self.tau
         uk = self.u[k]
-        rhs = self._mass_apply(uk)
-        rhs += tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
-        rhs += self.coeffs.cross_coef * self._cross_apply(uk)
         b0 = k - k % BLOCK
-        mem = np.tensordot(self._kernel[:, k - b0 :: -1], self.u[b0 : k + 1], axes=(1, 0))
+        near = self._rkernel[:, self.steps - (k - b0) :]
+        mem = (near @ self.u[b0 : k + 1].reshape(k + 1 - b0, -1)).reshape((2,) + uk.shape)
         if b0:
             if self._far_start != b0:
                 hi = min(b0 + BLOCK, self.steps)
-                self._far = causal_sum(self._kernel, self.u[:b0], b0, hi)
+                self._far = causal_sum(self._rkernel[:, ::-1], self.u[:b0], b0, hi)
                 self._far_start = b0
             mem += self._far[:, k - b0]
-        rhs -= self._mass_apply(mem[0]) + self._stiff_apply(mem[1])
+        rhs = self._mass_apply(uk - mem[0])
+        rhs -= self._stiff_apply(mem[1])
+        rhs += self.coeffs.cross_coef * (self._cross * uk)
+        rhs += self.tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
         return rhs
 
     def correction_load(self, k):
-        """Starting-weight additions to the right-hand side at step k."""
+        """Starting-weight additions to the right-hand side at step k.
+
+        One contraction of the step's load column with the images of the
+        starting differences, which were taken at construction.
+        """
         if self._loads is None:
             raise ValueError("solver built without corrections")
         if k < self.m:
             raise ValueError("corrected stepping starts at k = m")
-        diffs = self.u[1 : self.m + 1] - self.u[0]
-        mass, stiff, cross = np.tensordot(self._loads[:, k], diffs, axes=(1, 0))
-        return -(self._mass_apply(mass) + self._stiff_apply(stiff) + self._cross_apply(cross))
+        return (self._loads[:, k].ravel() @ self._images).reshape(self.u.shape[1:])
 
     def sweep_solve(self, rhs):
         """Apply the two one-dimensional inverses (x, then y)."""
@@ -512,6 +557,25 @@ def _check_finite(what, norms, tau, steps):
         n = steps + 1 - len(norms) + int(np.argmax(bad))
         raise FloatingPointError(
             f"non-finite {what} norm at time level {n} of {steps} (t = {n * tau:.15g})"
+        )
+
+
+def _check_memory(tp, basis_x, basis_y, steps, source_mode):
+    """Raise MemoryError if the solver's per-level arrays exceed physical memory.
+
+    Counts the (steps + 1)-row arrays AdiSolver holds: the history u and
+    source_hat, plus the sampled forcing grid in sampled mode.
+    """
+    row = 8 * (steps + 1)
+    sizes = [row * basis_x.dim * basis_y.dim] * 2
+    if source_mode == "sampled" or (source_mode == "auto" and tp.g is None):
+        sizes.append(row * basis_x.quad_count * basis_y.quad_count)
+    limit = physical_memory()
+    if sum(sizes) > limit:
+        raise MemoryError(
+            f"{steps} steps need {_binary_size(sum(sizes))} of per-level arrays "
+            f"({' + '.join(map(_binary_size, sizes))}), more than the "
+            f"{_binary_size(limit)} of physical memory"
         )
 
 
@@ -595,10 +659,15 @@ def run(
     _check_finite("solution", norms, tau, steps)
 
     # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
-    # cumsum accumulates in sequence, as a running Python sum would
-    bound = math.exp(2.0 * final_time) * 2.0 * tau * np.cumsum(solver.half_source_norms**2)
+    # cumsum accumulates in sequence, as a running Python sum would.  Both
+    # norms are divided by a power of two near the largest h_k first, which
+    # keeps the squares finite and leaves the ratio bit-identical
+    shift = np.frexp(np.max(solver.half_source_norms))[1]
+    half = np.ldexp(solver.half_source_norms, -shift)
+    scaled = np.ldexp(norms[1:], -shift)
+    bound = math.exp(2.0 * final_time) * 2.0 * tau * np.cumsum(half**2)
     positive = bound > 0.0
-    ratio = float(np.max(norms[1:][positive] ** 2 / bound[positive])) if positive.any() else 0.0
+    ratio = float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
     errors = error_final = error_max = None
     if tp.exact is not None:

@@ -447,12 +447,13 @@ class TestMainExitCodes:
         assert "numerical failure" in capfd.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("m, t", [("0", "0.01"), ("1", "0.0001")], ids=["0", "1"])
+    @pytest.mark.parametrize("m, t", [("0", "0.87"), ("1", "0.87")], ids=["0", "1"])
     def test_non_finite_values_are_a_numerical_failure(self, tmp_path, capfd, m, t):
-        # forcing coefficients of 1e308 overflow the source from t_1 on; the
-        # check after the projection stops the run, with no warnings, before
-        # the main march (m = 0) or the bootstrap's fine march of 100 steps
-        # (m = 1) starts
+        # forcing coefficients of 1e308 keep the source finite, but the sum
+        # of levels 86 and 87 in the half-source norm overflows; the check
+        # after the projection stops the run, with no warnings, before the
+        # main march starts (for m = 1 the bootstrap's fine march to t_1
+        # stays finite)
         source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         text = source.read_text(encoding="utf-8")
         assert "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0" in text
@@ -465,13 +466,61 @@ class TestMainExitCodes:
         code = main(["run", "--config", str(config), "--m", m, "--output", str(outdir)])
         assert code == 2
         assert capfd.readouterr().err.splitlines() == [
-            f"numerical failure: non-finite source norm at time level 1 of 100 (t = {t})"
+            f"numerical failure: non-finite source norm at time level 87 of 100 (t = {t})"
         ]
         assert not outdir.exists()
 
+    def test_huge_finite_source_runs(self, tmp_path, capfd):
+        # a source near 1e160 squares past the float range; the norms scale
+        # by powers of two first, so the run matches the same problem at
+        # scale 1.  forcing_mode_2_1 is left out of the scale-1 copy, where
+        # it would change the ratio; next to 1e160 it is below round-off
+        source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+        text = source.read_text(encoding="utf-8")
+        line = "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0"
+        assert line in text and "forcing_mode_2_1 = 0.5 2.0\n" in text
+        copies = {
+            "huge": text.replace(line, "forcing_mode_1_1 = 1e160 1.5, 1e160 3.0"),
+            "unit": text.replace(line, "forcing_mode_1_1 = 1 1.5, 1 3.0").replace(
+                "forcing_mode_2_1 = 0.5 2.0\n", ""
+            ),
+        }
+        diag = {}
+        for name, body in copies.items():
+            config = tmp_path / f"{name}.ini"
+            config.write_text(body, encoding="utf-8")
+            outdir = tmp_path / name
+            assert main(["run", "--config", str(config), "--output", str(outdir)]) == 0
+            diag[name] = read_kv(outdir / "diagnostics.txt")
+        capfd.readouterr()
+        huge, unit = diag["huge"], diag["unit"]
+        for key in ("final_l2_norm", "max_l2_norm", "stability_ratio"):
+            assert np.isfinite(float(huge[key]))
+        assert float(huge["final_l2_norm"]) == pytest.approx(1e160 * float(unit["final_l2_norm"]), rel=1e-12)
+        assert float(huge["stability_ratio"]) == pytest.approx(float(unit["stability_ratio"]), rel=1e-12)
+
+    def test_memory_guard_names_the_size(self, tmp_path, capfd, monkeypatch):
+        # with 1 MiB of "physical memory" the 1001 levels of 15 x 15
+        # coefficients (1.72 MiB each for u and source_hat) do not fit;
+        # nothing that large is allocated
+        monkeypatch.setattr("fracadi.solver.physical_memory", lambda: 2**20)
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+        outdir = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config), "--N", "16", "--M", "1000", "--output", str(outdir),
+        ])
+        assert code == 1
+        err = capfd.readouterr().err
+        assert err.splitlines() == [
+            "config error: 1000 steps need 3.44 MiB of per-level arrays "
+            "(1.72 MiB + 1.72 MiB), more than the 1.00 MiB of physical memory"
+        ]
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
     def test_history_too_large_for_memory(self, tmp_path, capfd):
-        # the (M + 1) * 15**2 history needs 1.6 PiB, beyond any address
-        # space, so the allocation fails at once
+        # the (M + 1) * 15**2 history needs 1.6 PiB, beyond any machine's
+        # memory, so the solver refuses it before allocating
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         outdir = tmp_path / "out"
         code = main([

@@ -406,27 +406,32 @@ class TestAssembleRhs:
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
         # over both memory orders and the integral order; j < k - k % BLOCK
-        # puts the level in the far part of the sum
+        # puts the level in the far part of the sum.  The mapped rectangle
+        # has jx = 1 and jy = 2, so a misplaced jacobian factor shows
         tp = quiet_tp()
-        bx = build_basis(7, (-1.0, 1.0))
-        by = build_basis(7, (-1.0, 1.0))
         steps, tau = 2 * BLOCK + 10, 0.1
-        solver = AdiSolver(tp, bx, by, tau, steps)
-        e = rng.standard_normal((bx.dim, by.dim))
-        solver.u[j] = e
-        rhs = solver.assemble_rhs(k)
+        for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
+            bx = build_basis(7, domain.x_interval)
+            by = build_basis(7, domain.y_interval)
+            jx, jy = bx.jacobian, by.jacobian
+            solver = AdiSolver(tp, bx, by, tau, steps)
+            e = rng.standard_normal((bx.dim, by.dim))
+            solver.u[j] = e
+            rhs = solver.assemble_rhs(k)
 
-        mass_e = (bx.mass @ e) @ by.mass
-        stiff_e = (bx.stiffness @ e) @ by.mass + (bx.mass @ e) @ by.stiffness
-        want = np.zeros_like(rhs)
-        for b, a in zip(tp.betas, tp.coeffs):
-            lam = shifted_weights(b, steps + 1)
-            want -= a * tau ** (1.0 - b) * half_sum_coefficients(lam, k)[j] * mass_e
-        lam = shifted_weights(-tp.beta, steps + 1)
-        want -= tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, k)[j] * stiff_e
-        if j == k:  # the current level also enters the explicit mass and cross terms
-            want += mass_e + solver.coeffs.cross_coef * (bx.stiffness @ e) @ by.stiffness
-        np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
+            mass_e = jx * jy * (bx.mass @ e) @ by.mass
+            stiff_e = (jy / jx) * (bx.stiffness @ e) @ by.mass
+            stiff_e += (jx / jy) * (bx.mass @ e) @ by.stiffness
+            want = np.zeros_like(rhs)
+            for b, a in zip(tp.betas, tp.coeffs):
+                lam = shifted_weights(b, steps + 1)
+                want -= a * tau ** (1.0 - b) * half_sum_coefficients(lam, k)[j] * mass_e
+            lam = shifted_weights(-tp.beta, steps + 1)
+            want -= tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, k)[j] * stiff_e
+            if j == k:  # the current level also enters the explicit mass and cross terms
+                cross_e = (bx.stiffness @ e) @ by.stiffness / (jx * jy)
+                want += mass_e + solver.coeffs.cross_coef * cross_e
+            np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("k", [-1, 6])
     def test_step_index_range(self, k):
