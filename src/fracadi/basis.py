@@ -234,7 +234,8 @@ def l2_errors(coeffs, basis_x, basis_y, exact, times):
     (see level_blocks): exact is called once per block with t of shape
     (B, 1, 1), x of shape (1, Qx, 1) and y of shape (1, 1, Qy), and must
     broadcast over all three.  The errors are quadratures of pointwise
-    differences on a rule fine enough for them (_error_rule).
+    differences on a rule fine enough for them (_error_rule), taken
+    through stack_norms, so a finite difference has a finite error.
     """
     nx, wxr, px = _error_rule(basis_x)
     ny, wyr, py = _error_rule(basis_y)
@@ -246,8 +247,8 @@ def l2_errors(coeffs, basis_x, basis_y, exact, times):
     out = np.empty(len(coeffs))
     for b, e in level_blocks(len(coeffs), len(nx) * len(ny)):
         target = exact(x, y, times[b:e, None, None])
-        diff2 = (px.T @ coeffs[b:e] @ py - target) ** 2
-        out[b:e] = np.sqrt(wx @ diff2 @ wy)
+        diff = px.T @ coeffs[b:e] @ py - target
+        out[b:e] = stack_norms(lambda v: wx @ v**2 @ wy, diff)
     return out
 
 

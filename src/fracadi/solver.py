@@ -35,6 +35,13 @@ from .weights import build_correction_set, shifted_weights
 # directly, the older ones come from one FFT far part per block.  At 256
 # and N = 20 the direct contraction stays below OpenBLAS's threading size.
 BLOCK = 256
+# Steps per super-block of the far part: the history older than the
+# current super-block is transformed once per SUPER steps, the levels of
+# the super-block before the current block once per block.  N = 20
+# marches on one BLAS thread were fastest at 1024 for M = 2000 and 4000
+# (512 8 % slower, 2048 11-23 %), level with 2048 at M = 8000, and 30 %
+# slower than 2048 at M = 16000, where 2048 costs 5.6 MB more peak RSS.
+SUPER = 4 * BLOCK
 # Columns per FFT chunk in causal_sum; it bounds the FFT temporaries.  At
 # 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
 # steps; 16 columns cost no measurable CPU time.
@@ -324,9 +331,10 @@ class AdiSolver:
     projections, one memory kernel per operator (plus, in corrected runs,
     the starting-weight loads and the right-hand-side images of the
     starting differences), the full modal history (the memory terms need
-    it anyway) and the far part of the memory sum for one block.  The
-    starting values are fixed at construction: correction_load reads
-    their images, not u[1..m].
+    it anyway) and the far part of the memory sum for one block, or,
+    past the first SUPER steps, for one super-block: a (2, SUPER, dim_x,
+    dim_y) cache.  The starting values are fixed at construction:
+    correction_load reads their images, not u[1..m].
     """
 
     def __init__(
@@ -391,7 +399,8 @@ class AdiSolver:
             [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
         )
         kernel = np.zeros((2, steps + 1))
-        self._far_start, self._far = 0, None
+        self._far = None
+        self._far_start = self._far_block = -1
         self._loads = None
         if self.m:
             cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
@@ -450,11 +459,12 @@ class AdiSolver:
 
         The memory sum over u[0..k] splits at b0 = k - k % BLOCK: the
         levels b0..k are contracted directly, and the older ones enter
-        through a far part that causal_sum computes for the whole block
-        from u[:b0] and that is cached by b0.  The march never rewrites
-        u[:b0] once a block has started; a call for another block
-        recomputes that block's far part from the current history.  The
-        mass operator is applied once, to u[k] minus the mass memory.
+        through a far part in two levels, split at c0 = b0 - b0 % SUPER.
+        The levels before c0 come from one causal_sum over u[:c0] per
+        super-block of SUPER steps, the levels c0..b0-1 from one over
+        u[c0:b0] per block (see _far_rows); for c0 = 0 the far part is
+        the single transform of u[:b0].  The mass operator is applied
+        once, to u[k] minus the mass memory.
         """
         if not 0 <= k < self.steps:
             raise ValueError("step index out of range")
@@ -463,16 +473,44 @@ class AdiSolver:
         near = self._rkernel[:, self.steps - (k - b0) :]
         mem = (near @ self.u[b0 : k + 1].reshape(k + 1 - b0, -1)).reshape((2,) + uk.shape)
         if b0:
-            if self._far_start != b0:
-                hi = min(b0 + BLOCK, self.steps)
-                self._far = causal_sum(self._rkernel[:, ::-1], self.u[:b0], b0, hi)
-                self._far_start = b0
-            mem += self._far[:, k - b0]
+            if self._far_block != b0:
+                self._far_rows(b0)
+            mem += self._far[:, k - self._far_start]
         rhs = self._mass_apply(uk - mem[0])
         rhs -= self._stiff_apply(mem[1])
         rhs += self.coeffs.cross_coef * (self._cross * uk)
         rhs += self.tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
         return rhs
+
+    def _far_rows(self, b0):
+        """Fill the cached far part of the memory sum for the block at b0.
+
+        For c0 = b0 - b0 % SUPER = 0 the cache is the block's own rows of
+        the transform of u[:b0].  Otherwise it holds the super-block's
+        rows of the transform of u[:c0], and the block's transform of
+        u[c0:b0] is added into its own rows in place.  The march never
+        rewrites u[:b0] once a block has started.  A call for another
+        super-block, or for a block before the last one filled (whose
+        rows may hold an inner part already), rebuilds the cache from the
+        current history.  The old cache is dropped before the next one is
+        built, so only one is held at a time.
+        """
+        c0 = b0 - b0 % SUPER
+        hi = min(b0 + BLOCK, self.steps)
+        kernel = self._rkernel[:, ::-1]
+        if not c0:
+            self._far = None
+            self._far = causal_sum(kernel, self.u[:b0], b0, hi)
+            self._far_start = b0
+        else:
+            if c0 != self._far_start or b0 < self._far_block:
+                self._far = None
+                self._far = causal_sum(kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps))
+                self._far_start = c0
+            if b0 > c0:
+                inner = causal_sum(kernel, self.u[c0:b0], b0 - c0, hi - c0)
+                self._far[:, b0 - c0 : hi - c0] += inner
+        self._far_block = b0
 
     def correction_load(self, k):
         """Starting-weight additions to the right-hand side at step k.

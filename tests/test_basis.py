@@ -11,6 +11,7 @@ from fracadi.basis import (
     evaluate_field,
     gauss_legendre,
     l2_error,
+    l2_errors,
     l2_norm,
     legendre_deriv_table,
     legendre_table,
@@ -217,6 +218,21 @@ class TestL2:
         field = ModalField2D(coeffs, bx, by)
         err = l2_error(field, lambda x, y: np.zeros(np.broadcast(x, y).shape))
         assert l2_norm(coeffs, bx, by) == pytest.approx(err, rel=1e-12)
+
+    def test_errors_of_huge_finite_fields_stay_finite(self, unit_bases, rng):
+        # the squared differences of a 1e170-scaled stack overflow; the
+        # errors must still scale exactly with the data
+        bx, by = unit_bases
+        coeffs = rng.standard_normal((3, bx.dim, by.dim))
+        times = np.array([0.0, 0.5, 1.0])
+
+        def exact(x, y, t):
+            return (1.0 + t) * np.sin(np.pi * x) * np.cos(y)
+
+        plain = l2_errors(coeffs, bx, by, exact, times)
+        huge = l2_errors(1e170 * coeffs, bx, by, lambda x, y, t: 1e170 * exact(x, y, t), times)
+        assert np.all(plain > 1.0)
+        np.testing.assert_allclose(huge, 1e170 * plain, rtol=1e-12)
 
     def test_spectral_decay_on_analytic_function(self):
         # boundary-compatible analytic target: geometric decay in N

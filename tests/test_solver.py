@@ -17,9 +17,11 @@ from fracadi.basis import (
 )
 from fracadi.oracle import half_sum_coefficients
 from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
+from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
     FFT_COLUMNS,
+    SUPER,
     AdiSolver,
     TransformedProblem,
     bootstrap_starting_values,
@@ -400,16 +402,21 @@ class TestAssembleRhs:
 
     @pytest.mark.parametrize(
         "j,k",
-        [(0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK), (0, 2 * BLOCK + 1)],
+        [
+            (0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK), (0, 2 * BLOCK + 1),
+            (3, SUPER + BLOCK + 5), (SUPER + 7, SUPER + 2 * BLOCK + 1),
+            (SUPER - 1, SUPER), (SUPER + BLOCK - 1, SUPER + BLOCK),
+        ],
     )
     def test_single_history_level(self, rng, j, k):
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
         # over both memory orders and the integral order; j < k - k % BLOCK
-        # puts the level in the far part of the sum.  The mapped rectangle
-        # has jx = 1 and jy = 2, so a misplaced jacobian factor shows
+        # puts the level in the far part of the sum, in its super part for
+        # j < k - k % SUPER and in its inner part otherwise.  The mapped
+        # rectangle has jx = 1 and jy = 2, so a misplaced jacobian factor shows
         tp = quiet_tp()
-        steps, tau = 2 * BLOCK + 10, 0.1
+        steps, tau = SUPER + 2 * BLOCK + 10, 0.1
         for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
             bx = build_basis(7, domain.x_interval)
             by = build_basis(7, domain.y_interval)
@@ -481,15 +488,67 @@ class TestStepVersusDense:
 
     def test_adi_step_reproduces_march(self):
         # after the march the cached far part belongs to the last block,
-        # so k = BLOCK + 3 recomputes its own block's far part
+        # so k = BLOCK + 3 recomputes its own block's far part and
+        # SUPER + BLOCK + 3 rebuilds the second super-block's cache;
+        # SUPER + 2 BLOCK + 3 adds its block's inner part to that cache,
+        # and the second visit to SUPER + BLOCK + 3, whose rows already
+        # hold an inner part, rebuilds it
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
-        solver = AdiSolver(tp, bx, by, 0.01, 2 * BLOCK + 8)
+        solver = AdiSolver(tp, bx, by, 0.01, SUPER + 2 * BLOCK + 8)
         solver.march()
-        for k in (5, BLOCK + 3):
+        for k in (5, BLOCK + 3, SUPER + BLOCK + 3, SUPER + 2 * BLOCK + 3, SUPER + BLOCK + 3):
             step = solver.sweep_solve(solver.assemble_rhs(k))
             np.testing.assert_array_equal(step, solver.u[k + 1])
+
+
+class TestFarPartSchedule:
+    def test_history_transformed_once_per_super_block(self, monkeypatch):
+        # each super-block transforms the history before it once; every
+        # other memory-sum transform covers fewer than SUPER levels
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        steps = 3 * SUPER + BLOCK + 10
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
+        calls = []
+
+        def recording(kernel, hist, lo, hi, out=None):
+            start = (hist.ctypes.data - solver.u.ctypes.data) // solver.u[0].nbytes
+            calls.append((start, len(hist), lo, hi))
+            return causal_sum(kernel, hist, lo, hi, out)
+
+        monkeypatch.setattr(solver_module, "causal_sum", recording)
+        solver.march()
+        supers = [c for c in calls if c[1] >= SUPER]
+        assert [c[1] for c in supers] == [SUPER, 2 * SUPER, 3 * SUPER]
+        for start, n, lo, hi in supers:
+            assert (start, lo, hi) == (0, n, min(n + SUPER, steps))
+        inner = [c for c in calls if c[1] < SUPER]
+        assert all(start % SUPER == 0 and 0 < n < SUPER for start, n, _, _ in inner)
+        assert len(inner) == steps // BLOCK - steps // SUPER
+
+    def test_one_far_cache_at_a_time(self):
+        # the march may hold one super-block cache, the inner part of one
+        # block and the FFT temporaries of one column chunk (at most eight
+        # doubles per transform row and column) at a time; the second
+        # super-block's cache alive while the third one's is built would
+        # add 3.7 MB here
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(16, tp.domain.x_interval)
+        by = build_basis(16, tp.domain.y_interval)
+        steps = 3 * SUPER + 10
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
+        level = 8 * bx.dim * by.dim
+        budget = 2 * (SUPER + BLOCK) * level + 8 * 8 * FFT_COLUMNS * 3 * SUPER
+        tracemalloc.start()
+        try:
+            solver.march()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 EXACTNESS_CASES = [
