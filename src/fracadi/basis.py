@@ -115,6 +115,11 @@ class SpectralBasis1D:
         """Quadrature nodes mapped to the physical interval."""
         return self.offset + self.jacobian * self.quad_nodes
 
+    @property
+    def weights(self):
+        """Quadrature weights mapped to the physical interval."""
+        return self.quad_weights * self.jacobian
+
     def basis_values(self, x_physical):
         """phi_i at physical points, shape (dim, npts)."""
         xi = (np.asarray(x_physical, dtype=float) - self.offset) / self.jacobian
@@ -137,22 +142,19 @@ def shen_stiffness_diagonal(dim):
     return 4.0 * i + 6.0
 
 
-def build_basis(degree, interval, quad_count=None):
+def build_basis(degree, interval):
     """Dirichlet basis of polynomial degree `degree` on `interval`.
 
-    quad_count defaults to degree + 8, enough to integrate products of
-    basis functions exactly with headroom for smooth data.
+    Its one Gauss rule, shared by projections, source norms and errors,
+    has degree + 8 points: enough to integrate products of basis
+    functions exactly, with headroom for smooth data.
     """
     if degree < 4:
         raise ValueError("degree must be at least 4")
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("interval must have positive length")
-    if quad_count is None:
-        quad_count = degree + 8
-    if quad_count < degree + 1:
-        raise ValueError("quadrature rule too short for the basis degree")
-    nodes, weights = gauss_legendre(quad_count)
+    nodes, weights = gauss_legendre(degree + 8)
     dim = degree - 1
     table = legendre_table(degree, nodes)
     return SpectralBasis1D(
@@ -192,19 +194,15 @@ def project_source(f, basis_x, basis_y):
     """
     fx = f(basis_x.nodes[:, None], basis_y.nodes[None, :])
     fx = np.broadcast_to(fx, (basis_x.quad_count, basis_y.quad_count))
-    wx = basis_x.quad_weights * basis_x.jacobian
-    wy = basis_y.quad_weights * basis_y.jacobian
-    return (basis_x.basis_at_quad * wx) @ fx @ (basis_y.basis_at_quad * wy).T
+    px = basis_x.basis_at_quad * basis_x.weights
+    py = basis_y.basis_at_quad * basis_y.weights
+    return px @ fx @ py.T
 
 
-def _error_rule(basis):
-    """Quadrature rule fine enough for error integrals on one direction."""
-    need = basis.degree + 8
-    if basis.quad_count >= need:
-        return basis.quad_nodes, basis.quad_weights, basis.basis_at_quad
-    nodes, weights = gauss_legendre(need)
-    table = legendre_table(basis.degree, nodes)
-    return nodes, weights, table[: basis.dim] - table[2 : basis.dim + 2]
+def grid_norms(vals, basis_x, basis_y):
+    """L2 norms by quadrature of a (levels, Qx, Qy) stack of grid values."""
+    wx, wy = basis_x.weights, basis_y.weights
+    return stack_norms(lambda v: wx @ v**2 @ wy, vals)
 
 
 # Values per block temporary in the blocked evaluators: a stack of time
@@ -234,21 +232,17 @@ def l2_errors(coeffs, basis_x, basis_y, exact, times):
     (see level_blocks): exact is called once per block with t of shape
     (B, 1, 1), x of shape (1, Qx, 1) and y of shape (1, 1, Qy), and must
     broadcast over all three.  The errors are quadratures of pointwise
-    differences on a rule fine enough for them (_error_rule), taken
-    through stack_norms, so a finite difference has a finite error.
+    differences on the bases' own rules (grid_norms), so a finite
+    difference has a finite error.
     """
-    nx, wxr, px = _error_rule(basis_x)
-    ny, wyr, py = _error_rule(basis_y)
-    x = (basis_x.offset + basis_x.jacobian * nx)[None, :, None]
-    y = (basis_y.offset + basis_y.jacobian * ny)[None, None, :]
-    wx = wxr * basis_x.jacobian
-    wy = wyr * basis_y.jacobian
+    x = basis_x.nodes[None, :, None]
+    y = basis_y.nodes[None, None, :]
+    px, py = basis_x.basis_at_quad, basis_y.basis_at_quad
     times = np.asarray(times, dtype=float)
     out = np.empty(len(coeffs))
-    for b, e in level_blocks(len(coeffs), len(nx) * len(ny)):
+    for b, e in level_blocks(len(coeffs), basis_x.quad_count * basis_y.quad_count):
         target = exact(x, y, times[b:e, None, None])
-        diff = px.T @ coeffs[b:e] @ py - target
-        out[b:e] = stack_norms(lambda v: wx @ v**2 @ wy, diff)
+        out[b:e] = grid_norms(px.T @ coeffs[b:e] @ py - target, basis_x, basis_y)
     return out
 
 

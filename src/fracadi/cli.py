@@ -33,7 +33,7 @@ from .problems import (
     boundary_mismatch,
     get_problem,
 )
-from .solver import run
+from .solver import SOURCE_MODES, run
 from .weights import (
     MAX_CORRECTION_TERMS,
     StartingWeightError,
@@ -73,7 +73,6 @@ class RunConfig:
     bootstrap_ratio: int = 100
     study_param: str = "tau"
     levels: tuple = None
-    quad_count: int = None
     source_mode: str = "auto"
     output: str = "."
 
@@ -124,12 +123,10 @@ class RunConfig:
                 errors.append("sigma: exponents must be strictly increasing")
         if self.bootstrap_ratio < 1:
             errors.append(f"bootstrap_ratio: must be at least 1, got {self.bootstrap_ratio}")
-        if self.source_mode not in ("auto", "analytic", "sampled"):
+        if self.source_mode not in SOURCE_MODES:
             errors.append(
                 f"source_mode: must be auto, analytic or sampled, got {self.source_mode!r}"
             )
-        if self.quad_count is not None and self.N is not None and self.quad_count < self.N + 1:
-            errors.append(f"quad_count: need at least N + 1 = {self.N + 1}, got {self.quad_count}")
         if self.custom is not None:
             try:
                 build_custom_problem(self.custom)
@@ -280,8 +277,21 @@ def _parse_levels(text):
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
-_INT_KEYS = {"N", "M", "m", "bootstrap_ratio", "quad_count"}
-_STR_KEYS = {"problem", "study_param", "source_mode", "output"}
+# Every [run] key, with the parser of its INI text; each is also a flag of
+# the same name (dest), whose list values become tuples.
+_RUN_KEYS = {
+    "problem": str.strip,
+    "N": int,
+    "M": int,
+    "T": float,
+    "m": int,
+    "sigma": _parse_floats,
+    "bootstrap_ratio": int,
+    "study_param": str.strip,
+    "levels": _parse_levels,
+    "source_mode": str.strip,
+    "output": str.strip,
+}
 
 
 def build_run_config(args):
@@ -292,43 +302,20 @@ def build_run_config(args):
         run_section, problem_section = load_config_file(args.config)
         cfg.custom = problem_section
         for key, raw in run_section.items():
+            if key not in _RUN_KEYS:
+                errors.append(f"run.{key}: unknown key")
+                continue
             try:
-                if key in _INT_KEYS:
-                    setattr(cfg, key, int(raw))
-                elif key in _STR_KEYS:
-                    setattr(cfg, key, raw.strip())
-                elif key == "T":
-                    cfg.T = float(raw)
-                elif key == "sigma":
-                    cfg.sigma = _parse_floats(raw)
-                elif key == "levels":
-                    cfg.levels = _parse_levels(raw)
-                else:
-                    errors.append(f"run.{key}: unknown key")
+                setattr(cfg, key, _RUN_KEYS[key](raw))
             except ValueError as exc:
                 errors.append(f"run.{key}: {exc}")
     if errors:
         raise ConfigError(errors)
 
-    for attr in (
-        "problem",
-        "N",
-        "M",
-        "T",
-        "m",
-        "bootstrap_ratio",
-        "study_param",
-        "quad_count",
-        "source_mode",
-        "output",
-    ):
-        value = getattr(args, attr, None)
+    for key in _RUN_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "sigma", None) is not None:
-        cfg.sigma = tuple(args.sigma)
-    if getattr(args, "levels", None) is not None:
-        cfg.levels = tuple(args.levels)
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     return cfg
 
 
@@ -454,7 +441,6 @@ def _execute(cfg, problem, steps, degree):
         correction_terms=cfg.m,
         exponents=cfg.sigmas() or None,
         bootstrap_ratio=cfg.bootstrap_ratio,
-        quad_count=cfg.quad_count,
         source_mode=cfg.source_mode,
     )
 
@@ -593,12 +579,9 @@ def _add_common(sub):
         help="fine/coarse step ratio for starting values (default 100)",
     )
     sub.add_argument(
-        "--quad-count", dest="quad_count", type=int, help="quadrature points per direction"
-    )
-    sub.add_argument(
         "--source-mode",
         dest="source_mode",
-        choices=("auto", "analytic", "sampled"),
+        choices=SOURCE_MODES,
         help="reduced-source evaluation path",
     )
 

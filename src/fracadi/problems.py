@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .weights import power_factor
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -96,8 +98,7 @@ def caputo_power_factor(order, exponent):
         raise ValueError(
             f"Caputo derivative of t^{exponent} undefined for order {order}"
         )
-    coef = math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - order))
-    return coef, exponent - order
+    return power_factor(order, exponent), exponent - order
 
 
 @dataclass(frozen=True)

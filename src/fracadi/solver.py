@@ -23,13 +23,13 @@ from .basis import (
     SpectralBasis1D,
     ShenSystemSolver,
     build_basis,
+    grid_norms,
     l2_errors,
     l2_norm,
     level_blocks,
-    stack_norms,
 )
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
-from .weights import build_correction_set, shifted_weights
+from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
 # directly, the older ones come from one FFT far part per block.  At 256
@@ -46,6 +46,10 @@ SUPER = 4 * BLOCK
 # 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
 # steps; 16 columns cost no measurable CPU time.
 FFT_COLUMNS = 16
+# How the reduced source is projected: "analytic" integrates power-law
+# forcing in closed form, "sampled" applies the GL integral to the forcing
+# on the quadrature grid, "auto" picks analytic where it is available.
+SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
 def causal_sum(kernel, hist, lo, hi, out=None):
@@ -151,8 +155,7 @@ def reduce_order(problem):
 
     integrated = tuple(
         SeparableTerm(
-            term.coefficient
-            * math.exp(math.lgamma(term.exponent + 1.0) - math.lgamma(term.exponent + 1.0 + beta)),
+            term.coefficient * power_factor(-beta, term.exponent),
             term.exponent + beta,
             term.profile,
         )
@@ -238,6 +241,19 @@ def step_coefficients(tp, tau):
     return StepCoefficients(tau=tau, mass_coef=mass, grad_coef=grad)
 
 
+def _resolve_source_mode(tp, mode):
+    """The source mode a run of tp uses: one of SOURCE_MODES, auto resolved."""
+    if mode not in SOURCE_MODES:
+        raise ValueError(f"unknown source mode {mode!r}")
+    if mode == "auto":
+        mode = "analytic" if tp.g is not None else "sampled"
+    if mode == "analytic" and tp.g is None:
+        raise ValueError("problem has no closed-form reduced source")
+    if mode == "sampled" and tp.f is None:
+        raise ValueError("problem has no forcing to sample")
+    return mode
+
+
 # Overflow of the source shows up as a non-finite half-source norm, which
 # AdiSolver reports with the level it happened at; no warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
@@ -252,21 +268,11 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     back into the sampled grid) before projecting.  The source callables
     are evaluated on blocks of time levels (see basis.level_blocks).
     """
-    if mode not in ("auto", "analytic", "sampled"):
-        raise ValueError(f"unknown source mode {mode!r}")
-    if mode == "auto":
-        mode = "analytic" if tp.g is not None else "sampled"
-    if mode == "analytic" and tp.g is None:
-        raise ValueError("problem has no closed-form reduced source")
-    if mode == "sampled" and tp.f is None:
-        raise ValueError("problem has no forcing to sample")
-
+    mode = _resolve_source_mode(tp, mode)
     bx, by = basis_x, basis_y
     x, y = bx.nodes[None, :, None], by.nodes[None, None, :]
-    wx = bx.quad_weights * bx.jacobian
-    wy = by.quad_weights * by.jacobian
-    px = bx.basis_at_quad * wx
-    py = by.basis_at_quad * wy
+    px = bx.basis_at_quad * bx.weights
+    py = by.basis_at_quad * by.weights
     shape = (bx.quad_count, by.quad_count)
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
@@ -275,10 +281,6 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     def at(func, b, e):
         """func on the quadrature grid at times[b:e], shape (e - b, Qx, Qy)."""
         return np.broadcast_to(func(x, y, times[b:e, None, None]), (e - b,) + shape)
-
-    def grid_norm(vals):
-        """L2 norms by quadrature of a stack of grid levels."""
-        return stack_norms(lambda v: wx @ v**2 @ wy, vals)
 
     if mode == "sampled":
         f_grid = np.empty((n_levels,) + shape)
@@ -301,8 +303,8 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         # half_source_norms[n - 1] pairs levels n - 1 and n; the first
         # pair of a block reaches back to the last level of the previous one
         if prev is not None:
-            half_source_norms[b - 1 : b] = grid_norm(0.5 * (prev + vals[:1]))
-        half_source_norms[b : e - 1] = grid_norm(0.5 * (vals[:-1] + vals[1:]))
+            half_source_norms[b - 1 : b] = grid_norms(0.5 * (prev + vals[:1]), bx, by)
+        half_source_norms[b : e - 1] = grid_norms(0.5 * (vals[:-1] + vals[1:]), bx, by)
         prev = vals[-1]
     return mode, source_hat, half_source_norms
 
@@ -351,7 +353,8 @@ class AdiSolver:
     ):
         if steps < 1:
             raise ValueError("need at least one step")
-        _check_memory(tp, basis_x, basis_y, steps, source_mode)
+        source_mode = _resolve_source_mode(tp, source_mode)
+        _check_memory(basis_x, basis_y, steps, source_mode)
         self.tp = tp
         self.basis_x = basis_x
         self.basis_y = basis_y
@@ -598,7 +601,7 @@ def _check_finite(what, norms, tau, steps):
         )
 
 
-def _check_memory(tp, basis_x, basis_y, steps, source_mode):
+def _check_memory(basis_x, basis_y, steps, source_mode):
     """Raise MemoryError if the solver's per-level arrays exceed physical memory.
 
     Counts the (steps + 1)-row arrays AdiSolver holds: the history u and
@@ -606,7 +609,7 @@ def _check_memory(tp, basis_x, basis_y, steps, source_mode):
     """
     row = 8 * (steps + 1)
     sizes = [row * basis_x.dim * basis_y.dim] * 2
-    if source_mode == "sampled" or (source_mode == "auto" and tp.g is None):
+    if source_mode == "sampled":
         sizes.append(row * basis_x.quad_count * basis_y.quad_count)
     limit = physical_memory()
     if sum(sizes) > limit:
@@ -650,7 +653,6 @@ def run(
     correction_terms=0,
     exponents=None,
     bootstrap_ratio=100,
-    quad_count=None,
     source_mode="auto",
     starting_values=None,
 ):
@@ -664,8 +666,8 @@ def run(
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
     tp = reduce_order(problem) if isinstance(problem, ProblemSpec) else problem
-    basis_x = build_basis(degree, tp.domain.x_interval, quad_count)
-    basis_y = build_basis(degree, tp.domain.y_interval, quad_count)
+    basis_x = build_basis(degree, tp.domain.x_interval)
+    basis_y = build_basis(degree, tp.domain.y_interval)
     if steps == 0:
         return _initial_only(tp, basis_x, basis_y)
     tau = final_time / steps

@@ -103,16 +103,24 @@ def history_quadratic_form(order, values):
     return float(partial @ v)
 
 
+def power_factor(order, exponent):
+    """Gamma(exponent + 1) / Gamma(exponent + 1 - order).
+
+    The factor a fractional derivative (order > 0) or integral
+    (order < 0) of t^exponent carries; see rl_power.
+    """
+    return math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - order))
+
+
 def rl_power(order, exponent, t):
     """Riemann-Liouville derivative/integral of t^exponent.
 
-    Gamma(exponent + 1) / Gamma(exponent + 1 - order) * t^(exponent - order);
-    valid for exponent > -1 and any order (negative = integration).
+    power_factor(order, exponent) * t^(exponent - order); valid for
+    exponent > -1 and any order (negative = integration).
     """
     if exponent <= -1.0:
         raise ValueError("exponent must exceed -1")
-    lg = math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - order)
-    return math.exp(lg) * t ** (exponent - order)
+    return power_factor(order, exponent) * t ** (exponent - order)
 
 
 def _check_exponents(exponents):
@@ -196,10 +204,7 @@ def _frac_rhs(order, exponents, rows, lam):
     for p, sig in enumerate(exponents):
         powers = grid**sig
         conv = np.convolve(lam[: rows + 1], powers)[: rows + 1]
-        target = math.exp(math.lgamma(sig + 1.0) - math.lgamma(sig + 1.0 - order)) * k1 ** (
-            sig - order
-        )
-        rhs[p] = target - conv[1:]
+        rhs[p] = rl_power(order, sig, k1) - conv[1:]
     return rhs
 
 

@@ -115,10 +115,6 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis(8, (1.0, 1.0))
 
-    def test_quadrature_too_short(self):
-        with pytest.raises(ValueError):
-            build_basis(8, (-1.0, 1.0), quad_count=8)
-
     def test_boundary_values_vanish_exactly(self):
         basis = build_basis(12, (-2.0, 5.0))
         vals = basis.basis_values(np.array([-2.0, 5.0]))

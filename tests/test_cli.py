@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracadi.cli import (
+    _RUN_KEYS,
     ConfigError,
     RateTable,
     RunConfig,
@@ -21,6 +22,24 @@ from fracadi.cli import (
 )
 from fracadi.oracle import weight_identity_residual
 from fracadi.weights import build_correction_set, default_sigmas
+
+CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+# per [run] key: its INI text, the value that text reads as, the arguments
+# of its flag and the value they read as (list flags give tuples)
+RUN_KEY_VALUES = {
+    "problem": ("example_6_1", "example_6_1", ["example_6_2"], "example_6_2"),
+    "N": ("8", 8, ["12"], 12),
+    "M": ("4", 4, ["6"], 6),
+    "T": ("0.5", 0.5, ["2"], 2.0),
+    "m": ("1", 1, ["2"], 2),
+    "sigma": ("1.1, 1.3", (1.1, 1.3), ["1.2", "1.4"], (1.2, 1.4)),
+    "bootstrap_ratio": ("10", 10, ["20"], 20),
+    "study_param": ("N", "N", ["tau"], "tau"),
+    "levels": ("10, 20", (10, 20), ["30", "40"], (30, 40)),
+    "source_mode": ("sampled", "sampled", ["analytic"], "analytic"),
+    "output": ("out/a", "out/a", ["out/b"], "out/b"),
+}
 
 
 def run_command(argv):
@@ -188,11 +207,6 @@ class TestRunConfigValidate:
         cfg = RunConfig(problem="compatible_smooth", M=100, study_param="N", levels=(4, 8))
         cfg.validate(need_study=True)  # no error: levels supply the degrees
 
-    def test_quad_count_floor(self):
-        cfg = RunConfig(problem="compatible_smooth", N=8, M=10, quad_count=8)
-        with pytest.raises(ConfigError, match="quad_count"):
-            cfg.validate()
-
 
 class TestConfigFile:
     def test_steps_and_corrections_keys_stay_distinct(self, tmp_path):
@@ -211,10 +225,36 @@ class TestConfigFile:
 
     def test_unknown_run_key(self, tmp_path):
         path = tmp_path / "case.ini"
-        path.write_text("[run]\nproblem = compatible_smooth\nN = 8\nM = 4\nzap = 1\n")
+        path.write_text(
+            "[run]\nproblem = compatible_smooth\nN = 8\nM = 4\nzap = 1\nquad_count = 30\n"
+        )
         args = make_parser().parse_args(["run", "--config", str(path)])
-        with pytest.raises(ConfigError, match=r"run\.zap: unknown key"):
+        with pytest.raises(ConfigError, match=r"run\.zap: unknown key") as info:
             build_run_config(args)
+        assert "run.quad_count: unknown key" in info.value.messages
+
+    def test_every_run_key_is_tested(self):
+        assert set(RUN_KEY_VALUES) == set(_RUN_KEYS)
+
+    @pytest.mark.parametrize("key", list(_RUN_KEYS))
+    def test_key_read_with_its_type_and_overridden_by_its_flag(self, tmp_path, key):
+        text, from_file, flag_args, from_flag = RUN_KEY_VALUES[key]
+        path = tmp_path / "case.ini"
+        path.write_text(f"[run]\n{key} = {text}\n")
+        base = ["study", "--config", str(path)]
+        cfg = build_run_config(make_parser().parse_args(base))
+        assert getattr(cfg, key) == from_file
+        assert type(getattr(cfg, key)) is type(from_file)
+        flag = "--" + key.replace("_", "-")
+        cfg = build_run_config(make_parser().parse_args(base + [flag] + flag_args))
+        assert getattr(cfg, key) == from_flag
+        assert type(getattr(cfg, key)) is type(from_flag)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_configs_validate(self, path):
+        study = "levels" in load_config_file(path)[0]
+        args = make_parser().parse_args(["study" if study else "run", "--config", str(path)])
+        build_run_config(args).validate(need_study=study)
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "case.ini"
@@ -430,6 +470,12 @@ class TestMainExitCodes:
     def test_unknown_subcommand(self, capfd):
         assert main(["frobnicate"]) == 1
         assert "config error: usage" in capfd.readouterr().err
+
+    def test_removed_quad_count_flag(self, capfd):
+        code = main(["run", "--quad-count", "30", "--problem", "compatible_smooth",
+                     "--N", "8", "--M", "4"])
+        assert code == 1
+        assert "config error: usage:" in capfd.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capfd):
         code = main(["run", "--config", str(tmp_path / "absent.ini")])
