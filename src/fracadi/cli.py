@@ -416,6 +416,7 @@ def diagnostics_lines(cfg, problem, result):
         f"sigma = {' '.join(fmt(s) for s in cfg.sigmas())}",
         f"bootstrap_ratio = {cfg.bootstrap_ratio}",
         f"source_mode = {cfg.source_mode}",
+        f"source_mode_used = {result.source_mode}",
         f"tau = {fmt(result.tau)}",
         f"final_l2_norm = {fmt(result.norms[-1])}",
         f"max_l2_norm = {fmt(np.max(result.norms))}",

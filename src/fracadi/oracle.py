@@ -1,7 +1,7 @@
 """Independent reference paths used to check the production solver.
 
 Everything here is deliberately structured differently from the code it
-validates: dense pivoted LU instead of the factored sweep inverses,
+validates: dense pivoted LU instead of the eigen-coordinate sweeps,
 direct endpoint-averaged weight sums instead of telescoped pair sums,
 library quadrature instead of the closed Gamma forms, and an external
 Gauss-Legendre rule for the matrix entries.  verify_checks() is the
@@ -16,8 +16,17 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import build_basis, gauss_legendre, legendre_deriv_table, legendre_table
-from .solver import StepCoefficients, project_time_series, sweep_inverses
+from .basis import (
+    build_basis,
+    eigen_factors,
+    from_eigen,
+    gauss_legendre,
+    legendre_deriv_table,
+    legendre_table,
+    shen_mass_matrix,
+    shen_stiffness_diagonal,
+)
+from .solver import StepCoefficients, eigen_operators, project_time_series
 from .weights import (
     build_correction_set,
     default_sigmas,
@@ -197,11 +206,38 @@ def gauss_rule_deviation(n):
     return max(float(np.max(np.abs(x - xref))), float(np.max(np.abs(w - wref))))
 
 
+def eigen_factor_residual(dim):
+    """Relative defects of E^T M E = diag(lam) and E^T S E = I, the larger.
+
+    For basis.eigen_factors(dim), against the closed-form Shen matrices;
+    the first defect is relative to the largest eigenvalue.
+    """
+    lam, vectors = eigen_factors(dim)
+    mass = vectors.T @ shen_mass_matrix(dim) @ vectors
+    stiff = vectors.T @ (shen_stiffness_diagonal(dim)[:, None] * vectors)
+    mass_dev = np.max(np.abs(mass - np.diag(lam))) / np.max(lam)
+    stiff_dev = np.max(np.abs(stiff - np.eye(dim)))
+    return max(float(mass_dev), float(stiff_dev))
+
+
+def eigen_step_solve(step_coeffs, basis_x, basis_y, rhs):
+    """One ADI step solve the way the stepper does it: map in, divide, map back.
+
+    rhs is a Shen-basis right side (inner products with the basis); its
+    eigen-coordinate form is E_x^T rhs E_y, and the result is mapped back
+    to Shen coefficients.
+    """
+    *_, sweep = eigen_operators(step_coeffs, basis_x, basis_y)
+    ex, ey = basis_x.eigenvectors, basis_y.eigenvectors
+    return from_eigen(ex.T @ rhs @ ey / sweep, basis_x, basis_y)
+
+
 def sweep_kronecker_gap(rng, cases):
-    """Largest relative gap of solver.sweep_inverses from the dense solve.
+    """Largest relative gap of the eigen-coordinate step from the dense solve.
 
     Each case draws a degree in 6..12, two mapped intervals, mass_coef in
-    [1, 3), grad_coef in [0.02, 1) and a random right side.
+    [1, 3), grad_coef in [0.02, 1) and a random right side, and compares
+    eigen_step_solve with dense_kronecker_solve.
     """
     worst = 0.0
     for _ in range(cases):
@@ -213,10 +249,9 @@ def sweep_kronecker_gap(rng, cases):
         mass_coef = 1.0 + float(rng.uniform(0.0, 2.0))
         grad_coef = float(rng.uniform(0.02, 1.0))
         coeffs = StepCoefficients(tau=0.1, mass_coef=mass_coef, grad_coef=grad_coef)
-        inv_x, inv_y_t = sweep_inverses(coeffs, bx, by)
         rhs = rng.standard_normal((bx.dim, by.dim))
         dense = dense_kronecker_solve(coeffs, bx, by, rhs)
-        gap = np.abs(inv_x @ rhs @ inv_y_t - dense).max() / np.abs(dense).max()
+        gap = np.abs(eigen_step_solve(coeffs, bx, by, rhs) - dense).max() / np.abs(dense).max()
         worst = max(worst, float(gap))
     return worst
 
@@ -274,6 +309,8 @@ def verify_checks():
 
     gap = sweep_kronecker_gap(np.random.default_rng(42), 10)
     yield "adi_sweeps_vs_kronecker", gap <= 1e-10, gap
+    dev = max(eigen_factor_residual(n - 1) for n in (8, 24, 64))
+    yield "eigen_factors", dev <= 1e-12, dev
 
     worst = 0.0
     for order in (-0.5, 0.1, 0.9):

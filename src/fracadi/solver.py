@@ -3,9 +3,11 @@
 The wave-type equation is first integrated to order beta = alpha - 1 in
 time, turning every Caputo term into a shifted Grunwald-Letnikov sum
 applied to u itself and moving the diffusion term under a fractional
-integral.  One step then solves two families of one-dimensional
-tridiagonal systems (the alternating sweeps); the splitting
-perturbation and all memory sums live on the right-hand side.
+integral.  One step solves the factored operator of the two alternating
+sweeps; the splitting perturbation and all memory sums live on the
+right-hand side.  The march runs in the joint eigenbasis of the 1-D mass
+and stiffness matrices (fast diagonalization), where every operator of
+the step, the sweeps included, is elementwise.
 """
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ from scipy import fft as sp_fft
 from .basis import (
     ModalField2D,
     SpectralBasis1D,
-    ShenSystemSolver,
     build_basis,
+    from_eigen,
     grid_norms,
     l2_errors,
     l2_norm,
     level_blocks,
+    to_eigen,
 )
 from .problems import ProblemSpec, SeparableTerm, evaluate_terms
 from .weights import build_correction_set, power_factor, shifted_weights
@@ -52,28 +55,33 @@ FFT_COLUMNS = 16
 SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
-def causal_sum(kernel, hist, lo, hi, out=None):
-    """Rows lo..hi-1 of the causal convolution sum_j kernel[:, t - j] hist[j].
+def causal_sum(kernel, hist, lo, hi, weights, out=None):
+    """Rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j].
 
-    kernel is (rows, length) and hist (n, ...); the result has shape
-    (rows, hi - lo, ...) and equals the direct sum to round-off.  It is
-    computed by real FFTs along time on chunks of FFT_COLUMNS columns
-    (scipy's FFT, one thread, no BLAS).  A C-contiguous `out` may alias
-    hist: each column chunk is read in full before it is overwritten.
+    kernel is (rows, length), hist (n, ...) and weights (rows, cols),
+    one weight per kernel row and column of a level (cols entries of
+    hist[0]).  The result has shape (hi - lo,) + hist.shape[1:] and equals
+    the direct sum to round-off.  It is computed by real FFTs along time on
+    chunks of FFT_COLUMNS columns (scipy's FFT, one thread, no BLAS); the
+    rows are combined in frequency, so each chunk takes one inverse FFT.
+    A C-contiguous `out` may alias hist: each column chunk is read in full
+    before it is overwritten.
     """
     n = len(hist)
     first = max(lo - n + 1, 0)  # smallest lag the requested rows use
     # a circular length of hi - lo + n - 1 leaves rows lo..hi-1 unaliased
     size = sp_fft.next_fast_len(hi - lo + n - 1, real=True)
-    kernel_hat = sp_fft.rfft(kernel[:, first:hi], size, axis=1)[:, :, None]
+    kernel_hat = sp_fft.rfft(kernel[:, first:hi], size, axis=1).T
     cols = hist.reshape(n, -1)
+    weights = np.reshape(weights, (len(kernel), cols.shape[1]))
     if out is None:
-        out = np.empty((len(kernel), hi - lo) + hist.shape[1:])
-    dest = out.reshape(len(kernel), hi - lo, -1)
+        out = np.empty((hi - lo,) + hist.shape[1:])
+    dest = out.reshape(hi - lo, -1)
     for c in range(0, cols.shape[1], FFT_COLUMNS):
         chunk = slice(c, c + FFT_COLUMNS)
-        conv = sp_fft.irfft(kernel_hat * sp_fft.rfft(cols[:, chunk], size, axis=0), size, axis=1)
-        dest[:, :, chunk] = conv[:, lo - first : hi - first]
+        spectrum = sp_fft.rfft(cols[:, chunk], size, axis=0)
+        spectrum *= kernel_hat @ weights[:, chunk]
+        dest[:, chunk] = sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
     return out
 
 
@@ -215,18 +223,27 @@ class StepCoefficients:
         return self.grad_coef**2 / self.mass_coef
 
 
-def sweep_inverses(coeffs, basis_x, basis_y):
-    """Inverses (inv_x, inv_y_t) of the factors p J M + q/(p J) S of the step.
+def eigen_operators(coeffs, basis_x, basis_y):
+    """The step's operators in eigen-coordinates: (mass, stiff, cross, sweep).
 
-    p = sqrt(mass_coef), q = grad_coef; a step solves as inv_x @ rhs @
-    inv_y_t.  At these sizes small dense inverses beat banded solves.
+    Each is a (dim_x, dim_y) array that multiplies eigen-coordinates
+    elementwise (see basis.eigen_factors, with E^T M E = diag(lam) and
+    E^T S E = I): the mass operator J_x J_y M_x u M_y becomes J_x J_y
+    lam_x lam_y, the stiffness operator (J_y / J_x) S_x u M_y + (J_x / J_y)
+    M_x u S_y becomes (J_y / J_x) lam_y + (J_x / J_y) lam_x, the splitting
+    term S_x u S_y / (J_x J_y) becomes 1 / (J_x J_y), and the product of
+    the two sweep factors p J M + q/(p J) S, with p = sqrt(mass_coef) and
+    q = grad_coef, becomes the product of their diagonals.
     """
+    jx, jy = basis_x.jacobian, basis_y.jacobian
+    lx, ly = basis_x.eigenvalues[:, None], basis_y.eigenvalues[None, :]
     p = math.sqrt(coeffs.mass_coef)
     q = coeffs.grad_coef
-    jx, jy = basis_x.jacobian, basis_y.jacobian
-    sweep_x = ShenSystemSolver(basis_x, p * jx, q / (p * jx))
-    sweep_y = ShenSystemSolver(basis_y, p * jy, q / (p * jy))
-    return sweep_x.solve(np.eye(basis_x.dim)), sweep_y.solve(np.eye(basis_y.dim)).T
+    mass = (jx * jy) * lx * ly
+    stiff = (jy / jx) * ly + (jx / jy) * lx
+    cross = np.full(mass.shape, 1.0 / (jx * jy))
+    sweep = (p * jx * lx + q / (p * jx)) * (p * jy * ly + q / (p * jy))
+    return mass, stiff, cross, sweep
 
 
 def step_coefficients(tp, tau):
@@ -257,12 +274,15 @@ def _resolve_source_mode(tp, mode):
 # Overflow of the source shows up as a non-finite half-source norm, which
 # AdiSolver reports with the level it happened at; no warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
-def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
+def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=None):
     """Modal projections of the reduced source at every time level.
 
     Returns (mode, source_hat, half_source_norms) with source_hat[n] the
     inner products of g(t_n) against the tensor basis and
-    half_source_norms[k] = ||(g(t_k) + g(t_{k+1})) / 2|| in L2.  The
+    half_source_norms[k] = ||(g(t_k) + g(t_{k+1})) / 2|| in L2.  With
+    frame = (E_x, E_y) source_hat[n] is E_x^T (inner products) E_y, the
+    eigen-coordinate right side the stepper adds; E^T is folded into the
+    projection matrices, so it costs nothing per level.  The
     sampled mode reconstructs the fractional integral of f on the
     quadrature grid with the shifted GL rule (an FFT causal sum written
     back into the sampled grid) before projecting.  The source callables
@@ -273,6 +293,8 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     x, y = bx.nodes[None, :, None], by.nodes[None, None, :]
     px = bx.basis_at_quad * bx.weights
     py = by.basis_at_quad * by.weights
+    if frame is not None:
+        px, py = frame[0].T @ px, frame[1].T @ py
     shape = (bx.quad_count, by.quad_count)
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
@@ -287,7 +309,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
         for b, e in blocks:
             f_grid[b:e] = at(tp.f, b, e)
         lam = shifted_weights(-tp.beta, steps)
-        causal_sum(lam[None], f_grid, 0, n_levels, out=f_grid[None])
+        causal_sum(lam[None], f_grid, 0, n_levels, np.ones((1, f_grid[0].size)), out=f_grid)
 
     source_hat = np.empty((n_levels, bx.dim, by.dim))
     half_source_norms = np.empty(steps)
@@ -301,10 +323,11 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
                 vals = vals + at(tp.g_smooth, b, e)
         source_hat[b:e] = px @ vals @ py.T
         # half_source_norms[n - 1] pairs levels n - 1 and n; the first
-        # pair of a block reaches back to the last level of the previous one
+        # pair of a block reaches back to the last level of the previous one.
+        # Halving before adding keeps the mean of two finite levels finite
         if prev is not None:
-            half_source_norms[b - 1 : b] = grid_norms(0.5 * (prev + vals[:1]), bx, by)
-        half_source_norms[b : e - 1] = grid_norms(0.5 * (vals[:-1] + vals[1:]), bx, by)
+            half_source_norms[b - 1 : b] = grid_norms(0.5 * prev + 0.5 * vals[:1], bx, by)
+        half_source_norms[b : e - 1] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
         prev = vals[-1]
     return mode, source_hat, half_source_norms
 
@@ -329,14 +352,24 @@ def _binary_size(nbytes):
 class AdiSolver:
     """Marches the reduced problem on one tensor basis.
 
-    Holds the inverses of the two sweep operators, the precomputed source
-    projections, one memory kernel per operator (plus, in corrected runs,
-    the starting-weight loads and the right-hand-side images of the
-    starting differences), the full modal history (the memory terms need
-    it anyway) and the far part of the memory sum for one block, or,
-    past the first SUPER steps, for one super-block: a (2, SUPER, dim_x,
-    dim_y) cache.  The starting values are fixed at construction:
-    correction_load reads their images, not u[1..m].
+    The march runs in the eigen-coordinates v = E_x^{-1} u E_y^{-T} of
+    basis.eigen_factors, where the mass, stiffness, splitting and sweep
+    operators act elementwise (eigen_operators).  While a march runs,
+    u, source_hat, assemble_rhs, correction_load and sweep_solve (which
+    is rhs / sweep) all work in eigen-coordinates.  Starting values are
+    given in the Shen basis and mapped in with E^T S.  march() ends by
+    mapping u back to the Shen basis in place, block by block (see
+    basis.level_blocks), so u after a march holds Shen coefficients;
+    steps taken with step_once alone stay in eigen-coordinates.
+
+    Holds the source projections, one memory kernel per operator (mass
+    and stiffness; the operators' diagonals weight them into one memory
+    sum), in corrected runs the starting-weight loads and the per-mode
+    images of the starting differences, the full history (the memory
+    terms need it anyway) and the far part of the weighted memory sum for
+    one block, or, past the first SUPER steps, for one super-block: a
+    (SUPER, dim_x, dim_y) cache.  The starting values are fixed at
+    construction: correction_load reads their images, not u[1..m].
     """
 
     def __init__(
@@ -374,23 +407,18 @@ class AdiSolver:
         self.count = 1
         if starting_values is not None:
             for j, val in enumerate(starting_values, start=1):
-                self.u[j] = val
+                self.u[j] = to_eigen(val, basis_x, basis_y)
             self.count = 1 + len(starting_values)
+        self._eigen = True  # u holds eigen-coordinates until march() ends
 
-        self._inv_x, self._inv_y_t = sweep_inverses(self.coeffs, basis_x, basis_y)
-        # jacobian-scaled factors of the mass, stiffness and cross operators
-        jx, jy = basis_x.jacobian, basis_y.jacobian
-        sx, sy = np.diag(basis_x.stiffness), np.diag(basis_y.stiffness)
-        self._mass_x = jx * jy * basis_x.mass
-        self._mass_y = basis_y.mass
-        self._stiff_x = (jy / jx) * sx[:, None]
-        self._stiff_mass_x = (jx / jy) * basis_x.mass
-        self._stiff_y = sy
-        self._cross = np.outer(sx, sy) / (jx * jy)
+        mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
+        self._explicit = mass + self.coeffs.cross_coef * cross
 
         # The mass and stiffness applications are linear, so every order's
         # memory sum folds into one kernel per operator: row 0 (mass) sums
         # the memory orders, row 1 (stiffness) is the integral order -beta.
+        # Both operators are per-mode products here, so the step needs only
+        # the one memory sum weighted per column by their diagonals.
         # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
         # kernel is stored reversed (column steps - j holds lag j), so the
         # near part of a step is one matmul with a contiguous slice.  The
@@ -418,31 +446,29 @@ class AdiSolver:
                     frac = cs.frac[b]
                     self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
         self._rkernel = np.ascontiguousarray(kernel[:, ::-1])
+        self._weights = np.stack([mass.ravel(), stiff.ravel()])
         if self._loads is not None:
-            self._images = self._starting_images()
+            self._images = self._starting_images((mass, stiff, cross))
 
         self._prepare_source(source_mode)
 
-    def _starting_images(self):
+    def _starting_images(self, operators):
         """(3 m, dim_x * dim_y) images of the starting differences u[j] - u[0].
 
         Rows o * m + j - 1 hold minus the mass (o = 0), stiffness (o = 1)
-        and cross (o = 2) operator applied to u[j] - u[0], in the order of
-        a raveled (3, m) load column.
+        and cross (o = 2) operator diagonal times u[j] - u[0], in the
+        order of a raveled (3, m) load column.
         """
         diffs = self.u[1 : self.m + 1] - self.u[0]
-        images = np.stack([
-            -self._mass_apply(diffs),
-            -self._stiff_apply(diffs),
-            -self._cross * diffs,
-        ])
+        images = np.stack([-op * diffs for op in operators])
         return images.reshape(3 * self.m, -1)
 
     # -- source handling ------------------------------------------------
 
     def _prepare_source(self, mode):
+        frame = (self.basis_x.eigenvectors, self.basis_y.eigenvectors)
         self.source_mode, self.source_hat, self.half_source_norms = project_time_series(
-            self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode
+            self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode, frame
         )
         # a march on a non-finite source would only spread it; the steps
         # before self.count are not marched (a weak power source may be
@@ -451,37 +477,32 @@ class AdiSolver:
 
     # -- one step ---------------------------------------------------------
 
-    def _mass_apply(self, mat):
-        return self._mass_x @ mat @ self._mass_y
-
-    def _stiff_apply(self, mat):
-        return self._stiff_x * (mat @ self._mass_y) + (self._stiff_mass_x @ mat) * self._stiff_y
-
     def assemble_rhs(self, k):
         """Right-hand side of the step from t_k to t_{k+1} (no corrections).
 
-        The memory sum over u[0..k] splits at b0 = k - k % BLOCK: the
-        levels b0..k are contracted directly, and the older ones enter
-        through a far part in two levels, split at c0 = b0 - b0 % SUPER.
-        The levels before c0 come from one causal_sum over u[:c0] per
-        super-block of SUPER steps, the levels c0..b0-1 from one over
-        u[c0:b0] per block (see _far_rows); for c0 = 0 the far part is
-        the single transform of u[:b0].  The mass operator is applied
-        once, to u[k] minus the mass memory.
+        The explicit mass and splitting terms of u[k], minus the memory,
+        plus the trapezoidal source, all in eigen-coordinates.  The memory
+        is the weighted sum of the mass and stiffness memories.  It splits
+        at b0 = k - k % BLOCK: the levels b0..k are contracted directly,
+        and the older ones enter through a far part in two levels, split
+        at c0 = b0 - b0 % SUPER.  The levels before c0 come from one
+        causal_sum over u[:c0] per super-block of SUPER steps, the levels
+        c0..b0-1 from one over u[c0:b0] per block (see _far_rows); for
+        c0 = 0 the far part is the single transform of u[:b0].
         """
         if not 0 <= k < self.steps:
             raise ValueError("step index out of range")
         uk = self.u[k]
         b0 = k - k % BLOCK
         near = self._rkernel[:, self.steps - (k - b0) :]
-        mem = (near @ self.u[b0 : k + 1].reshape(k + 1 - b0, -1)).reshape((2,) + uk.shape)
+        mem = near @ self.u[b0 : k + 1].reshape(k + 1 - b0, -1)
+        memory = (self._weights[0] * mem[0] + self._weights[1] * mem[1]).reshape(uk.shape)
         if b0:
             if self._far_block != b0:
                 self._far_rows(b0)
-            mem += self._far[:, k - self._far_start]
-        rhs = self._mass_apply(uk - mem[0])
-        rhs -= self._stiff_apply(mem[1])
-        rhs += self.coeffs.cross_coef * (self._cross * uk)
+            memory += self._far[k - self._far_start]
+        rhs = self._explicit * uk
+        rhs -= memory
         rhs += self.tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
         return rhs
 
@@ -503,16 +524,18 @@ class AdiSolver:
         kernel = self._rkernel[:, ::-1]
         if not c0:
             self._far = None
-            self._far = causal_sum(kernel, self.u[:b0], b0, hi)
+            self._far = causal_sum(kernel, self.u[:b0], b0, hi, self._weights)
             self._far_start = b0
         else:
             if c0 != self._far_start or b0 < self._far_block:
                 self._far = None
-                self._far = causal_sum(kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps))
+                self._far = causal_sum(
+                    kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps), self._weights
+                )
                 self._far_start = c0
             if b0 > c0:
-                inner = causal_sum(kernel, self.u[c0:b0], b0 - c0, hi - c0)
-                self._far[:, b0 - c0 : hi - c0] += inner
+                inner = causal_sum(kernel, self.u[c0:b0], b0 - c0, hi - c0, self._weights)
+                self._far[b0 - c0 : hi - c0] += inner
         self._far_block = b0
 
     def correction_load(self, k):
@@ -528,8 +551,8 @@ class AdiSolver:
         return (self._loads[:, k].ravel() @ self._images).reshape(self.u.shape[1:])
 
     def sweep_solve(self, rhs):
-        """Apply the two one-dimensional inverses (x, then y)."""
-        return self._inv_x @ rhs @ self._inv_y_t
+        """Solve the two sweeps: in eigen-coordinates one elementwise division."""
+        return rhs / self._sweep
 
     def step_once(self):
         k = self.count - 1
@@ -540,8 +563,14 @@ class AdiSolver:
         self.count += 1
 
     def march(self):
+        """Step to the last level, then map u back to the Shen basis."""
         while self.count <= self.steps:
             self.step_once()
+        if self._eigen:
+            bx, by = self.basis_x, self.basis_y
+            for b, e in level_blocks(len(self.u), bx.dim * by.dim):
+                self.u[b:e] = from_eigen(self.u[b:e], bx, by)
+            self._eigen = False
         return self.u
 
 
@@ -577,6 +606,7 @@ class RunResult:
     stability_ratio: float
     correction_terms: int
     exponents: tuple
+    source_mode: str  # the mode the source was projected in, auto resolved
     errors: np.ndarray = None
     error_final: float = None
     error_max: float = None
@@ -620,7 +650,7 @@ def _check_memory(basis_x, basis_y, steps, source_mode):
         )
 
 
-def _initial_only(tp, basis_x, basis_y):
+def _initial_only(tp, basis_x, basis_y, source_mode):
     """Zero-step trajectory: the (zero) transformed initial state alone."""
     coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
     errors = error_final = error_max = None
@@ -639,6 +669,7 @@ def _initial_only(tp, basis_x, basis_y):
         stability_ratio=0.0,
         correction_terms=0,
         exponents=(),
+        source_mode=source_mode,
         errors=errors,
         error_final=error_final,
         error_max=error_max,
@@ -669,7 +700,7 @@ def run(
     basis_x = build_basis(degree, tp.domain.x_interval)
     basis_y = build_basis(degree, tp.domain.y_interval)
     if steps == 0:
-        return _initial_only(tp, basis_x, basis_y)
+        return _initial_only(tp, basis_x, basis_y, _resolve_source_mode(tp, source_mode))
     tau = final_time / steps
 
     t0 = time.perf_counter()
@@ -727,6 +758,7 @@ def run(
         stability_ratio=ratio,
         correction_terms=m,
         exponents=tuple(exponents) if exponents else (),
+        source_mode=solver.source_mode,
         errors=errors,
         error_final=error_final,
         error_max=error_max,

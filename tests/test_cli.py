@@ -318,6 +318,18 @@ class TestMainRun:
         for name in ("diagnostics.txt", "surface.dat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "mode, used", [("auto", "analytic"), ("analytic", "analytic"), ("sampled", "sampled")]
+    )
+    def test_source_mode_used_is_recorded(self, tmp_path, capfd, mode, used):
+        # the configured mode is echoed as given, the resolved one beside it
+        argv = ["run", "--problem", "compatible_nonsmooth", "--N", "8", "--M", "12"]
+        assert main(argv + ["--source-mode", mode, "--output", str(tmp_path)]) == 0
+        capfd.readouterr()
+        diag = read_kv(tmp_path / "diagnostics.txt")
+        assert diag["source_mode"] == mode
+        assert diag["source_mode_used"] == used
+
     def test_corrected_run_from_config_file(self, tmp_path, capfd):
         path = tmp_path / "case.ini"
         path.write_text(
@@ -493,44 +505,50 @@ class TestMainExitCodes:
         assert "numerical failure" in capfd.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("m, t", [("0", "0.87"), ("1", "0.87")], ids=["0", "1"])
+    @pytest.mark.parametrize("m, t", [("0", "0.92"), ("1", "0.92")], ids=["0", "1"])
     def test_non_finite_values_are_a_numerical_failure(self, tmp_path, capfd, m, t):
-        # forcing coefficients of 1e308 keep the source finite, but the sum
-        # of levels 86 and 87 in the half-source norm overflows; the check
-        # after the projection stops the run, with no warnings, before the
-        # main march starts (for m = 1 the bootstrap's fine march to t_1
-        # stays finite)
+        # forcing coefficients of 1.7e308 make the source itself overflow
+        # from level 92 on; the check after the projection stops the run,
+        # with no warnings, before the main march starts (for m = 1 the
+        # bootstrap's fine march to t_1 stays finite)
         source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         text = source.read_text(encoding="utf-8")
         assert "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0" in text
         config = tmp_path / "huge_forcing.ini"
         config.write_text(
-            text.replace("forcing_mode_1_1 = 1.0 1.5, 2.0 3.0", "forcing_mode_1_1 = 1e308 1.5, 1e308 3.0"),
+            text.replace(
+                "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0", "forcing_mode_1_1 = 1.7e308 1.5, 1.7e308 3.0"
+            ),
             encoding="utf-8",
         )
         outdir = tmp_path / "out"
         code = main(["run", "--config", str(config), "--m", m, "--output", str(outdir)])
         assert code == 2
         assert capfd.readouterr().err.splitlines() == [
-            f"numerical failure: non-finite source norm at time level 87 of 100 (t = {t})"
+            f"numerical failure: non-finite source norm at time level 92 of 100 (t = {t})"
         ]
         assert not outdir.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_source_runs(self, tmp_path, capfd):
         # a source near 1e160 squares past the float range; the norms scale
         # by powers of two first, so the run matches the same problem at
-        # scale 1.  forcing_mode_2_1 is left out of the scale-1 copy, where
-        # it would change the ratio; next to 1e160 it is below round-off
+        # scale 1.  At 1e308 the sum of two adjacent source levels would
+        # overflow as well, but their mean does not.  forcing_mode_2_1 is
+        # left out of the scale-1 copy, where it would change the ratio;
+        # next to 1e160 it is below round-off
         source = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         text = source.read_text(encoding="utf-8")
         line = "forcing_mode_1_1 = 1.0 1.5, 2.0 3.0"
         assert line in text and "forcing_mode_2_1 = 0.5 2.0\n" in text
+        scales = ("1e160", "1e308")
         copies = {
-            "huge": text.replace(line, "forcing_mode_1_1 = 1e160 1.5, 1e160 3.0"),
-            "unit": text.replace(line, "forcing_mode_1_1 = 1 1.5, 1 3.0").replace(
-                "forcing_mode_2_1 = 0.5 2.0\n", ""
-            ),
+            scale: text.replace(line, f"forcing_mode_1_1 = {scale} 1.5, {scale} 3.0")
+            for scale in scales
         }
+        copies["unit"] = text.replace(line, "forcing_mode_1_1 = 1 1.5, 1 3.0").replace(
+            "forcing_mode_2_1 = 0.5 2.0\n", ""
+        )
         diag = {}
         for name, body in copies.items():
             config = tmp_path / f"{name}.ini"
@@ -539,11 +557,14 @@ class TestMainExitCodes:
             assert main(["run", "--config", str(config), "--output", str(outdir)]) == 0
             diag[name] = read_kv(outdir / "diagnostics.txt")
         capfd.readouterr()
-        huge, unit = diag["huge"], diag["unit"]
-        for key in ("final_l2_norm", "max_l2_norm", "stability_ratio"):
-            assert np.isfinite(float(huge[key]))
-        assert float(huge["final_l2_norm"]) == pytest.approx(1e160 * float(unit["final_l2_norm"]), rel=1e-12)
-        assert float(huge["stability_ratio"]) == pytest.approx(float(unit["stability_ratio"]), rel=1e-12)
+        unit = diag["unit"]
+        for scale in scales:
+            huge = diag[scale]
+            for key in ("final_l2_norm", "max_l2_norm", "stability_ratio"):
+                assert np.isfinite(float(huge[key]))
+            want = float(scale) * float(unit["final_l2_norm"])
+            assert float(huge["final_l2_norm"]) == pytest.approx(want, rel=1e-12)
+            assert float(huge["stability_ratio"]) == pytest.approx(float(unit["stability_ratio"]), rel=1e-12)
 
     def test_memory_guard_names_the_size(self, tmp_path, capfd, monkeypatch):
         # with 1 MiB of "physical memory" the 1001 levels of 15 x 15
@@ -584,7 +605,7 @@ class TestMainVerify:
     def test_all_checks_pass(self):
         code, out = run_command(["verify"])
         assert code == 0
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
         assert "FAIL" not in out
         assert "all checks passed" in out
 

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from fracadi.basis import build_basis, l2_norm
+from fracadi.basis import build_basis, eigen_factors, l2_norm
 from fracadi.oracle import (
     UnsplitReference,
     dense_kronecker_solve,
     dense_step_matrix,
     direct_caputo,
+    eigen_factor_residual,
     gauss_rule_deviation,
     half_sum_coefficients,
     quadrature_matrix_check,
@@ -60,6 +61,20 @@ class TestDenseStepMatrix:
         sc = StepCoefficients(tau=0.1, mass_coef=1.5, grad_coef=0.2)
         got = dense_kronecker_solve(sc, bx, bx, np.zeros((bx.dim, bx.dim)))
         np.testing.assert_allclose(got, 0.0, atol=1e-14)
+
+
+class TestEigenFactorResidual:
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_perturbed_factors_fail(self, monkeypatch, which):
+        # a relative error of 1e-9 in the eigenvalues or in one eigenvector
+        # must show far above the 1e-12 bound of the verify check
+        lam, vectors = (arr.copy() for arr in eigen_factors(23))
+        if which == 0:
+            lam *= 1.0 + 1e-9
+        else:
+            vectors[:, 5] *= 1.0 + 1e-9
+        monkeypatch.setattr("fracadi.oracle.eigen_factors", lambda dim: (lam, vectors))
+        assert eigen_factor_residual(23) > 1e-11
 
 
 class TestHalfSumCoefficients:

@@ -11,6 +11,7 @@ from fracadi.basis import (
     LEVEL_BLOCK_VALUES,
     ShenSystemSolver,
     build_basis,
+    from_eigen,
     l2_error,
     l2_norm,
     project_source,
@@ -26,11 +27,11 @@ from fracadi.solver import (
     TransformedProblem,
     bootstrap_starting_values,
     causal_sum,
+    eigen_operators,
     project_time_series,
     reduce_order,
     run,
     step_coefficients,
-    sweep_inverses,
 )
 from fracadi.weights import apply_gl, build_correction_set, shifted_weights
 
@@ -414,7 +415,9 @@ class TestAssembleRhs:
         # over both memory orders and the integral order; j < k - k % BLOCK
         # puts the level in the far part of the sum, in its super part for
         # j < k - k % SUPER and in its inner part otherwise.  The mapped
-        # rectangle has jx = 1 and jy = 2, so a misplaced jacobian factor shows
+        # rectangle has jx = 1 and jy = 2, so a misplaced jacobian factor shows.
+        # The level is set in eigen-coordinates; the reference right side is
+        # formed with the Shen-basis matrices and mapped with E_x^T . E_y
         tp = quiet_tp()
         steps, tau = SUPER + 2 * BLOCK + 10, 0.1
         for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
@@ -426,9 +429,10 @@ class TestAssembleRhs:
             solver.u[j] = e
             rhs = solver.assemble_rhs(k)
 
-            mass_e = jx * jy * (bx.mass @ e) @ by.mass
-            stiff_e = (jy / jx) * (bx.stiffness @ e) @ by.mass
-            stiff_e += (jx / jy) * (bx.mass @ e) @ by.stiffness
+            u = from_eigen(e, bx, by)
+            mass_e = jx * jy * (bx.mass @ u) @ by.mass
+            stiff_e = (jy / jx) * (bx.stiffness @ u) @ by.mass
+            stiff_e += (jx / jy) * (bx.mass @ u) @ by.stiffness
             want = np.zeros_like(rhs)
             for b, a in zip(tp.betas, tp.coeffs):
                 lam = shifted_weights(b, steps + 1)
@@ -436,8 +440,9 @@ class TestAssembleRhs:
             lam = shifted_weights(-tp.beta, steps + 1)
             want -= tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, k)[j] * stiff_e
             if j == k:  # the current level also enters the explicit mass and cross terms
-                cross_e = (bx.stiffness @ e) @ by.stiffness / (jx * jy)
+                cross_e = (bx.stiffness @ u) @ by.stiffness / (jx * jy)
                 want += mass_e + solver.coeffs.cross_coef * cross_e
+            want = bx.eigenvectors.T @ want @ by.eigenvectors
             np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("k", [-1, 6])
@@ -453,21 +458,23 @@ class TestCausalSum:
         [(0, 40, False), (25, 40, False), (17, 23, False), (30, 60, False), (0, 30, True)],
     )
     def test_matches_convolve(self, rng, lo, hi, in_place):
-        # several full column chunks and a ragged one
+        # several full column chunks and a ragged one; each row's
+        # convolution is weighted per column and the rows are summed
         n, shape = 30, (4 * FFT_COLUMNS + 9,)
         rows = 1 if in_place else 2
         kernel = rng.standard_normal((rows, 70))  # longer than every hi
         hist = rng.standard_normal((n,) + shape)
-        want = np.empty((rows, hi - lo) + shape)
+        weights = rng.uniform(0.5, 2.0, (rows,) + shape)
+        want = np.zeros((hi - lo,) + shape)
         for r in range(rows):
             for c in range(shape[0]):
-                want[r, :, c] = np.convolve(kernel[r], hist[:, c])[lo:hi]
+                want[:, c] += weights[r, c] * np.convolve(kernel[r], hist[:, c])[lo:hi]
         scale = np.max(np.abs(kernel)) * np.max(np.abs(hist))
         if in_place:
-            got = causal_sum(kernel, hist, lo, hi, out=hist[None])
-            assert got.base is hist
+            got = causal_sum(kernel, hist, lo, hi, weights, out=hist)
+            assert got is hist
         else:
-            got = causal_sum(kernel, hist, lo, hi)
+            got = causal_sum(kernel, hist, lo, hi, weights)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
@@ -480,14 +487,17 @@ class TestStepVersusDense:
         p, q = math.sqrt(coeffs.mass_coef), coeffs.grad_coef
         sweep_x = ShenSystemSolver(bx, p * bx.jacobian, q / (p * bx.jacobian))
         sweep_y = ShenSystemSolver(by, p * by.jacobian, q / (p * by.jacobian))
-        inv_x, inv_y_t = sweep_inverses(coeffs, bx, by)
+        *_, sweep = eigen_operators(coeffs, bx, by)
         rhs = rng.standard_normal((bx.dim, by.dim))
         want = sweep_y.solve(sweep_x.solve(rhs).T).T
-        got = inv_x @ rhs @ inv_y_t
+        # map the right side in, divide, map the result back
+        got = from_eigen(bx.eigenvectors.T @ rhs @ by.eigenvectors / sweep, bx, by)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_adi_step_reproduces_march(self):
-        # after the march the cached far part belongs to the last block,
+        # steps taken with step_once stay in eigen-coordinates, which
+        # assemble_rhs and sweep_solve work in (march() would map u back).
+        # After the steps the cached far part belongs to the last block,
         # so k = BLOCK + 3 recomputes its own block's far part and
         # SUPER + BLOCK + 3 rebuilds the second super-block's cache;
         # SUPER + 2 BLOCK + 3 adds its block's inner part to that cache,
@@ -497,10 +507,25 @@ class TestStepVersusDense:
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
         solver = AdiSolver(tp, bx, by, 0.01, SUPER + 2 * BLOCK + 8)
-        solver.march()
+        for _ in range(solver.steps):
+            solver.step_once()
         for k in (5, BLOCK + 3, SUPER + BLOCK + 3, SUPER + 2 * BLOCK + 3, SUPER + BLOCK + 3):
             step = solver.sweep_solve(solver.assemble_rhs(k))
             np.testing.assert_array_equal(step, solver.u[k + 1])
+
+
+    def test_march_maps_back_once(self):
+        # march() finishes steps begun with step_once and maps u back to
+        # the Shen basis; a second call has no step left and maps nothing
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        whole = AdiSolver(tp, bx, by, 0.1, 10).march().copy()
+        solver = AdiSolver(tp, bx, by, 0.1, 10)
+        for _ in range(4):
+            solver.step_once()
+        np.testing.assert_array_equal(solver.march(), whole)
+        np.testing.assert_array_equal(solver.march(), whole)
 
 
 class TestFarPartSchedule:
@@ -514,10 +539,10 @@ class TestFarPartSchedule:
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
         calls = []
 
-        def recording(kernel, hist, lo, hi, out=None):
+        def recording(kernel, hist, lo, hi, weights, out=None):
             start = (hist.ctypes.data - solver.u.ctypes.data) // solver.u[0].nbytes
             calls.append((start, len(hist), lo, hi))
-            return causal_sum(kernel, hist, lo, hi, out)
+            return causal_sum(kernel, hist, lo, hi, weights, out)
 
         monkeypatch.setattr(solver_module, "causal_sum", recording)
         solver.march()
@@ -531,17 +556,17 @@ class TestFarPartSchedule:
 
     def test_one_far_cache_at_a_time(self):
         # the march may hold one super-block cache, the inner part of one
-        # block and the FFT temporaries of one column chunk (at most eight
+        # block and the FFT temporaries of one column chunk (at most four
         # doubles per transform row and column) at a time; the second
         # super-block's cache alive while the third one's is built would
-        # add 3.7 MB here
+        # add 1.8 MB here
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(16, tp.domain.x_interval)
         by = build_basis(16, tp.domain.y_interval)
         steps = 3 * SUPER + 10
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
         level = 8 * bx.dim * by.dim
-        budget = 2 * (SUPER + BLOCK) * level + 8 * 8 * FFT_COLUMNS * 3 * SUPER
+        budget = (SUPER + BLOCK) * level + 4 * 8 * FFT_COLUMNS * 3 * SUPER
         tracemalloc.start()
         try:
             solver.march()
@@ -610,7 +635,8 @@ class TestCorrectedMarch:
             tp, bx, by, tau, 10, correction_terms=m, exponents=(1.1, 1.7),
             starting_values=starting,
         )
-        solver.march()
+        while solver.count <= solver.steps:  # stays in eigen-coordinates
+            solver.step_once()
         step = solver.sweep_solve(solver.assemble_rhs(4) + solver.correction_load(4))
         np.testing.assert_array_equal(step, solver.u[5])
 
@@ -632,7 +658,9 @@ class TestCorrectedMarch:
     @pytest.mark.parametrize("k", [3, 7, 11])
     def test_correction_load_matches_per_order_formula(self, rng, k):
         # the folded load table against the starting-weight families
-        # applied one memory order at a time, on a mapped domain
+        # applied one memory order at a time, on a mapped domain; the
+        # reference is formed with the Shen-basis matrices and mapped to
+        # eigen-coordinates with E_x^T . E_y
         tp = quiet_tp()
         domain = Rectangle(0.0, 2.0, -1.0, 3.0)
         bx = build_basis(6, domain.x_interval)
@@ -664,6 +692,7 @@ class TestCorrectedMarch:
         want -= (jx / jy) * bx.mass @ stiff @ by.stiffness
         cross = combine(cs.perturb[k])
         want -= solver.coeffs.cross_coef * bx.stiffness @ cross @ by.stiffness / (jx * jy)
+        want = bx.eigenvectors.T @ want @ by.eigenvectors
         np.testing.assert_allclose(load, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_correction_load_guards(self):
