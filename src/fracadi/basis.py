@@ -260,9 +260,9 @@ def grid_norms(vals, basis_x, basis_y):
 # time, at least one.  At 2**14 doubles (128 kB: 20 levels of a 28 x 28
 # grid, 3 of a 72 x 72 one) the per-level Python overhead is amortised.
 # Measured on 2 cores: 2**15 ran no faster but added 3.6 MB (3 %) to the
-# peak RSS of the N = 64 table1 study, whose four concurrent levels each
-# hold a few block temporaries; 2**13 added none there but ran the N = 20
-# sampled marches about 10 % slower.
+# peak RSS of the N = 64 table1 study, then run as four concurrent levels
+# that each held a few block temporaries; 2**13 added none there but ran
+# the N = 20 sampled marches about 10 % slower.
 LEVEL_BLOCK_VALUES = 2**14
 
 

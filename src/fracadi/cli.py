@@ -16,7 +16,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -488,9 +487,9 @@ def cmd_study(args):
         hs = params
         param_name = "N"
 
-    # levels are independent jobs; each builds its own bases and solver
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        results = list(pool.map(lambda nm: _execute(cfg, problem, nm[1], nm[0]), jobs))
+    # one level at a time: the marches are memory-bound, so running levels
+    # concurrently only added CPU time and peak memory
+    results = [_execute(cfg, problem, steps, degree) for degree, steps in jobs]
 
     table = RateTable(
         param_name=param_name,

@@ -45,11 +45,19 @@ def dense_step_matrix(mass_coef, grad_coef, basis_x, basis_y, cross_coef=None):
     jx, jy = basis_x.jacobian, basis_y.jacobian
     mx, my = basis_x.mass, basis_y.mass
     sx, sy = basis_x.stiffness, basis_y.stiffness
-    a = mass_coef * jx * jy * np.kron(mx, my)
-    a += grad_coef * ((jy / jx) * np.kron(sx, my) + (jx / jy) * np.kron(mx, sy))
+    # each term is added in place, so only one Kronecker temporary is held
+    a = _scaled_kron(mass_coef * jx * jy, mx, my)
+    a += _scaled_kron(grad_coef * jy / jx, sx, my)
+    a += _scaled_kron(grad_coef * jx / jy, mx, sy)
     if cross_coef is not None:
-        a += (cross_coef / (jx * jy)) * np.kron(sx, sy)
+        a += _scaled_kron(cross_coef / (jx * jy), sx, sy)
     return a
+
+
+def _scaled_kron(coef, x, y):
+    out = np.kron(x, y)
+    out *= coef
+    return out
 
 
 def dense_kronecker_solve(step_coeffs, basis_x, basis_y, rhs):
@@ -61,7 +69,7 @@ def dense_kronecker_solve(step_coeffs, basis_x, basis_y, rhs):
         basis_y,
         cross_coef=step_coeffs.cross_coef,
     )
-    flat = lu_solve(lu_factor(a), np.asarray(rhs, dtype=float).ravel())
+    flat = lu_solve(lu_factor(a, overwrite_a=True), np.asarray(rhs, dtype=float).ravel())
     return flat.reshape(basis_x.dim, basis_y.dim)
 
 

@@ -35,9 +35,19 @@ from .problems import ProblemSpec, SeparableTerm, evaluate_terms
 from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
-# directly, the older ones come from one FFT far part per block.  At 256
-# and N = 20 the direct contraction stays below OpenBLAS's threading size.
+# directly (near_product), the older ones come from one FFT far part per
+# block.  At 256 and N = 20 the direct contraction is one product below
+# NEAR_PRODUCT; larger grids split it into column slabs.
 BLOCK = 256
+# Multiply-adds per product of the direct memory contraction.  OpenBLAS runs
+# a GEMM of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (default 4) of them
+# on the calling thread; a larger one wakes a second thread, whose spin-wait
+# then burns CPU through the elementwise rest of the step.  The contraction
+# is memory-bound and gains nothing from that thread: on 2 cores, 256
+# assemble_rhs calls at N = 64 took 105 ms of CPU with one product each and
+# 51 ms with slabs (73 and 65 ms with one BLAS thread).  A slab reads at
+# most 1 MiB of history.
+NEAR_PRODUCT = 2**18
 # Steps per super-block of the far part: the history older than the
 # current super-block is transformed once per SUPER steps, the levels of
 # the super-block before the current block once per block.  N = 20
@@ -82,6 +92,23 @@ def causal_sum(kernel, hist, lo, hi, weights, out=None):
         spectrum = sp_fft.rfft(cols[:, chunk], size, axis=0)
         spectrum *= kernel_hat @ weights[:, chunk]
         dest[:, chunk] = sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
+    return out
+
+
+def near_product(near, hist):
+    """near @ hist for a (rows, L) near kernel and (L, cols) history.
+
+    The columns are split into slabs of NEAR_PRODUCT // (rows * L), so
+    that no product exceeds NEAR_PRODUCT multiply-adds; a history that
+    fits in one slab is a single product.
+    """
+    rows, (levels, cols) = len(near), hist.shape
+    width = NEAR_PRODUCT // (rows * levels)
+    if cols <= width:
+        return near @ hist
+    out = np.empty((rows, cols))
+    for c in range(0, cols, width):
+        out[:, c : c + width] = near @ hist[:, c : c + width]
     return out
 
 
@@ -421,7 +448,7 @@ class AdiSolver:
         # the one memory sum weighted per column by their diagonals.
         # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
         # kernel is stored reversed (column steps - j holds lag j), so the
-        # near part of a step is one matmul with a contiguous slice.  The
+        # near part of a step is a product with a contiguous slice.  The
         # starting weights fold the same way into load rows (mass,
         # stiffness, cross); frac rows k and k-1 average the endpoint
         # systems, and load row 0 is unused (stepping starts at k = m >= 1).
@@ -483,9 +510,10 @@ class AdiSolver:
         The explicit mass and splitting terms of u[k], minus the memory,
         plus the trapezoidal source, all in eigen-coordinates.  The memory
         is the weighted sum of the mass and stiffness memories.  It splits
-        at b0 = k - k % BLOCK: the levels b0..k are contracted directly,
-        and the older ones enter through a far part in two levels, split
-        at c0 = b0 - b0 % SUPER.  The levels before c0 come from one
+        at b0 = k - k % BLOCK: the levels b0..k are contracted directly
+        (near_product, in column slabs on large grids), and the older
+        ones enter through a far part in two levels, split at
+        c0 = b0 - b0 % SUPER.  The levels before c0 come from one
         causal_sum over u[:c0] per super-block of SUPER steps, the levels
         c0..b0-1 from one over u[c0:b0] per block (see _far_rows); for
         c0 = 0 the far part is the single transform of u[:b0].
@@ -495,7 +523,7 @@ class AdiSolver:
         uk = self.u[k]
         b0 = k - k % BLOCK
         near = self._rkernel[:, self.steps - (k - b0) :]
-        mem = near @ self.u[b0 : k + 1].reshape(k + 1 - b0, -1)
+        mem = near_product(near, self.u[b0 : k + 1].reshape(k + 1 - b0, -1))
         memory = (self._weights[0] * mem[0] + self._weights[1] * mem[1]).reshape(uk.shape)
         if b0:
             if self._far_block != b0:

@@ -2,10 +2,12 @@
 import contextlib
 import io
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
+from fracadi import cli
 from fracadi.cli import (
     _RUN_KEYS,
     ConfigError,
@@ -379,6 +381,24 @@ class TestMainStudy:
         conv = (tmp_path / "convergence.dat").read_text().splitlines()
         assert conv[0] == "# one_over_tau l2_error"
         assert len(conv) == 4
+
+    def test_levels_run_in_order_on_the_calling_thread(self, tmp_path, capfd, monkeypatch):
+        calls = []
+        execute = cli._execute
+
+        def record(cfg, problem, steps, degree):
+            calls.append((threading.current_thread() is threading.main_thread(), degree, steps))
+            return execute(cfg, problem, steps, degree)
+
+        monkeypatch.setattr(cli, "_execute", record)
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "table2_m0.ini"
+        code = main([
+            "study", "--config", str(config), "--N", "8", "--levels", "10", "20", "40",
+            "--output", str(tmp_path),
+        ])
+        assert code == 0
+        capfd.readouterr()
+        assert calls == [(True, 8, 10), (True, 8, 20), (True, 8, 40)]
 
     def test_spatial_study_decays_fast(self, tmp_path, capfd):
         code = main([

@@ -28,6 +28,7 @@ from fracadi.solver import (
     bootstrap_starting_values,
     causal_sum,
     eigen_operators,
+    near_product,
     project_time_series,
     reduce_order,
     run,
@@ -402,14 +403,25 @@ class TestAssembleRhs:
         np.testing.assert_array_equal(solver.assemble_rhs(0), want)
 
     @pytest.mark.parametrize(
-        "j,k",
+        "j,k,degree",
         [
-            (0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK), (0, 2 * BLOCK + 1),
-            (3, SUPER + BLOCK + 5), (SUPER + 7, SUPER + 2 * BLOCK + 1),
-            (SUPER - 1, SUPER), (SUPER + BLOCK - 1, SUPER + BLOCK),
+            pytest.param(j, k, 7, id=f"{j}-{k}")
+            for j, k in [
+                (0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK),
+                (0, 2 * BLOCK + 1), (3, SUPER + BLOCK + 5), (SUPER + 7, SUPER + 2 * BLOCK + 1),
+                (SUPER - 1, SUPER), (SUPER + BLOCK - 1, SUPER + BLOCK),
+            ]
+        ]
+        + [
+            # 39**2 columns: from 87 near levels on the product is split
+            # into column slabs, the last one ragged
+            pytest.param(j, k, 40, id=f"{j}-{k}-N40")
+            for j, k in [
+                (BLOCK + 150, BLOCK + 150), (SUPER + 100, SUPER + 200), (3, 2 * BLOCK + 200),
+            ]
         ],
     )
-    def test_single_history_level(self, rng, j, k):
+    def test_single_history_level(self, rng, j, k, degree):
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
         # over both memory orders and the integral order; j < k - k % BLOCK
@@ -421,8 +433,8 @@ class TestAssembleRhs:
         tp = quiet_tp()
         steps, tau = SUPER + 2 * BLOCK + 10, 0.1
         for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
-            bx = build_basis(7, domain.x_interval)
-            by = build_basis(7, domain.y_interval)
+            bx = build_basis(degree, domain.x_interval)
+            by = build_basis(degree, domain.y_interval)
             jx, jy = bx.jacobian, by.jacobian
             solver = AdiSolver(tp, bx, by, tau, steps)
             e = rng.standard_normal((bx.dim, by.dim))
@@ -450,6 +462,30 @@ class TestAssembleRhs:
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.1, 6)
         with pytest.raises(ValueError, match="index"):
             solver.assemble_rhs(k)
+
+
+class TestNearProduct:
+    @pytest.mark.parametrize("levels", [1, 33, 34, 256])
+    def test_slabs_match_one_product_and_stay_single_threaded(self, rng, levels):
+        # 3969 columns is a degree-64 grid; every product the helper forms
+        # stays within OpenBLAS's calling-thread size
+        shapes = []
+
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                shapes.append((self.shape[0],) + other.shape)
+                return np.asarray(self) @ other
+
+        near = rng.standard_normal((2, levels))
+        hist = rng.standard_normal((levels, 3969))
+        got = near_product(near.view(Recording), hist)
+        want = near @ hist
+        scale = np.max(np.abs(near)) * np.max(np.abs(hist))  # bounds the largest term
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * scale)
+        assert sum(cols for _, _, cols in shapes) == hist.shape[1]
+        for rows, inner, cols in shapes:
+            assert inner == levels
+            assert rows * inner * cols <= 2**18
 
 
 class TestCausalSum:
