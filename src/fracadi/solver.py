@@ -7,7 +7,8 @@ integral.  One step solves the factored operator of the two alternating
 sweeps; the splitting perturbation and all memory sums live on the
 right-hand side.  The march runs in the joint eigenbasis of the 1-D mass
 and stiffness matrices (fast diagonalization), where every operator of
-the step, the sweeps included, is elementwise.
+the step, the sweeps included, is elementwise, so a panel of consecutive
+steps is solved at once, mode by mode.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 
 from .basis import (
@@ -36,9 +38,19 @@ from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
 # directly (near_product), the older ones come from one FFT far part per
-# block.  At 256 and N = 20 the direct contraction is one product below
-# NEAR_PRODUCT; larger grids split it into column slabs.
+# block.  At 256 and N = 20 one step's direct contraction is one product
+# below NEAR_PRODUCT; panels of steps and larger grids split it into column
+# slabs.
 BLOCK = 256
+# Steps per panel of the march: march() solves up to PANEL consecutive
+# steps together (assemble_rhs(k, n), then sweep_solve on the stack), so the
+# per-step Python and BLAS call overhead is paid once per panel.  A panel
+# never crosses a BLOCK boundary, so PANEL divides BLOCK.  The panel solve
+# costs about PANEL / 2 elementwise multiply-adds per step, and the panel's
+# temporaries grow with PANEL.  On 2 cores, paper_studies took the same CPU
+# time at 8 and 16 and 8 % more at 4; at 16 its peak RSS was 1.0 MB higher
+# than at 8 (the N = 64 study holds the largest panels).
+PANEL = 8
 # Multiply-adds per product of the direct memory contraction.  OpenBLAS runs
 # a GEMM of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (default 4) of them
 # on the calling thread; a larger one wakes a second thread, whose spin-wait
@@ -382,21 +394,32 @@ class AdiSolver:
     The march runs in the eigen-coordinates v = E_x^{-1} u E_y^{-T} of
     basis.eigen_factors, where the mass, stiffness, splitting and sweep
     operators act elementwise (eigen_operators).  While a march runs,
-    u, source_hat, assemble_rhs, correction_load and sweep_solve (which
-    is rhs / sweep) all work in eigen-coordinates.  Starting values are
-    given in the Shen basis and mapped in with E^T S.  march() ends by
-    mapping u back to the Shen basis in place, block by block (see
-    basis.level_blocks), so u after a march holds Shen coefficients;
-    steps taken with step_once alone stay in eigen-coordinates.
+    u, source_hat, assemble_rhs, correction_load and sweep_solve all work
+    in eigen-coordinates.  Starting values are given in the Shen basis and
+    mapped in with E^T S.  march() ends by mapping u back to the Shen
+    basis in place, block by block (see basis.level_blocks), so u after a
+    march holds Shen coefficients; steps taken with step_once alone stay
+    in eigen-coordinates.
+
+    Every operator being elementwise, each mode obeys a scalar recurrence
+    sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
+    Toeplitz matrix, the step symbol: a_0 = sweep, a_1 = Kw_0 - explicit
+    and a_l = Kw_{l-1}, where Kw is the memory kernel weighted by the
+    operator diagonals and explicit = mass + cross_coef * cross.  march()
+    advances a panel of up to PANEL steps at a time: assemble_rhs(k, n)
+    forms the part of the n right sides that the known levels 0..k give,
+    and sweep_solve applies the inverse of the symbol, computed once at
+    construction, along the panel.  step_once is the same path with n = 1.
 
     Holds the source projections, one memory kernel per operator (mass
     and stiffness; the operators' diagonals weight them into one memory
-    sum), in corrected runs the starting-weight loads and the per-mode
-    images of the starting differences, the full history (the memory
-    terms need it anyway) and the far part of the weighted memory sum for
-    one block, or, past the first SUPER steps, for one super-block: a
-    (SUPER, dim_x, dim_y) cache.  The starting values are fixed at
-    construction: correction_load reads their images, not u[1..m].
+    sum), the inverse step symbol, in corrected runs the starting-weight
+    loads and the per-mode images of the starting differences, the full
+    history (the memory terms need it anyway) and the far part of the
+    weighted memory sum for one block, or, past the first SUPER steps,
+    for one super-block: a (SUPER, dim_x, dim_y) cache.  The starting
+    values are fixed at construction: correction_load reads their
+    images, not u[1..m].
     """
 
     def __init__(
@@ -447,8 +470,6 @@ class AdiSolver:
         # Both operators are per-mode products here, so the step needs only
         # the one memory sum weighted per column by their diagonals.
         # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
-        # kernel is stored reversed (column steps - j holds lag j), so the
-        # near part of a step is a product with a contiguous slice.  The
         # starting weights fold the same way into load rows (mass,
         # stiffness, cross); frac rows k and k-1 average the endpoint
         # systems, and load row 0 is unused (stepping starts at k = m >= 1).
@@ -472,8 +493,16 @@ class AdiSolver:
                 if self._loads is not None:
                     frac = cs.frac[b]
                     self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
-        self._rkernel = np.ascontiguousarray(kernel[:, ::-1])
+        # The near part of a panel reads, in its row t, the lags
+        # k + t - b0 down to t: a window of the reversed kernel (column
+        # steps - j holds lag j), which BLOCK - 1 trailing zeros let every
+        # window of BLOCK columns hold
+        self._kernel = kernel
+        reversed_kernel = np.zeros((2, steps + BLOCK))
+        reversed_kernel[:, : steps + 1] = kernel[:, ::-1]
+        self._windows = sliding_window_view(reversed_kernel, BLOCK, axis=1)
         self._weights = np.stack([mass.ravel(), stiff.ravel()])
+        self._inverse = self._symbol_inverse()
         if self._loads is not None:
             self._images = self._starting_images((mass, stiff, cross))
 
@@ -490,6 +519,24 @@ class AdiSolver:
         images = np.stack([-op * diffs for op in operators])
         return images.reshape(3 * self.m, -1)
 
+    def _symbol_inverse(self):
+        """(min(PANEL, steps), dim_x, dim_y) inverse b of each mode's step symbol.
+
+        With a the symbol of the class docstring, b_0 = 1 / a_0 and
+        b_l = -b_0 * sum_{i=1..l} a_i b_{l-i}, so that the panel's levels
+        are u[k+1+t] = sum_{s<=t} b_{t-s} R_s for the known parts R_s.
+        """
+        size = min(PANEL, self.steps)
+        symbol = np.empty((size,) + self._sweep.shape)
+        symbol[0] = self._sweep
+        symbol[1:] = (self._kernel[:, : size - 1].T @ self._weights).reshape(symbol[1:].shape)
+        symbol[1:2] -= self._explicit
+        inverse = np.empty_like(symbol)
+        inverse[0] = 1.0 / symbol[0]
+        for lag in range(1, size):
+            inverse[lag] = -inverse[0] * (symbol[1 : lag + 1] * inverse[lag - 1 :: -1]).sum(axis=0)
+        return inverse
+
     # -- source handling ------------------------------------------------
 
     def _prepare_source(self, mode):
@@ -502,37 +549,58 @@ class AdiSolver:
         # singular at t = 0 when the starting values are given)
         _check_finite("source", self.half_source_norms[self.count - 1 :], self.tau, self.steps)
 
-    # -- one step ---------------------------------------------------------
+    # -- one panel of steps ----------------------------------------------
 
-    def assemble_rhs(self, k):
-        """Right-hand side of the step from t_k to t_{k+1} (no corrections).
+    def assemble_rhs(self, k, n=None):
+        """Known part of the right sides of steps k..k+n-1 (no corrections).
 
-        The explicit mass and splitting terms of u[k], minus the memory,
-        plus the trapezoidal source, all in eigen-coordinates.  The memory
-        is the weighted sum of the mass and stiffness memories.  It splits
-        at b0 = k - k % BLOCK: the levels b0..k are contracted directly
-        (near_product, in column slabs on large grids), and the older
-        ones enter through a far part in two levels, split at
-        c0 = b0 - b0 % SUPER.  The levels before c0 come from one
-        causal_sum over u[:c0] per super-block of SUPER steps, the levels
-        c0..b0-1 from one over u[c0:b0] per block (see _far_rows); for
-        c0 = 0 the far part is the single transform of u[:b0].
+        Row t holds what levels 0..k give to the step from t_{k+t} to
+        t_{k+t+1}: minus the memory of those levels, the trapezoidal
+        source 0.5 tau s[k+t] + 0.5 tau s[k+t+1], and on row 0 the explicit
+        mass and splitting terms of u[k], all in eigen-coordinates.  The
+        levels k+1..k+t, not yet known, enter through sweep_solve.  The
+        memory is the weighted sum of the mass and stiffness memories.  It
+        splits at b0 = k - k % BLOCK, which the rows may not pass: the
+        levels b0..k are contracted directly, as one near_product of the
+        (2 n, k + 1 - b0) Toeplitz window of the kernel (in column slabs
+        on large grids), and the older ones enter through a far part in
+        two levels, split at c0 = b0 - b0 % SUPER.  The levels before c0
+        come from one causal_sum over u[:c0] per super-block of SUPER
+        steps, the levels c0..b0-1 from one over u[c0:b0] per block (see
+        _far_rows); for c0 = 0 the far part is the single transform of
+        u[:b0].  Returns an (n, dim_x, dim_y) stack; without n, the
+        (dim_x, dim_y) right side of step k alone.
         """
-        if not 0 <= k < self.steps:
+        rows = 1 if n is None else n
+        if not (0 <= k and 1 <= rows and k + rows <= self.steps):
             raise ValueError("step index out of range")
-        uk = self.u[k]
         b0 = k - k % BLOCK
-        near = self._rkernel[:, self.steps - (k - b0) :]
-        mem = near_product(near, self.u[b0 : k + 1].reshape(k + 1 - b0, -1))
-        memory = (self._weights[0] * mem[0] + self._weights[1] * mem[1]).reshape(uk.shape)
+        if k + rows > b0 + BLOCK:
+            raise ValueError("a panel of steps may not cross a BLOCK boundary")
+        if b0 and self._far_block != b0:
+            self._far_rows(b0)  # before the panel's own temporaries exist
+        levels = k + 1 - b0
+        # row t takes lags k + t - b0 .. t, the window that starts at the
+        # reversed kernel's column steps - (k - b0) - t
+        first = self.steps - (k - b0)
+        windows = self._windows[:, first - rows + 1 : first + 1, :levels]
+        near = windows[:, ::-1].reshape(2 * rows, levels)
+        mem = near_product(near, self.u[b0 : k + 1].reshape(levels, -1)).reshape(2, rows, -1)
+        mem *= self._weights[:, None]
+        memory, spare = mem
+        memory += spare
         if b0:
-            if self._far_block != b0:
-                self._far_rows(b0)
-            memory += self._far[k - self._far_start]
-        rhs = self._explicit * uk
-        rhs -= memory
-        rhs += self.tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
-        return rhs
+            row = k - self._far_start
+            memory += self._far[row : row + rows].reshape(rows, -1)
+        shape = (rows,) + self.u.shape[1:]
+        rhs = np.negative(memory, out=memory).reshape(shape)
+        rhs[0] += self._explicit * self.u[k]
+        # the stiffness rows, added in, hold each half of the source in turn
+        spare = spare.reshape(shape)
+        half = 0.5 * self.tau
+        rhs += np.multiply(half, self.source_hat[k : k + rows], out=spare)
+        rhs += np.multiply(half, self.source_hat[k + 1 : k + rows + 1], out=spare)
+        return rhs if n is not None else rhs[0]
 
     def _far_rows(self, b0):
         """Fill the cached far part of the memory sum for the block at b0.
@@ -549,57 +617,107 @@ class AdiSolver:
         """
         c0 = b0 - b0 % SUPER
         hi = min(b0 + BLOCK, self.steps)
-        kernel = self._rkernel[:, ::-1]
         if not c0:
             self._far = None
-            self._far = causal_sum(kernel, self.u[:b0], b0, hi, self._weights)
+            self._far = causal_sum(self._kernel, self.u[:b0], b0, hi, self._weights)
             self._far_start = b0
         else:
             if c0 != self._far_start or b0 < self._far_block:
                 self._far = None
                 self._far = causal_sum(
-                    kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps), self._weights
+                    self._kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps), self._weights
                 )
                 self._far_start = c0
             if b0 > c0:
-                inner = causal_sum(kernel, self.u[c0:b0], b0 - c0, hi - c0, self._weights)
+                inner = causal_sum(self._kernel, self.u[c0:b0], b0 - c0, hi - c0, self._weights)
                 self._far[b0 - c0 : hi - c0] += inner
         self._far_block = b0
 
-    def correction_load(self, k):
-        """Starting-weight additions to the right-hand side at step k.
+    def correction_load(self, k, n=None):
+        """Starting-weight additions to the right sides of steps k..k+n-1.
 
-        One contraction of the step's load column with the images of the
-        starting differences, which were taken at construction.
+        One product of the steps' load columns with the images of the
+        starting differences, which were taken at construction.  Returns
+        an (n, dim_x, dim_y) stack; without n, the load of step k alone.
         """
         if self._loads is None:
             raise ValueError("solver built without corrections")
         if k < self.m:
             raise ValueError("corrected stepping starts at k = m")
-        return (self._loads[:, k].ravel() @ self._images).reshape(self.u.shape[1:])
+        rows = 1 if n is None else n
+        if k + rows > self.steps:
+            raise ValueError("step index out of range")
+        columns = self._loads[:, k : k + rows].transpose(1, 0, 2).reshape(rows, -1)
+        loads = (columns @ self._images).reshape((rows,) + self.u.shape[1:])
+        return loads if n is not None else loads[0]
 
-    def sweep_solve(self, rhs):
-        """Solve the two sweeps: in eigen-coordinates one elementwise division."""
-        return rhs / self._sweep
+    def sweep_solve(self, rhs, out=None):
+        """Solve a panel of steps for the new levels, given their known parts.
+
+        For an (n, dim_x, dim_y) stack R of known parts (assemble_rhs plus
+        correction_load) returns u[k+1+t] = sum_{s<=t} b_{t-s} R_s, with b
+        the inverse step symbol; lag 0 is the elementwise division by the
+        sweep operator (the two sweeps in eigen-coordinates), the others
+        are added one lag at a time.  A (dim_x, dim_y) right side is
+        solved as a panel of one step.  `out` must not overlap rhs.
+        """
+        if rhs.ndim == 2:
+            return self.sweep_solve(rhs[None])[0]
+        n = len(rhs)
+        out = np.divide(rhs, self._sweep, out=out)
+        term = np.empty_like(rhs[1:])
+        for lag in range(1, n):
+            out[lag:] += np.multiply(self._inverse[lag], rhs[: n - lag], out=term[: n - lag])
+        return out
+
+    def _advance(self, n):
+        """Take the n steps from level count - 1 on as one panel."""
+        k = self.count - 1
+        rhs = self.assemble_rhs(k, n)
+        if self._loads is not None:
+            rhs += self.correction_load(k, n)
+        self.sweep_solve(rhs, out=self.u[k + 1 : k + 1 + n])
+        self.count += n
 
     def step_once(self):
-        k = self.count - 1
-        rhs = self.assemble_rhs(k)
-        if self._loads is not None:
-            rhs += self.correction_load(k)
-        self.u[k + 1] = self.sweep_solve(rhs)
-        self.count += 1
+        """Take one step: a panel of one."""
+        self._advance(1)
 
+    # A non-finite level is reported by the check once per block, so the
+    # steps up to it raise no floating-point warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def march(self):
-        """Step to the last level, then map u back to the Shen basis."""
+        """Step to the last level in panels, then map u back to the Shen basis.
+
+        A panel is min(PANEL, b0 + BLOCK - k, steps - k) steps, so it ends
+        at the latest where its block does.  At the end of each block the
+        newest level must be finite; otherwise FloatingPointError names
+        the first level that is not.
+        """
         while self.count <= self.steps:
-            self.step_once()
+            k = self.count - 1
+            end = min(k - k % BLOCK + BLOCK, self.steps)
+            self._advance(min(PANEL, end - k))
+            if self.count - 1 == end:
+                self._check_level(end)
         if self._eigen:
             bx, by = self.basis_x, self.basis_y
             for b, e in level_blocks(len(self.u), bx.dim * by.dim):
                 self.u[b:e] = from_eigen(self.u[b:e], bx, by)
             self._eigen = False
         return self.u
+
+    def _check_level(self, n):
+        """Raise FloatingPointError if level n is not finite.
+
+        The message names the first level of 0..n that is not, by the
+        largest magnitude of its coefficients.
+        """
+        if np.isfinite(self.u[n]).all():
+            return
+        for b, e in level_blocks(n + 1, self.u[0].size):
+            sup = np.abs(self.u[b:e]).max(axis=(1, 2))
+            _check_finite("solution", sup, self.tau, self.steps, first=b)
 
 
 def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, source_mode="auto"):
@@ -644,16 +762,18 @@ class RunResult:
         return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
 
 
-def _check_finite(what, norms, tau, steps):
+def _check_finite(what, norms, tau, steps, first=None):
     """Raise FloatingPointError at the first time level with a non-finite norm.
 
-    norms belong to the last len(norms) of the levels 0..steps; the
-    half-source norms, for instance, to levels 1..steps (the end of
-    each step).
+    norms belong to the levels first, first + 1, ... of 0..steps, by
+    default to the last len(norms) of them; the half-source norms, for
+    instance, to levels 1..steps (the end of each step).
     """
     bad = ~np.isfinite(norms)
     if bad.any():
-        n = steps + 1 - len(norms) + int(np.argmax(bad))
+        if first is None:
+            first = steps + 1 - len(norms)
+        n = first + int(np.argmax(bad))
         raise FloatingPointError(
             f"non-finite {what} norm at time level {n} of {steps} (t = {n * tau:.15g})"
         )

@@ -23,6 +23,7 @@ from fracadi.cli import (
     parse_rate_csv,
 )
 from fracadi.oracle import weight_identity_residual
+from fracadi.solver import AdiSolver
 from fracadi.weights import build_correction_set, default_sigmas
 
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -546,6 +547,28 @@ class TestMainExitCodes:
         assert code == 2
         assert capfd.readouterr().err.splitlines() == [
             f"numerical failure: non-finite source norm at time level 92 of 100 (t = {t})"
+        ]
+        assert not outdir.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_level_in_the_march_is_a_numerical_failure(
+        self, tmp_path, capfd, monkeypatch
+    ):
+        # a source projection made infinite after the source check passed
+        # reaches the march; the block-end check stops it
+        prepare = AdiSolver._prepare_source
+
+        def poisoned(solver, mode):
+            prepare(solver, mode)
+            solver.source_hat[50] = np.inf
+
+        monkeypatch.setattr(AdiSolver, "_prepare_source", poisoned)
+        config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+        outdir = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--m", "0", "--output", str(outdir)])
+        assert code == 2
+        assert capfd.readouterr().err.splitlines() == [
+            "numerical failure: non-finite solution norm at time level 50 of 100 (t = 0.5)"
         ]
         assert not outdir.exists()
 

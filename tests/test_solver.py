@@ -1,10 +1,13 @@
 """Order reduction, step assembly, corrected marching, run diagnostics."""
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from scipy.linalg import solve_triangular
 
 from conftest import project_field
 from fracadi.basis import (
@@ -22,6 +25,7 @@ from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
     FFT_COLUMNS,
+    PANEL,
     SUPER,
     AdiSolver,
     TransformedProblem,
@@ -37,6 +41,11 @@ from fracadi.solver import (
 from fracadi.weights import apply_gl, build_correction_set, shifted_weights
 
 UNIT_SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
+
+
+def max_level_norm(u):
+    """max_n ||u[n]||, the Frobenius norm of each level's coefficients."""
+    return float(np.max(np.linalg.norm(u.reshape(len(u), -1), axis=1)))
 
 
 def quiet_tp(beta=0.5, betas=(0.5, -0.1), coeffs=(0.7, 1.3), mu=2.0):
@@ -552,7 +561,9 @@ class TestStepVersusDense:
 
     def test_march_maps_back_once(self):
         # march() finishes steps begun with step_once and maps u back to
-        # the Shen basis; a second call has no step left and maps nothing
+        # the Shen basis; a second call has no step left and maps nothing.
+        # The two step partitions group the steps into different panels,
+        # so they agree to the panel equivalence bound, not bit for bit
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
@@ -560,8 +571,9 @@ class TestStepVersusDense:
         solver = AdiSolver(tp, bx, by, 0.1, 10)
         for _ in range(4):
             solver.step_once()
-        np.testing.assert_array_equal(solver.march(), whole)
-        np.testing.assert_array_equal(solver.march(), whole)
+        first = solver.march().copy()
+        assert np.max(np.abs(first - whole)) <= 1e-13 * max_level_norm(whole)
+        np.testing.assert_array_equal(solver.march(), first)
 
 
 class TestFarPartSchedule:
@@ -610,6 +622,130 @@ class TestFarPartSchedule:
         finally:
             tracemalloc.stop()
         assert peak <= budget
+
+
+def stepwise(solver):
+    """Drive solver with step_once alone, then map u back with march()."""
+    while solver.count <= solver.steps:
+        solver.step_once()
+    return solver.march()
+
+
+PANEL_CASES = [
+    pytest.param("compatible_smooth", 8, 5, 1.0, 0, id="M-below-panel"),
+    # from k = 3 the panels are ragged where the first block ends
+    pytest.param("compatible_nonsmooth", 8, BLOCK + 40, 1.0, 3, id="m3-unaligned"),
+    pytest.param("compatible_smooth", 8, SUPER + 2 * BLOCK + 10, 1.0, 0, id="block-and-super"),
+    # 39**2 columns: the panel's near product is split into column slabs
+    pytest.param("compatible_smooth", 40, 60, 1.0, 0, id="N40"),
+    pytest.param(
+        "compatible_smooth", 8, 20, 40.0, 0, id="tau2",
+        marks=pytest.mark.filterwarnings("ignore:step >= 1"),
+    ),
+]
+
+
+class TestPanels:
+    @pytest.mark.parametrize("name,degree,steps,final_time,m", PANEL_CASES)
+    def test_march_in_panels_matches_single_steps(self, name, degree, steps, final_time, m):
+        tp = reduce_order(get_problem(name))
+        bx = build_basis(degree, tp.domain.x_interval)
+        by = build_basis(degree, tp.domain.y_interval)
+        tau = final_time / steps
+        kwargs = {}
+        if m:
+            kwargs = dict(
+                correction_terms=m, exponents=(1.1, 1.2, 1.3)[:m],
+                starting_values=bootstrap_starting_values(tp, bx, by, tau, m, ratio=10),
+            )
+        panels = AdiSolver(tp, bx, by, tau, steps, **kwargs).march()
+        single = stepwise(AdiSolver(tp, bx, by, tau, steps, **kwargs))
+        assert np.max(np.abs(panels - single)) <= 1e-13 * max_level_norm(single)
+
+    @pytest.mark.parametrize("n", [1, 7, PANEL])
+    def test_sweep_solve_is_the_triangular_toeplitz_solve(self, rng, n):
+        # per mode, the panel's levels solve sum_l a_l u[k+1+t-l] = R_t with
+        # a_0 = sweep, a_1 = Kw_0 - explicit and a_l = Kw_{l-1}; Kw_lag is
+        # the weighted memory coefficient of u[k - lag] in step k
+        tp = quiet_tp()
+        bx = build_basis(7, (0.0, 2.0))
+        by = build_basis(6, (-1.0, 3.0))
+        tau, steps = 0.05, 2 * PANEL
+        solver = AdiSolver(tp, bx, by, tau, steps)
+        mass, stiff, cross, sweep = eigen_operators(solver.coeffs, bx, by)
+
+        def memory(lag):
+            total = 0.0
+            for b, a in zip(tp.betas, tp.coeffs):
+                lam = shifted_weights(b, steps + 1)
+                total += a * tau ** (1.0 - b) * half_sum_coefficients(lam, lag)[0] * mass
+            lam = shifted_weights(-tp.beta, steps + 1)
+            return total + tp.mu * tau ** (1.0 + tp.beta) * half_sum_coefficients(lam, lag)[0] * stiff
+
+        symbol = [sweep, memory(0) - mass - solver.coeffs.cross_coef * cross]
+        symbol += [memory(lag - 1) for lag in range(2, n)]
+        rhs = rng.standard_normal((n, bx.dim, by.dim))
+        got = solver.sweep_solve(rhs)
+        want = np.empty_like(rhs)
+        for i in range(bx.dim):
+            for j in range(by.dim):
+                a = [s[i, j] for s in symbol]
+                dense = np.array([[a[t - s] if s <= t else 0.0 for s in range(n)] for t in range(n)])
+                want[:, i, j] = solve_triangular(dense, rhs[:, i, j], lower=True)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        # a single level is divided by the sweep operator, as ever
+        np.testing.assert_array_equal(solver.sweep_solve(rhs[0]), rhs[0] / sweep)
+
+    @pytest.mark.parametrize("m,steps", [(0, 2 * BLOCK + 37), (3, BLOCK + 40)])
+    def test_panels_cover_the_march_within_blocks(self, m, steps):
+        assert BLOCK % PANEL == 0
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        kwargs = {}
+        if m:
+            start = [np.zeros((bx.dim, by.dim))] * m
+            kwargs = dict(correction_terms=m, exponents=(1.1, 1.2, 1.3), starting_values=start)
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, **kwargs)
+        calls = []
+        assemble = solver.assemble_rhs
+
+        def recording(k, n=None):
+            calls.append((k, n))
+            return assemble(k, n)
+
+        solver.assemble_rhs = recording
+        solver.march()
+        assert calls[0][0] == m
+        for (k, n), (after, _) in zip(calls, calls[1:] + [(steps, None)]):
+            assert k + n == after  # every step exactly once, in order
+            block_end = k - k % BLOCK + BLOCK
+            assert n == min(PANEL, block_end - k, steps - k)
+            assert (k + n - 1) // BLOCK == k // BLOCK
+
+    def test_panel_may_not_cross_a_block(self):
+        solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, BLOCK + 8)
+        with pytest.raises(ValueError, match="BLOCK"):
+            solver.assemble_rhs(BLOCK - 2, 4)
+        with pytest.raises(ValueError, match="index"):
+            solver.assemble_rhs(BLOCK + 4, 5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("level", [100, BLOCK + 10])
+    def test_non_finite_level_stops_the_march_at_its_block_end(self, level):
+        # the newest level is checked once per block; the message names the
+        # first level that is not finite, and no warning is raised on the way
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        tau, steps = 0.01, BLOCK + 50
+        solver = AdiSolver(tp, bx, by, tau, steps)
+        solver.source_hat[level] = np.inf
+        message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            solver.march()
+        assert solver.count - 1 == min(level - level % BLOCK + BLOCK, steps)
 
 
 EXACTNESS_CASES = [
