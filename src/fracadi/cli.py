@@ -76,6 +76,7 @@ class RunConfig:
     output: str = "."
 
     def validate(self, need_study=False):
+        """Check every field, collecting all errors; return the ProblemSpec."""
         errors = []
         if self.problem is None and self.custom is None:
             errors.append("problem: no problem id given and no [problem] section defined")
@@ -99,14 +100,29 @@ class RunConfig:
                 errors.append("levels: refinement levels must be positive integers")
             elif self.study_param == "N" and any(v < 4 for v in self.levels):
                 errors.append("levels: N levels must be at least 4")
-            if self.study_param == "N" and self.M is None:
-                errors.append("M: an N-study needs a fixed step count")
-        elif self.M is None:
-            errors.append("M: step count is required")
-        elif self.M < 0:
-            errors.append(f"M: step count must be nonnegative, got {self.M}")
+            elif any(a == b for a, b in zip(self.levels, self.levels[1:])):
+                errors.append("levels: consecutive refinement levels must differ")
+            elif self.study_param == "tau" and min(self.levels) <= self.m:
+                errors.append(
+                    f"levels: step counts must exceed the correction count m = {self.m}"
+                )
+        if not need_study or self.study_param == "N":  # else the levels are step counts
+            if self.M is None:
+                errors.append(
+                    "M: an N-study needs a fixed step count"
+                    if need_study
+                    else "M: step count is required"
+                )
+            elif self.M < 0:
+                errors.append(f"M: step count must be nonnegative, got {self.M}")
+            elif 0 < self.M <= self.m:
+                errors.append(
+                    f"M: step count must exceed the correction count m = {self.m}, got {self.M}"
+                )
         if self.T <= 0.0:
             errors.append(f"T: final time must be positive, got {fmt(self.T)}")
+        elif not math.isfinite(self.T):
+            errors.append(f"T: final time must be finite, got {fmt(self.T)}")
         if not 0 <= self.m <= MAX_CORRECTION_TERMS:
             errors.append(
                 f"m: correction count must lie in 0..{MAX_CORRECTION_TERMS}, got {self.m}"
@@ -118,6 +134,8 @@ class RunConfig:
                 )
             if any(s <= 0.0 for s in self.sigma):
                 errors.append("sigma: exponents must be positive")
+            elif not all(map(math.isfinite, self.sigma)):
+                errors.append("sigma: exponents must be finite")
             if any(b <= a for a, b in zip(self.sigma, self.sigma[1:])):
                 errors.append("sigma: exponents must be strictly increasing")
         if self.bootstrap_ratio < 1:
@@ -126,36 +144,27 @@ class RunConfig:
             errors.append(
                 f"source_mode: must be auto, analytic or sampled, got {self.source_mode!r}"
             )
+        spec = None
         if self.custom is not None:
             try:
-                build_custom_problem(self.custom)
+                spec = build_custom_problem(self.custom)
             except ConfigError as exc:
                 errors.extend(exc.messages)
+        elif self.problem in PROBLEM_IDS:
+            spec = get_problem(self.problem)
+        if need_study and spec is not None and not spec.has_exact:
+            errors.append("problem: a study needs a problem with an exact solution")
         if errors:
             raise ConfigError(errors)
+        return spec
 
     def sigmas(self):
         if self.m == 0:
             return ()
         return self.sigma if self.sigma is not None else default_sigmas(self.m)
 
-    def make_problem(self):
-        if self.custom is not None:
-            return build_custom_problem(self.custom)
-        return get_problem(self.problem)
-
 
 # -- custom problems from config ------------------------------------------
-
-_SPEC_FIELD_BY_MESSAGE = {
-    "leading order must lie in (1, 2)": "alpha",
-    "orders must be strictly decreasing after alpha": "alphas",
-    "lower orders must be positive": "alphas",
-    "one coefficient per lower-order term": "coeffs",
-    "lower-order coefficients must be nonnegative": "coeffs",
-    "diffusion coefficient must be positive": "mu",
-}
-
 
 def _parse_floats(text, count=None):
     parts = [p for p in text.replace(",", " ").split() if p]
@@ -248,12 +257,10 @@ def build_custom_problem(section):
             mu=mu[0],
             domain=domain,
             forcing_terms=tuple(forcing),
-            qualitative_only=True,
-            description="user-defined power-law forcing",
         )
     except ValueError as exc:
-        fieldname = _SPEC_FIELD_BY_MESSAGE.get(str(exc), "problem")
-        raise ConfigError([f"problem.{fieldname}: {exc}"]) from None
+        # ProblemSpec messages start with the field they reject
+        raise ConfigError([f"problem.{exc}"]) from None
 
 
 # -- config file / flag merging --------------------------------------------
@@ -453,8 +460,7 @@ def _ensure_outdir(path):
 
 def cmd_run(args):
     cfg = build_run_config(args)
-    cfg.validate()
-    problem = cfg.make_problem()
+    problem = cfg.validate()
     result = _execute(cfg, problem, cfg.M, cfg.N)
 
     outdir = _ensure_outdir(cfg.output)
@@ -471,10 +477,7 @@ def cmd_run(args):
 
 def cmd_study(args):
     cfg = build_run_config(args)
-    cfg.validate(need_study=True)
-    problem = cfg.make_problem()
-    if not problem.has_exact:
-        raise ConfigError(["problem: a study needs a problem with an exact solution"])
+    problem = cfg.validate(need_study=True)
 
     if cfg.study_param == "tau":
         jobs = [(cfg.N, int(level)) for level in cfg.levels]

@@ -256,7 +256,7 @@ def sweep_kronecker_gap(rng, cases):
         by = build_basis(degree, (ay, ay + float(rng.uniform(0.5, 3.0))))
         mass_coef = 1.0 + float(rng.uniform(0.0, 2.0))
         grad_coef = float(rng.uniform(0.02, 1.0))
-        coeffs = StepCoefficients(tau=0.1, mass_coef=mass_coef, grad_coef=grad_coef)
+        coeffs = StepCoefficients(mass_coef=mass_coef, grad_coef=grad_coef)
         rhs = rng.standard_normal((bx.dim, by.dim))
         dense = dense_kronecker_solve(coeffs, bx, by, rhs)
         gap = np.abs(eigen_step_solve(coeffs, bx, by, rhs) - dense).max() / np.abs(dense).max()

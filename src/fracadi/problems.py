@@ -27,6 +27,8 @@ class Rectangle:
     def __post_init__(self):
         if not (self.bx > self.ax and self.by > self.ay):
             raise ValueError("rectangle must have positive side lengths")
+        if not all(map(math.isfinite, (self.ax, self.bx, self.ay, self.by))):
+            raise ValueError("rectangle corners must be finite")
 
     @property
     def x_interval(self):
@@ -59,8 +61,12 @@ class SeparableTerm:
     profile: SpatialProfile
 
     def __post_init__(self):
+        if not math.isfinite(self.coefficient):
+            raise ValueError("coefficients must be finite")
         if self.exponent < 0.0:
             raise ValueError("time exponents must be nonnegative")
+        if not math.isfinite(self.exponent):
+            raise ValueError("time exponents must be finite")
 
 
 def evaluate_terms(terms, x, y, t):
@@ -115,23 +121,28 @@ class ProblemSpec:
     exact_terms: tuple = ()
     g1: SpatialProfile = None
     g2: SpatialProfile = None
-    qualitative_only: bool = False
-    description: str = ""
 
     def __post_init__(self):
+        # each message starts with the field it rejects
         if not 1.0 < self.alpha < 2.0:
-            raise ValueError("leading order must lie in (1, 2)")
+            raise ValueError("alpha: leading order must lie in (1, 2)")
         orders = (self.alpha,) + tuple(self.alphas)
         if any(b <= a for a, b in zip(orders[1:], orders)):
-            raise ValueError("orders must be strictly decreasing after alpha")
+            raise ValueError("alphas: orders must be strictly decreasing after alpha")
         if self.alphas and self.alphas[-1] <= 0.0:
-            raise ValueError("lower orders must be positive")
+            raise ValueError("alphas: lower orders must be positive")
+        if not all(map(math.isfinite, self.alphas)):
+            raise ValueError("alphas: lower orders must be finite")
         if len(self.alphas) != len(self.coeffs):
-            raise ValueError("one coefficient per lower-order term")
+            raise ValueError("coeffs: one coefficient per lower-order term")
         if any(a < 0.0 for a in self.coeffs):
-            raise ValueError("lower-order coefficients must be nonnegative")
+            raise ValueError("coeffs: lower-order coefficients must be nonnegative")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("coeffs: lower-order coefficients must be finite")
         if self.mu <= 0.0:
-            raise ValueError("diffusion coefficient must be positive")
+            raise ValueError("mu: diffusion coefficient must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu: diffusion coefficient must be finite")
 
     def f(self, x, y, t):
         return evaluate_terms(self.forcing_terms, x, y, t)
@@ -144,16 +155,6 @@ class ProblemSpec:
     @property
     def has_exact(self):
         return bool(self.exact_terms)
-
-    def initial_value(self, x, y):
-        if self.g1 is None:
-            return np.zeros(np.broadcast(x, y).shape)
-        return self.g1.values(x, y)
-
-    def initial_velocity(self, x, y):
-        if self.g2 is None:
-            return np.zeros(np.broadcast(x, y).shape)
-        return self.g2.values(x, y)
 
 
 def pde_residual(problem, x, y, t):
@@ -251,8 +252,6 @@ def example_6_1():
         domain=Rectangle(-2.0, 1.0, -1.0, 2.0),
         forcing_terms=forcing,
         exact_terms=(SeparableTerm(1.0, 3.0, bump),),
-        qualitative_only=True,
-        description="smooth Gaussian bump, boundary data only approximately zero",
     )
 
 
@@ -308,8 +307,6 @@ def example_6_2():
             values=lambda x, y: 2.0 * np.sin(x) * np.sin(y),
             laplacian=lambda x, y: -4.0 * np.sin(x) * np.sin(y),
         ),
-        qualitative_only=True,
-        description="non-smooth powers of t, nonzero initial value",
     )
 
 
@@ -338,7 +335,6 @@ def compatible_smooth():
         domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
         forcing_terms=forcing,
         exact_terms=(SeparableTerm(1.0, 3.0, profile),),
-        description="smooth separable solution with exact boundary data",
     )
 
 
@@ -365,7 +361,6 @@ def compatible_nonsmooth():
             values=lambda x, y: 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
             laplacian=lambda x, y: -2.0 * np.pi**2 * 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
         ),
-        description="non-smooth powers of t with exact boundary data",
     )
 
 

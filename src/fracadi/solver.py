@@ -17,6 +17,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,7 +34,7 @@ from .basis import (
     level_blocks,
     to_eigen,
 )
-from .problems import ProblemSpec, SeparableTerm, evaluate_terms
+from .problems import ProblemSpec, SeparableTerm, SpatialProfile, evaluate_terms
 from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
@@ -147,7 +148,7 @@ class TransformedProblem:
     domain: object
     g: callable = None  # closed-form reduced source
     f: callable = None  # original forcing (sampled-integral path)
-    g_smooth: callable = None  # reduced-source part outside the integral of f
+    g_smooth: callable = None  # reduced-source part outside the integral of f, if any
     exact: callable = None
     lift: callable = None
 
@@ -166,61 +167,38 @@ def reduce_order(problem):
     Applies the fractional integral of order beta = alpha - 1, shifts by
     the initial value g1 (forcing picks up mu * Laplacian(g1)), and
     folds the initial-velocity terms into the source.  Power-law forcing
-    integrates in closed form; otherwise only the sampled path remains.
+    integrates in closed form, one Gamma ratio per term, so every source
+    is evaluate_terms over a tuple of terms.
     """
     beta = problem.alpha - 1.0
     betas = tuple(a - problem.alpha + 1.0 for a in problem.alphas)
 
-    terms = list(problem.forcing_terms)
+    shifted = tuple(problem.forcing_terms)
     if problem.g1 is not None:
         if problem.g1.laplacian is None:
             raise ValueError("initial value needs a Laplacian to shift the forcing")
-        terms.append(
-            SeparableTerm(problem.mu, 0.0, type(problem.g1)(values=problem.g1.laplacian))
-        )
-
-    # velocity contributions: g2 plus one t^{alpha - alpha_j} term per
-    # order above one (orders <= 1 carry no initial-velocity data)
-    velocity_parts = []
-    if problem.g2 is not None:
-        velocity_parts.append((1.0, 0.0))
-        for a_j, c_j in zip(problem.alphas, problem.coeffs):
-            if a_j > 1.0:
-                e = problem.alpha - a_j
-                velocity_parts.append((c_j / math.gamma(e + 1.0), e))
-
-    g2_values = problem.g2.values if problem.g2 is not None else None
-
-    def g_smooth(x, y, t):
-        if g2_values is None:
-            return np.zeros(np.broadcast(x, y).shape)
-        base = g2_values(x, y)
-        out = 0.0
-        for c, e in velocity_parts:
-            out = out + c * t**e * base
-        return out
-
+        shifted += (SeparableTerm(problem.mu, 0.0, SpatialProfile(values=problem.g1.laplacian)),)
     integrated = tuple(
         SeparableTerm(
             term.coefficient * power_factor(-beta, term.exponent),
             term.exponent + beta,
             term.profile,
         )
-        for term in terms
+        for term in shifted
     )
 
-    def g_closed(x, y, t):
-        return g_smooth(x, y, t) + evaluate_terms(integrated, x, y, t)
-
-    f_shifted = None
-    if terms:
-        def f_shifted(x, y, t):
-            return evaluate_terms(terms, x, y, t)
+    # velocity terms: g2 plus one t^{alpha - alpha_j} term per order above
+    # one (orders <= 1 carry no initial-velocity data)
+    velocity = ()
+    if problem.g2 is not None:
+        velocity = (SeparableTerm(1.0, 0.0, problem.g2),)
+        for a_j, c_j in zip(problem.alphas, problem.coeffs):
+            if a_j > 1.0:
+                e = problem.alpha - a_j
+                velocity += (SeparableTerm(c_j / math.gamma(e + 1.0), e, problem.g2),)
 
     exact_reduced = None
-    lift = None
-    if problem.g1 is not None:
-        lift = problem.g1.values
+    lift = problem.g1.values if problem.g1 is not None else None
     if problem.has_exact:
         if lift is None:
             exact_reduced = problem.exact
@@ -228,6 +206,9 @@ def reduce_order(problem):
             def exact_reduced(x, y, t):
                 return problem.exact(x, y, t) - lift(x, y)
 
+    # the partials bind the module's evaluate_terms when this runs, so a
+    # wrapper installed on it after import (perfbench's tracer) still counts
+    # every source evaluation
     return TransformedProblem(
         name=problem.name,
         beta=beta,
@@ -235,9 +216,9 @@ def reduce_order(problem):
         coeffs=tuple(problem.coeffs),
         mu=problem.mu,
         domain=problem.domain,
-        g=g_closed,
-        f=f_shifted,
-        g_smooth=g_smooth,
+        g=partial(evaluate_terms, velocity + integrated),
+        f=partial(evaluate_terms, shifted) if shifted else None,
+        g_smooth=partial(evaluate_terms, velocity) if velocity else None,
         exact=exact_reduced,
         lift=lift,
     )
@@ -253,7 +234,6 @@ class StepCoefficients:
     perturbation.
     """
 
-    tau: float
     mass_coef: float
     grad_coef: float
 
@@ -294,7 +274,7 @@ def step_coefficients(tp, tau):
     for b, a in zip(tp.betas, tp.coeffs):
         mass += 0.5 * a * (1.0 + b / 2.0) * tau ** (1.0 - b)
     grad = 0.5 * tp.mu * (1.0 - tp.beta / 2.0) * tau ** (1.0 + tp.beta)
-    return StepCoefficients(tau=tau, mass_coef=mass, grad_coef=grad)
+    return StepCoefficients(mass_coef=mass, grad_coef=grad)
 
 
 def _resolve_source_mode(tp, mode):
@@ -844,6 +824,8 @@ def run(
     """
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
+    if not math.isfinite(final_time):
+        raise ValueError("final time must be finite")
     tp = reduce_order(problem) if isinstance(problem, ProblemSpec) else problem
     basis_x = build_basis(degree, tp.domain.x_interval)
     basis_y = build_basis(degree, tp.domain.y_interval)

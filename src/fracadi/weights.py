@@ -131,6 +131,8 @@ def _check_exponents(exponents):
         )
     if any(s <= 0.0 for s in sig):
         raise ValueError("correction exponents must be positive")
+    if not all(map(math.isfinite, sig)):
+        raise ValueError("correction exponents must be finite")
     if any(b <= a for a, b in zip(sig, sig[1:])):
         raise ValueError("correction exponents must be strictly increasing")
     return sig

@@ -644,6 +644,139 @@ class TestMainExitCodes:
         assert not outdir.exists()
 
 
+CUSTOM_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
+SMOOTH_RUN = ["run", "--problem", "compatible_smooth", "--N", "8", "--M", "4"]
+NONSMOOTH = ["--problem", "compatible_nonsmooth", "--N", "8"]
+
+# (argv, edit of custom_example.ini as (old, new) or None, config error);
+# a "{config}" argument stands for the edited file
+REJECTED_BEFORE_MARCH = {
+    "T-nan": (SMOOTH_RUN + ["--T", "nan"], None, "T: final time must be finite, got nan"),
+    "T-inf": (SMOOTH_RUN + ["--T", "inf"], None, "T: final time must be finite, got inf"),
+    "sigma-nan": (
+        SMOOTH_RUN + ["--sigma", "nan", "--m", "1"], None, "sigma: exponents must be finite"
+    ),
+    "sigma-inf": (
+        SMOOTH_RUN + ["--sigma", "inf", "--m", "1"], None, "sigma: exponents must be finite"
+    ),
+    "mu-nan": (
+        ["run", "--config", "{config}"], ("mu = 1.5", "mu = nan"),
+        "problem.mu: diffusion coefficient must be finite",
+    ),
+    "mu-inf": (
+        ["run", "--config", "{config}"], ("mu = 1.5", "mu = inf"),
+        "problem.mu: diffusion coefficient must be finite",
+    ),
+    "coeffs-nan": (
+        ["run", "--config", "{config}"], ("coeffs = 0.5, 1.0", "coeffs = 0.5, nan"),
+        "problem.coeffs: lower-order coefficients must be finite",
+    ),
+    "alphas-nan": (
+        ["run", "--config", "{config}"], ("alphas = 1.0, 0.3", "alphas = 1.0, nan"),
+        "problem.alphas: lower orders must be finite",
+    ),
+    "forcing-coefficient-nan": (
+        ["run", "--config", "{config}"],
+        ("forcing_mode_1_1 = 1.0 1.5, 2.0 3.0", "forcing_mode_1_1 = nan 1.5"),
+        "problem.forcing_mode_1_1: coefficients must be finite",
+    ),
+    "forcing-exponent-nan": (
+        ["run", "--config", "{config}"],
+        ("forcing_mode_1_1 = 1.0 1.5, 2.0 3.0", "forcing_mode_1_1 = 1.0 nan"),
+        "problem.forcing_mode_1_1: time exponents must be finite",
+    ),
+    "domain-inf": (
+        ["run", "--config", "{config}"], ("domain = 0, 2, -1, 1", "domain = 0, inf, -1, 1"),
+        "problem.domain: rectangle corners must be finite",
+    ),
+    "weights-sigma-nan": (
+        ["weights", "--order", "0.5", "--sigma", "nan"], None,
+        "sigma: correction exponents must be finite",
+    ),
+    "M-below-m": (
+        ["run"] + NONSMOOTH + ["--M", "2", "--m", "3"], None,
+        "M: step count must exceed the correction count m = 3, got 2",
+    ),
+    "M-equal-m": (
+        ["run"] + NONSMOOTH + ["--M", "3", "--m", "3"], None,
+        "M: step count must exceed the correction count m = 3, got 3",
+    ),
+    "N-study-M-below-m": (
+        ["study", "--problem", "compatible_nonsmooth", "--study-param", "N",
+         "--levels", "4", "6", "--M", "2", "--m", "3"], None,
+        "M: step count must exceed the correction count m = 3, got 2",
+    ),
+    "tau-levels-below-m": (
+        ["study"] + NONSMOOTH + ["--levels", "2", "4", "--m", "3"], None,
+        "levels: step counts must exceed the correction count m = 3",
+    ),
+    "equal-tau-levels": (
+        ["study", "--problem", "compatible_smooth", "--N", "6", "--levels", "10", "10"], None,
+        "levels: consecutive refinement levels must differ",
+    ),
+    "equal-N-levels": (
+        ["study", "--problem", "compatible_smooth", "--study-param", "N",
+         "--levels", "6", "8", "8", "--M", "10"], None,
+        "levels: consecutive refinement levels must differ",
+    ),
+}
+
+
+class TestRejectedBeforeMarch:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(REJECTED_BEFORE_MARCH))
+    def test_config_error_names_the_field(self, tmp_path, capfd, monkeypatch, case):
+        argv, edit, message = REJECTED_BEFORE_MARCH[case]
+        if edit is not None:
+            text = CUSTOM_CONFIG.read_text(encoding="utf-8")
+            assert edit[0] in text
+            config = tmp_path / "edited.ini"
+            config.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+            argv = [str(config) if a == "{config}" else a for a in argv]
+        outdir = tmp_path / "out"
+        if argv[0] != "weights":
+            argv = argv + ["--output", str(outdir)]
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(cli, "run", no_march)
+        assert main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [f"config error: {message}"]
+        assert captured.out == ""
+        assert not outdir.exists()
+
+    def test_zero_steps_with_corrections_stay_valid(self, tmp_path, capfd):
+        argv = ["run"] + NONSMOOTH + ["--M", "0", "--m", "3", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        capfd.readouterr()
+        assert read_kv(tmp_path / "diagnostics.txt")["M"] == "0"
+
+    def test_custom_problem_built_once(self, tmp_path, capfd, monkeypatch):
+        calls = []
+
+        def counted(section):
+            calls.append(section)
+            return build_custom_problem(section)
+
+        monkeypatch.setattr(cli, "build_custom_problem", counted)
+        argv = ["run", "--config", str(CUSTOM_CONFIG), "--M", "4", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        capfd.readouterr()
+        assert len(calls) == 1
+
+    def test_study_exact_check_is_collected(self, tmp_path, capfd):
+        text = CUSTOM_CONFIG.read_text(encoding="utf-8")
+        config = tmp_path / "study.ini"
+        config.write_text(text.replace("M = 100", "levels = 10 20"), encoding="utf-8")
+        assert main(["study", "--config", str(config), "--N", "2"]) == 1
+        assert capfd.readouterr().err.splitlines() == [
+            "config error: N: degree must be at least 4, got 2",
+            "config error: problem: a study needs a problem with an exact solution",
+        ]
+
+
 class TestMainVerify:
     def test_all_checks_pass(self):
         code, out = run_command(["verify"])

@@ -50,7 +50,7 @@ class TestDenseStepMatrix:
     def test_mass_only_solve(self, rng):
         bx = build_basis(6, (-1.0, 1.0))
         by = build_basis(6, (-1.0, 1.0))
-        sc = StepCoefficients(tau=0.1, mass_coef=2.0, grad_coef=0.0)
+        sc = StepCoefficients(mass_coef=2.0, grad_coef=0.0)
         rhs = rng.standard_normal((bx.dim, by.dim))
         got = dense_kronecker_solve(sc, bx, by, rhs)
         want = np.linalg.solve(bx.mass, rhs) @ np.linalg.inv(by.mass).T / 2.0
@@ -58,7 +58,7 @@ class TestDenseStepMatrix:
 
     def test_zero_rhs(self):
         bx = build_basis(6, (-1.0, 1.0))
-        sc = StepCoefficients(tau=0.1, mass_coef=1.5, grad_coef=0.2)
+        sc = StepCoefficients(mass_coef=1.5, grad_coef=0.2)
         got = dense_kronecker_solve(sc, bx, bx, np.zeros((bx.dim, bx.dim)))
         np.testing.assert_allclose(got, 0.0, atol=1e-14)
 

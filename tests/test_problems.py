@@ -1,4 +1,5 @@
 """Registered model problems: structure, residuals, boundary compatibility."""
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracadi.problems import (
     get_problem,
     pde_residual,
 )
+from fracadi.solver import reduce_order
 
 
 def random_interior_points(domain, count, rng):
@@ -35,11 +37,29 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle(*args)
 
+    @pytest.mark.parametrize("args", [(0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0)])
+    def test_infinite_corner_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            Rectangle(*args)
+
 
 class TestSeparableTerm:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             SeparableTerm(1.0, -0.5, SpatialProfile(values=lambda x, y: x))
+
+    @pytest.mark.parametrize(
+        "coefficient, exponent, message",
+        [
+            (math.nan, 1.0, "coefficients must be finite"),
+            (math.inf, 1.0, "coefficients must be finite"),
+            (1.0, math.nan, "time exponents must be finite"),
+            (1.0, math.inf, "time exponents must be finite"),
+        ],
+    )
+    def test_non_finite_rejected(self, coefficient, exponent, message):
+        with pytest.raises(ValueError, match=message):
+            SeparableTerm(coefficient, exponent, SpatialProfile(values=lambda x, y: x))
 
     def test_evaluate_terms_empty(self):
         assert evaluate_terms((), 0.5, 0.5, 1.0) == 0.0
@@ -153,6 +173,34 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError, match="diffusion"):
             ProblemSpec(**kw)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"alpha": 2.0}, "alpha: leading order must lie in (1, 2)"),
+            ({"alpha": math.nan}, "alpha: leading order must lie in (1, 2)"),
+            ({"alphas": (1.6,)}, "alphas: orders must be strictly decreasing after alpha"),
+            ({"alphas": (1.0, 0.0), "coeffs": (1.0, 1.0)}, "alphas: lower orders must be positive"),
+            (
+                {"alphas": (1.0, math.nan), "coeffs": (1.0, 1.0)},
+                "alphas: lower orders must be finite",
+            ),
+            ({"coeffs": (1.0, 2.0)}, "coeffs: one coefficient per lower-order term"),
+            ({"coeffs": (-0.1,)}, "coeffs: lower-order coefficients must be nonnegative"),
+            ({"coeffs": (math.nan,)}, "coeffs: lower-order coefficients must be finite"),
+            ({"coeffs": (math.inf,)}, "coeffs: lower-order coefficients must be finite"),
+            ({"mu": 0.0}, "mu: diffusion coefficient must be positive"),
+            ({"mu": math.nan}, "mu: diffusion coefficient must be finite"),
+            ({"mu": math.inf}, "mu: diffusion coefficient must be finite"),
+        ],
+    )
+    def test_messages_start_with_the_field(self, changes, message):
+        kw = self.base_kwargs()
+        kw.update(changes)
+        with pytest.raises(ValueError) as info:
+            ProblemSpec(**kw)
+        assert str(info.value) == message
+        assert message.partition(": ")[0] in {f.name for f in dataclasses.fields(ProblemSpec)}
+
     def test_exact_unavailable(self):
         spec = ProblemSpec(**self.base_kwargs())
         assert not spec.has_exact
@@ -161,9 +209,9 @@ class TestProblemSpecValidation:
 
     def test_default_initial_data_is_zero(self):
         spec = ProblemSpec(**self.base_kwargs())
-        x = np.linspace(-1.0, 1.0, 4)
-        np.testing.assert_allclose(spec.initial_value(x, x), 0.0, atol=0.0)
-        np.testing.assert_allclose(spec.initial_velocity(x, x), 0.0, atol=0.0)
+        assert spec.g1 is None and spec.g2 is None
+        tp = reduce_order(spec)
+        assert tp.lift is None and tp.g_smooth is None
 
 
 class TestRegistry:
@@ -235,7 +283,7 @@ class TestCompatibleNonsmooth:
         spec = get_problem("compatible_nonsmooth")
         x = np.linspace(-1.0, 1.0, 7)[:, None]
         y = np.linspace(-1.0, 1.0, 5)[None, :]
-        np.testing.assert_allclose(spec.initial_value(x, y), spec.exact(x, y, 0.0), atol=1e-15)
+        np.testing.assert_allclose(spec.g1.values(x, y), spec.exact(x, y, 0.0), atol=1e-15)
 
     def test_leading_forcing_constant(self):
         # Caputo of the t^{1.1}/2 term at its own order leaves Gamma(2.1)/2 t^0

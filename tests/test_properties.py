@@ -75,7 +75,7 @@ def test_eigen_step_matches_dense_solve(case):
         bases.append(build_basis(degree, (corner, corner + float(rng.uniform(0.5, 3.0)))))
     bx, by = bases
     coeffs = StepCoefficients(
-        tau=0.1, mass_coef=1.0 + float(rng.uniform(0.0, 2.0)), grad_coef=float(rng.uniform(0.02, 1.0))
+        mass_coef=1.0 + float(rng.uniform(0.0, 2.0)), grad_coef=float(rng.uniform(0.02, 1.0))
     )
     rhs = rng.standard_normal((bx.dim, by.dim))
     dense = dense_kronecker_solve(coeffs, bx, by, rhs)

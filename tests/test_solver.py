@@ -20,7 +20,7 @@ from fracadi.basis import (
     project_source,
 )
 from fracadi.oracle import half_sum_coefficients
-from fracadi.problems import ProblemSpec, Rectangle, SpatialProfile, get_problem
+from fracadi.problems import ProblemSpec, Rectangle, SeparableTerm, SpatialProfile, get_problem
 from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
@@ -201,6 +201,47 @@ class TestReduceOrder:
         x, y, t = 0.3, 0.1, 0.5
         want = prof.values(x, y) * (1.0 + 2.0 / math.gamma(1.4) * t**0.4)
         assert tp.g(x, y, t) == pytest.approx(want, rel=1e-13)
+
+    def test_every_source_against_hand_summed_terms(self):
+        # forcing on two profiles, g1 and g2, and one lower order above one
+        s1 = SpatialProfile(values=lambda x, y: np.exp(x) * np.cos(y))
+        s2 = SpatialProfile(values=lambda x, y: 2.0 + x * y)
+        g1 = SpatialProfile(
+            values=lambda x, y: np.sin(x + y), laplacian=lambda x, y: -2.0 * np.sin(x + y)
+        )
+        g2 = SpatialProfile(values=lambda x, y: 1.0 + x**2 - y)
+        spec = ProblemSpec(
+            name="full",
+            alpha=1.6,
+            alphas=(1.3, 0.5),
+            coeffs=(0.7, 2.0),
+            mu=1.5,
+            domain=UNIT_SQUARE,
+            forcing_terms=(SeparableTerm(0.8, 1.5, s1), SeparableTerm(-1.2, 0.0, s2)),
+            g1=g1,
+            g2=g2,
+        )
+        tp = reduce_order(spec)
+        beta = 0.6
+        x = np.linspace(-0.9, 0.8, 5)[None, :, None]
+        y = np.linspace(-0.7, 0.95, 4)[None, None, :]
+        t = np.array([0.0, 0.25, 0.6, 1.0])[:, None, None]
+        f = 0.8 * t**1.5 * s1.values(x, y) - 1.2 * s2.values(x, y) + 1.5 * g1.laplacian(x, y)
+        smooth = (1.0 + 0.7 * t**0.3 / math.gamma(1.3)) * g2.values(x, y)
+        integral = (
+            0.8 * math.gamma(2.5) / math.gamma(2.5 + beta) * t ** (1.5 + beta) * s1.values(x, y)
+            - 1.2 / math.gamma(1.0 + beta) * t**beta * s2.values(x, y)
+            + 1.5 / math.gamma(1.0 + beta) * t**beta * g1.laplacian(x, y)
+        )
+        for got, want in ((tp.f, f), (tp.g_smooth, smooth), (tp.g, smooth + integral)):
+            np.testing.assert_allclose(
+                np.broadcast_to(got(x, y, t), want.shape), want,
+                rtol=1e-13, atol=1e-13 * np.max(np.abs(want)),
+            )
+
+    def test_no_velocity_source_without_g2(self):
+        assert reduce_order(get_problem("compatible_nonsmooth")).g_smooth is None
+        assert reduce_order(get_problem("compatible_smooth")).g_smooth is None
 
     def test_no_source_terms_reduce_to_zero(self):
         spec = ProblemSpec(
@@ -975,6 +1016,11 @@ class TestRun:
     def test_final_time_must_be_positive(self):
         with pytest.raises(ValueError, match="final time"):
             run(get_problem("compatible_smooth"), 8, 10, 0.0)
+
+    @pytest.mark.parametrize("final_time", [math.nan, math.inf])
+    def test_final_time_must_be_finite(self, final_time):
+        with pytest.raises(ValueError, match="final time must be finite"):
+            run(get_problem("compatible_smooth"), 8, 10, final_time)
 
     def test_zero_steps_initial_only(self):
         res = run(get_problem("compatible_smooth"), 8, 0, 1.0)

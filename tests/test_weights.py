@@ -296,6 +296,11 @@ class TestExponentValidation:
         with pytest.raises(ValueError):
             build_correction_set((0.5,), (0.0, 1.1), 2)
 
+    @pytest.mark.parametrize("sig", [(math.nan,), (1.1, math.inf), (math.nan, 1.2)])
+    def test_non_finite_exponents_rejected(self, sig):
+        with pytest.raises(ValueError, match="correction exponents must be finite"):
+            build_correction_set((0.5,), sig, 2)
+
     def test_near_duplicate_exponents_flagged(self):
         with pytest.raises(StartingWeightError) as info:
             build_correction_set((0.5,), (1.1, 1.1 + 1e-13), 4)
