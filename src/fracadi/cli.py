@@ -16,6 +16,7 @@ import argparse
 import configparser
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .problems import (
     boundary_mismatch,
     get_problem,
 )
-from .solver import SOURCE_MODES, run
+from .solver import SOURCE_MODES, reduce_order, run, step_coefficients
 from .weights import (
     MAX_CORRECTION_TERMS,
     StartingWeightError,
@@ -154,6 +155,12 @@ class RunConfig:
             spec = get_problem(self.problem)
         if need_study and spec is not None and not spec.has_exact:
             errors.append("problem: a study needs a problem with an exact solution")
+        if need_study and self.study_param == "tau":
+            counts = [n for n in self.levels or () if n >= 1]
+        else:
+            counts = [self.M] if self.M is not None and self.M >= 1 else []
+        if spec is not None and counts and 0.0 < self.T < math.inf:
+            errors.extend(_step_errors(spec, self.T, counts))
         if errors:
             raise ConfigError(errors)
         return spec
@@ -162,6 +169,31 @@ class RunConfig:
         if self.m == 0:
             return ()
         return self.sigma if self.sigma is not None else default_sigmas(self.m)
+
+
+def _step_errors(spec, final_time, counts):
+    """T: messages for the steps T/n, n in counts, that no march can take.
+
+    The smallest step must be a normal float (a subnormal one loses its
+    digits, and the rate table divides by it); the largest must give
+    finite step coefficients, which grow with the step.
+    """
+    n = max(counts)
+    if final_time / n < sys.float_info.min:
+        return [f"T: step T/{n} = {fmt(final_time / n)} is below the smallest normal float"]
+    n = min(counts)
+    try:
+        with warnings.catch_warnings():  # the march itself warns of a step >= 1
+            warnings.simplefilter("ignore")
+            coeffs = step_coefficients(reduce_order(spec), final_time / n)
+            finite = all(
+                map(math.isfinite, (coeffs.mass_coef, coeffs.grad_coef, coeffs.cross_coef))
+            )
+    except OverflowError:
+        finite = False
+    if not finite:
+        return [f"T: step T/{n} = {fmt(final_time / n)} overflows the step coefficients"]
+    return []
 
 
 # -- custom problems from config ------------------------------------------

@@ -38,10 +38,11 @@ from .problems import ProblemSpec, SeparableTerm, SpatialProfile, evaluate_terms
 from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
-# directly (near_product), the older ones come from one FFT far part per
-# block.  At 256 and N = 20 one step's direct contraction is one product
-# below NEAR_PRODUCT; panels of steps and larger grids split it into column
-# slabs.
+# directly (near_product), the older ones reach a block's rows through the
+# far part, which one FFT push per block start accumulates in the rows of u
+# that the march has not solved yet (see AdiSolver._push).  At 256 and
+# N = 20 one step's direct contraction is one product below NEAR_PRODUCT;
+# panels of steps and larger grids split it into column slabs.
 BLOCK = 256
 # Steps per panel of the march: march() solves up to PANEL consecutive
 # steps together (assemble_rhs(k, n), then sweep_solve on the stack), so the
@@ -61,13 +62,6 @@ PANEL = 8
 # 51 ms with slabs (73 and 65 ms with one BLAS thread).  A slab reads at
 # most 1 MiB of history.
 NEAR_PRODUCT = 2**18
-# Steps per super-block of the far part: the history older than the
-# current super-block is transformed once per SUPER steps, the levels of
-# the super-block before the current block once per block.  N = 20
-# marches on one BLAS thread were fastest at 1024 for M = 2000 and 4000
-# (512 8 % slower, 2048 11-23 %), level with 2048 at M = 8000, and 30 %
-# slower than 2048 at M = 16000, where 2048 costs 5.6 MB more peak RSS.
-SUPER = 4 * BLOCK
 # Columns per FFT chunk in causal_sum; it bounds the FFT temporaries.  At
 # 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
 # steps; 16 columns cost no measurable CPU time.
@@ -78,7 +72,7 @@ FFT_COLUMNS = 16
 SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
-def causal_sum(kernel, hist, lo, hi, weights, out=None):
+def causal_sum(kernel, hist, lo, hi, weights, out=None, add=False):
     """Rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j].
 
     kernel is (rows, length), hist (n, ...) and weights (rows, cols),
@@ -87,8 +81,10 @@ def causal_sum(kernel, hist, lo, hi, weights, out=None):
     the direct sum to round-off.  It is computed by real FFTs along time on
     chunks of FFT_COLUMNS columns (scipy's FFT, one thread, no BLAS); the
     rows are combined in frequency, so each chunk takes one inverse FFT.
-    A C-contiguous `out` may alias hist: each column chunk is read in full
-    before it is overwritten.
+    The result is written to a C-contiguous `out`, or with add=True added
+    into it, one column chunk at a time, so no full-size temporary is
+    formed.  `out` may alias hist when it is written: each column chunk
+    is read in full before it is overwritten.
     """
     n = len(hist)
     first = max(lo - n + 1, 0)  # smallest lag the requested rows use
@@ -104,7 +100,11 @@ def causal_sum(kernel, hist, lo, hi, weights, out=None):
         chunk = slice(c, c + FFT_COLUMNS)
         spectrum = sp_fft.rfft(cols[:, chunk], size, axis=0)
         spectrum *= kernel_hat @ weights[:, chunk]
-        dest[:, chunk] = sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
+        rows = sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
+        if add:
+            dest[:, chunk] += rows
+        else:
+            dest[:, chunk] = rows
     return out
 
 
@@ -360,12 +360,32 @@ def physical_memory():
 
 
 def _binary_size(nbytes):
-    """A byte count in numpy's binary units, e.g. '1.60 PiB'."""
+    """A byte count in numpy's binary units, e.g. '1.60 PiB' or '730 GiB'.
+
+    Three significant digits, written without an exponent or a trailing
+    point (999.6 GiB is '1000 GiB').
+    """
     units = ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")
     i = min(max(int(nbytes).bit_length() - 1, 0) // 10, len(units) - 1)
     if i == 0:
         return f"{nbytes:.0f} bytes"
-    return f"{nbytes / 2 ** (10 * i):#.3g} {units[i]}"
+    value = float(f"{nbytes / 2 ** (10 * i):.3g}")
+    decimals = max(2 - math.floor(math.log10(value)), 0)
+    return f"{value:.{decimals}f} {units[i]}"
+
+
+def _correction_exponents(m, exponents):
+    """The exponents of m correction terms as a tuple; () for m = 0.
+
+    Raises ValueError unless a corrected run gets exactly m exponents.
+    """
+    if not m:
+        return ()
+    if exponents is None:
+        raise ValueError("corrected runs need exponents")
+    if len(exponents) != m:
+        raise ValueError(f"{m} correction terms need {m} exponents, got {len(exponents)}")
+    return tuple(exponents)
 
 
 class AdiSolver:
@@ -394,12 +414,12 @@ class AdiSolver:
     Holds the source projections, one memory kernel per operator (mass
     and stiffness; the operators' diagonals weight them into one memory
     sum), the inverse step symbol, in corrected runs the starting-weight
-    loads and the per-mode images of the starting differences, the full
-    history (the memory terms need it anyway) and the far part of the
-    weighted memory sum for one block, or, past the first SUPER steps,
-    for one super-block: a (SUPER, dim_x, dim_y) cache.  The starting
-    values are fixed at construction: correction_load reads their
-    images, not u[1..m].
+    loads and the per-mode images of the starting differences, and the
+    full history u (the memory terms need it anyway).  The far part of
+    the memory sum needs no array of its own: until step k is taken,
+    u[k + 1] accumulates what the levels before k's block give to step k
+    (see _push).  The starting values are fixed at construction:
+    correction_load reads their images, not u[1..m].
     """
 
     def __init__(
@@ -428,8 +448,7 @@ class AdiSolver:
         self.m = int(correction_terms)
         if self.m < 0:
             raise ValueError("correction_terms must be nonnegative")
-        if self.m and exponents is None:
-            raise ValueError("corrected runs need exponents")
+        exponents = _correction_exponents(self.m, exponents)
         if self.m and steps <= self.m:
             raise ValueError("need more steps than correction terms")
 
@@ -439,6 +458,8 @@ class AdiSolver:
             for j, val in enumerate(starting_values, start=1):
                 self.u[j] = to_eigen(val, basis_x, basis_y)
             self.count = 1 + len(starting_values)
+        if self.count > BLOCK + 1:  # the first push adds into u[BLOCK + 1]
+            raise ValueError(f"at most {BLOCK} starting values")
         self._eigen = True  # u holds eigen-coordinates until march() ends
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
@@ -458,8 +479,7 @@ class AdiSolver:
             [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
         )
         kernel = np.zeros((2, steps + 1))
-        self._far = None
-        self._far_start = self._far_block = -1
+        self._far_block = 0  # the last block start whose push is in u
         self._loads = None
         if self.m:
             cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
@@ -543,13 +563,13 @@ class AdiSolver:
         splits at b0 = k - k % BLOCK, which the rows may not pass: the
         levels b0..k are contracted directly, as one near_product of the
         (2 n, k + 1 - b0) Toeplitz window of the kernel (in column slabs
-        on large grids), and the older ones enter through a far part in
-        two levels, split at c0 = b0 - b0 % SUPER.  The levels before c0
-        come from one causal_sum over u[:c0] per super-block of SUPER
-        steps, the levels c0..b0-1 from one over u[c0:b0] per block (see
-        _far_rows); for c0 = 0 the far part is the single transform of
-        u[:b0].  Returns an (n, dim_x, dim_y) stack; without n, the
-        (dim_x, dim_y) right side of step k alone.
+        on large grids), and the far part of the older ones is read from
+        the unsolved rows u[k + 1 : k + 1 + n], where the pushes of the
+        block starts up to b0 left it (see _push).  The first call for a
+        block makes its push, so k must lie in the block of the last call
+        or the next one, and past the first block step k must not have
+        been taken yet; other calls raise ValueError.  Returns an (n, dim_x, dim_y) stack; without n, the (dim_x, dim_y)
+        right side of step k alone.
         """
         rows = 1 if n is None else n
         if not (0 <= k and 1 <= rows and k + rows <= self.steps):
@@ -557,8 +577,14 @@ class AdiSolver:
         b0 = k - k % BLOCK
         if k + rows > b0 + BLOCK:
             raise ValueError("a panel of steps may not cross a BLOCK boundary")
-        if b0 and self._far_block != b0:
-            self._far_rows(b0)  # before the panel's own temporaries exist
+        if b0 == self._far_block + BLOCK:
+            self._push(b0)  # before the panel's own temporaries exist
+        elif b0 != self._far_block:
+            raise ValueError(
+                f"step {k} lies outside the block at {self._far_block} and the next one"
+            )
+        if b0 and k < self.count - 1:
+            raise ValueError(f"step {k} was taken: u[{k + 1}] no longer holds its far part")
         levels = k + 1 - b0
         # row t takes lags k + t - b0 .. t, the window that starts at the
         # reversed kernel's column steps - (k - b0) - t
@@ -569,9 +595,8 @@ class AdiSolver:
         mem *= self._weights[:, None]
         memory, spare = mem
         memory += spare
-        if b0:
-            row = k - self._far_start
-            memory += self._far[row : row + rows].reshape(rows, -1)
+        if b0:  # the first block has no far part
+            memory += self.u[k + 1 : k + 1 + rows].reshape(rows, -1)
         shape = (rows,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
         rhs[0] += self._explicit * self.u[k]
@@ -582,35 +607,25 @@ class AdiSolver:
         rhs += np.multiply(half, self.source_hat[k + 1 : k + rows + 1], out=spare)
         return rhs if n is not None else rhs[0]
 
-    def _far_rows(self, b0):
-        """Fill the cached far part of the memory sum for the block at b0.
+    def _push(self, b0):
+        """Add the far part that the block start b0 sends into u.
 
-        For c0 = b0 - b0 % SUPER = 0 the cache is the block's own rows of
-        the transform of u[:b0].  Otherwise it holds the super-block's
-        rows of the transform of u[:c0], and the block's transform of
-        u[c0:b0] is added into its own rows in place.  The march never
-        rewrites u[:b0] once a block has started.  A call for another
-        super-block, or for a block before the last one filled (whose
-        rows may hold an inner part already), rebuilds the cache from the
-        current history.  The old cache is dropped before the next one is
-        built, so only one is held at a time.
+        With span = BLOCK times the largest power of two that divides
+        b0 / BLOCK, the levels b0 - span..b0-1 send their part of the
+        memory sum to the rows b0..b0+span-1 (up to the last step), added
+        into u[b0 + 1 : b0 + span + 1], the levels those steps will
+        overwrite.  Over the block starts this is the dyadic split of
+        Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985)
+        532): every level before b0 reaches every row of b0's block
+        exactly once, and each level is transformed once per power of two
+        up to steps / BLOCK.
         """
-        c0 = b0 - b0 % SUPER
-        hi = min(b0 + BLOCK, self.steps)
-        if not c0:
-            self._far = None
-            self._far = causal_sum(self._kernel, self.u[:b0], b0, hi, self._weights)
-            self._far_start = b0
-        else:
-            if c0 != self._far_start or b0 < self._far_block:
-                self._far = None
-                self._far = causal_sum(
-                    self._kernel, self.u[:c0], c0, min(c0 + SUPER, self.steps), self._weights
-                )
-                self._far_start = c0
-            if b0 > c0:
-                inner = causal_sum(self._kernel, self.u[c0:b0], b0 - c0, hi - c0, self._weights)
-                self._far[b0 - c0 : hi - c0] += inner
+        span = BLOCK * ((b0 // BLOCK) & -(b0 // BLOCK))
+        hi = min(b0 + span, self.steps)
+        causal_sum(
+            self._kernel, self.u[b0 - span : b0], span, span + hi - b0, self._weights,
+            out=self.u[b0 + 1 : hi + 1], add=True,
+        )
         self._far_block = b0
 
     def correction_load(self, k, n=None):
@@ -763,7 +778,9 @@ def _check_memory(basis_x, basis_y, steps, source_mode):
     """Raise MemoryError if the solver's per-level arrays exceed physical memory.
 
     Counts the (steps + 1)-row arrays AdiSolver holds: the history u and
-    source_hat, plus the sampled forcing grid in sampled mode.
+    source_hat, plus the sampled forcing grid in sampled mode.  The far
+    part of the memory sum needs no array beyond u (it accumulates in the
+    unsolved rows), so these three are all.
     """
     row = 8 * (steps + 1)
     sizes = [row * basis_x.dim * basis_y.dim] * 2
@@ -835,6 +852,7 @@ def run(
 
     t0 = time.perf_counter()
     m = int(correction_terms)
+    exponents = _correction_exponents(m, exponents)  # before any march
     if m and starting_values is None:
         starting_values = bootstrap_starting_values(
             tp, basis_x, basis_y, tau, m, ratio=bootstrap_ratio, source_mode=source_mode
@@ -862,11 +880,18 @@ def run(
     # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
     # cumsum accumulates in sequence, as a running Python sum would.  Both
     # norms are divided by a power of two near the largest h_k first, which
-    # keeps the squares finite and leaves the ratio bit-identical
+    # keeps the squares finite and leaves the ratio bit-identical.  Where
+    # e^{2T} or the bound overflows (T > 354.9), the ratio is 0 to double
+    # precision; an infinite bound times a zero sum is NaN and not positive
+    try:
+        growth = math.exp(2.0 * final_time)
+    except OverflowError:
+        growth = math.inf
     shift = np.frexp(np.max(solver.half_source_norms))[1]
     half = np.ldexp(solver.half_source_norms, -shift)
     scaled = np.ldexp(norms[1:], -shift)
-    bound = math.exp(2.0 * final_time) * 2.0 * tau * np.cumsum(half**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = growth * 2.0 * tau * np.cumsum(half**2)
     positive = bound > 0.0
     ratio = float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
@@ -887,7 +912,7 @@ def run(
         half_source_norms=solver.half_source_norms,
         stability_ratio=ratio,
         correction_terms=m,
-        exponents=tuple(exponents) if exponents else (),
+        exponents=exponents,
         source_mode=solver.source_mode,
         errors=errors,
         error_final=error_final,

@@ -653,6 +653,15 @@ NONSMOOTH = ["--problem", "compatible_nonsmooth", "--N", "8"]
 REJECTED_BEFORE_MARCH = {
     "T-nan": (SMOOTH_RUN + ["--T", "nan"], None, "T: final time must be finite, got nan"),
     "T-inf": (SMOOTH_RUN + ["--T", "inf"], None, "T: final time must be finite, got inf"),
+    "T-huge": (
+        SMOOTH_RUN + ["--T", "1e308"], None,
+        "T: step T/4 = 2.5e+307 overflows the step coefficients",
+    ),
+    "T-subnormal-study": (
+        ["study", "--problem", "compatible_smooth", "--N", "6", "--levels", "10", "20",
+         "--T", "1e-320"], None,
+        "T: step T/20 = 4.99006302299659e-322 is below the smallest normal float",
+    ),
     "sigma-nan": (
         SMOOTH_RUN + ["--sigma", "nan", "--m", "1"], None, "sigma: exponents must be finite"
     ),

@@ -26,7 +26,6 @@ from fracadi.solver import (
     BLOCK,
     FFT_COLUMNS,
     PANEL,
-    SUPER,
     AdiSolver,
     TransformedProblem,
     bootstrap_starting_values,
@@ -458,8 +457,8 @@ class TestAssembleRhs:
             pytest.param(j, k, 7, id=f"{j}-{k}")
             for j, k in [
                 (0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK),
-                (0, 2 * BLOCK + 1), (3, SUPER + BLOCK + 5), (SUPER + 7, SUPER + 2 * BLOCK + 1),
-                (SUPER - 1, SUPER), (SUPER + BLOCK - 1, SUPER + BLOCK),
+                (0, 2 * BLOCK + 1), (3, 5 * BLOCK + 5), (4 * BLOCK + 7, 6 * BLOCK + 1),
+                (4 * BLOCK - 1, 4 * BLOCK), (5 * BLOCK - 1, 5 * BLOCK),
             ]
         ]
         + [
@@ -467,7 +466,8 @@ class TestAssembleRhs:
             # into column slabs, the last one ragged
             pytest.param(j, k, 40, id=f"{j}-{k}-N40")
             for j, k in [
-                (BLOCK + 150, BLOCK + 150), (SUPER + 100, SUPER + 200), (3, 2 * BLOCK + 200),
+                (BLOCK + 150, BLOCK + 150), (4 * BLOCK + 100, 4 * BLOCK + 200),
+                (3, 2 * BLOCK + 200),
             ]
         ],
     )
@@ -475,21 +475,26 @@ class TestAssembleRhs:
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
         # over both memory orders and the integral order; j < k - k % BLOCK
-        # puts the level in the far part of the sum, in its super part for
-        # j < k - k % SUPER and in its inner part otherwise.  The mapped
-        # rectangle has jx = 1 and jy = 2, so a misplaced jacobian factor shows.
-        # The level is set in eigen-coordinates; the reference right side is
-        # formed with the Shen-basis matrices and mapped with E_x^T . E_y
+        # puts the level in the far part of the sum, which reaches step k
+        # through the pushes of the block starts up to k's, made here in
+        # march order.  A push adds into unsolved rows, so before each call
+        # levels 0..start are set back to the single level, as a march
+        # would have solved them.  The mapped rectangle has jx = 1 and
+        # jy = 2, so a misplaced jacobian factor shows.  The level is set
+        # in eigen-coordinates; the reference right side is formed with
+        # the Shen-basis matrices and mapped with E_x^T . E_y
         tp = quiet_tp()
-        steps, tau = SUPER + 2 * BLOCK + 10, 0.1
+        steps, tau = 6 * BLOCK + 10, 0.1
         for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
             bx = build_basis(degree, domain.x_interval)
             by = build_basis(degree, domain.y_interval)
             jx, jy = bx.jacobian, by.jacobian
             solver = AdiSolver(tp, bx, by, tau, steps)
             e = rng.standard_normal((bx.dim, by.dim))
-            solver.u[j] = e
-            rhs = solver.assemble_rhs(k)
+            for start in [*range(BLOCK, k + 1, BLOCK), k]:
+                solver.u[: start + 1] = 0.0
+                solver.u[j] = e
+                rhs = solver.assemble_rhs(start)
 
             u = from_eigen(e, bx, by)
             mass_e = jx * jy * (bx.mass @ u) @ by.mass
@@ -506,6 +511,35 @@ class TestAssembleRhs:
                 want += mass_e + solver.coeffs.cross_coef * cross_e
             want = bx.eigenvectors.T @ want @ by.eigenvectors
             np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("steps", [BLOCK, 4 * BLOCK + 1, 7 * BLOCK + 255])
+    def test_march_matches_direct_memory_sum(self, steps):
+        # one step at a time in eigen-coordinates, with the whole memory sum
+        # contracted directly: sweep * v[k+1] = explicit * v[k]
+        # - sum_{j<=k} Kw_{k-j} v[j] + tau/2 (s[k] + s[k+1]), Kw_l the
+        # kernel's column l weighted per mode.  It shares the solver's
+        # tables but none of its near, far or panel code, so a far part
+        # that misses or repeats a level shows at every row past BLOCK
+        def g(x, y, t):
+            return (1.0 + np.cos(3.0 * t)) * (x + 1.0) * y**2 + t
+
+        tp = dataclasses.replace(quiet_tp(), g=g)
+        domain = Rectangle(0.0, 2.0, -1.0, 3.0)
+        tp = dataclasses.replace(tp, domain=domain)
+        bx = build_basis(6, domain.x_interval)
+        by = build_basis(6, domain.y_interval)
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps)
+        kernel, weights = solver._kernel, solver._weights
+        explicit, sweep = solver._explicit.ravel(), solver._sweep.ravel()
+        source = solver.source_hat.reshape(steps + 1, -1)
+        v = np.zeros_like(source)
+        for k in range(steps):
+            memory = ((kernel[:, k::-1] @ v[: k + 1]) * weights).sum(axis=0)
+            rhs = explicit * v[k] - memory + 0.5 * solver.tau * (source[k] + source[k + 1])
+            v[k + 1] = rhs / sweep
+        want = from_eigen(v.reshape(solver.u.shape), bx, by)
+        got = solver.march()
+        assert np.max(np.abs(got - want)) <= 1e-13 * max_level_norm(want)
 
     @pytest.mark.parametrize("k", [-1, 6])
     def test_step_index_range(self, k):
@@ -583,21 +617,36 @@ class TestStepVersusDense:
     def test_adi_step_reproduces_march(self):
         # steps taken with step_once stay in eigen-coordinates, which
         # assemble_rhs and sweep_solve work in (march() would map u back).
-        # After the steps the cached far part belongs to the last block,
-        # so k = BLOCK + 3 recomputes its own block's far part and
-        # SUPER + BLOCK + 3 rebuilds the second super-block's cache;
-        # SUPER + 2 BLOCK + 3 adds its block's inner part to that cache,
-        # and the second visit to SUPER + BLOCK + 3, whose rows already
-        # hold an inner part, rebuilds it
+        # Each k is checked in march order, before step k is taken, while
+        # u[k + 1] still holds its far part: BLOCK + 3 reads the push of
+        # the block at BLOCK, 5 BLOCK + 3 those of 4 BLOCK and 5 BLOCK, and
+        # 6 BLOCK + 3 those of 4 BLOCK and 6 BLOCK
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
-        solver = AdiSolver(tp, bx, by, 0.01, SUPER + 2 * BLOCK + 8)
-        for _ in range(solver.steps):
-            solver.step_once()
-        for k in (5, BLOCK + 3, SUPER + BLOCK + 3, SUPER + 2 * BLOCK + 3, SUPER + BLOCK + 3):
+        solver = AdiSolver(tp, bx, by, 0.01, 6 * BLOCK + 8)
+        for k in (5, BLOCK + 3, 5 * BLOCK + 3, 6 * BLOCK + 3):
+            while solver.count - 1 < k:
+                solver.step_once()
             step = solver.sweep_solve(solver.assemble_rhs(k))
+            solver.step_once()
             np.testing.assert_array_equal(step, solver.u[k + 1])
+
+    def test_out_of_order_call_rejected(self):
+        # the far part of a block is in u only from its push on, and only
+        # until its steps overwrite it
+        solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, 4 * BLOCK)
+        with pytest.raises(ValueError, match="outside the block at 0"):
+            solver.assemble_rhs(2 * BLOCK)
+        for _ in range(BLOCK + 6):
+            solver.step_once()
+        with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
+            solver.assemble_rhs(5)
+        with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
+            solver.assemble_rhs(3 * BLOCK)
+        with pytest.raises(ValueError, match=f"step {BLOCK + 4} was taken"):
+            solver.assemble_rhs(BLOCK + 4)
+        solver.assemble_rhs(BLOCK + 6)
 
 
     def test_march_maps_back_once(self):
@@ -618,44 +667,57 @@ class TestStepVersusDense:
 
 
 class TestFarPartSchedule:
-    def test_history_transformed_once_per_super_block(self, monkeypatch):
-        # each super-block transforms the history before it once; every
-        # other memory-sum transform covers fewer than SUPER levels
+    def test_pushes_reach_every_row_once(self, monkeypatch):
+        # the block start b0 sends the span = BLOCK 2^v levels before it
+        # (2^v the largest power of two dividing b0 / BLOCK) to its rows
+        # b0..b0+span-1, added into the unsolved rows from u[b0 + 1] on;
+        # over the march every level j < r - r % BLOCK reaches row r
+        # exactly once.  The last two pushes are cut at the last step
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
-        steps = 3 * SUPER + BLOCK + 10
+        steps = 7 * BLOCK + 255
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
         calls = []
 
-        def recording(kernel, hist, lo, hi, weights, out=None):
-            start = (hist.ctypes.data - solver.u.ctypes.data) // solver.u[0].nbytes
-            calls.append((start, len(hist), lo, hi))
-            return causal_sum(kernel, hist, lo, hi, weights, out)
+        def level_of(a):
+            return (a.ctypes.data - solver.u.ctypes.data) // solver.u[0].nbytes
+
+        def recording(kernel, hist, lo, hi, weights, out=None, **kwargs):
+            dest = None if out is None else level_of(out)
+            calls.append((level_of(hist), len(hist), lo, hi, dest, kwargs.get("add")))
+            return causal_sum(kernel, hist, lo, hi, weights, out, **kwargs)
 
         monkeypatch.setattr(solver_module, "causal_sum", recording)
         solver.march()
-        supers = [c for c in calls if c[1] >= SUPER]
-        assert [c[1] for c in supers] == [SUPER, 2 * SUPER, 3 * SUPER]
-        for start, n, lo, hi in supers:
-            assert (start, lo, hi) == (0, n, min(n + SUPER, steps))
-        inner = [c for c in calls if c[1] < SUPER]
-        assert all(start % SUPER == 0 and 0 < n < SUPER for start, n, _, _ in inner)
-        assert len(inner) == steps // BLOCK - steps // SUPER
+        reach = np.zeros((steps, steps), dtype=np.int8)  # [row, level]
+        starts = []
+        for start, n, lo, hi, dest, add in calls:
+            b0 = start + n
+            span = BLOCK * ((b0 // BLOCK) & -(b0 // BLOCK))
+            assert (n, lo, hi) == (span, span, span + min(b0 + span, steps) - b0)
+            assert (dest, add) == (b0 + 1, True)
+            reach[b0 : b0 + hi - lo, start:b0] += 1
+            starts.append(b0)
+        assert starts == list(range(BLOCK, steps, BLOCK))
+        for r in range(steps):
+            far = r - r % BLOCK
+            assert (reach[r, :far] == 1).all() and not reach[r, far:].any()
 
-    def test_one_far_cache_at_a_time(self):
-        # the march may hold one super-block cache, the inner part of one
-        # block and the FFT temporaries of one column chunk (at most four
-        # doubles per transform row and column) at a time; the second
-        # super-block's cache alive while the third one's is built would
-        # add 1.8 MB here
+    def test_far_part_needs_no_array_beyond_u(self):
+        # the march holds the panel's temporaries and the FFT temporaries
+        # of one column chunk (at most four doubles per transform row and
+        # column; the largest push, span 2048 from level 2048, transforms
+        # about 12 BLOCK rows) at a time; a far-part cache of 4 BLOCK
+        # levels, or a push that added through a full-span temporary,
+        # would exceed the budget
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(16, tp.domain.x_interval)
         by = build_basis(16, tp.domain.y_interval)
-        steps = 3 * SUPER + 10
+        steps = 12 * BLOCK + 10
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
         level = 8 * bx.dim * by.dim
-        budget = (SUPER + BLOCK) * level + 4 * 8 * FFT_COLUMNS * 3 * SUPER
+        budget = BLOCK * level + 4 * 8 * FFT_COLUMNS * 12 * BLOCK
         tracemalloc.start()
         try:
             solver.march()
@@ -676,7 +738,8 @@ PANEL_CASES = [
     pytest.param("compatible_smooth", 8, 5, 1.0, 0, id="M-below-panel"),
     # from k = 3 the panels are ragged where the first block ends
     pytest.param("compatible_nonsmooth", 8, BLOCK + 40, 1.0, 3, id="m3-unaligned"),
-    pytest.param("compatible_smooth", 8, SUPER + 2 * BLOCK + 10, 1.0, 0, id="block-and-super"),
+    # pushes of span BLOCK, 2 BLOCK and 4 BLOCK, the last ones cut at the end
+    pytest.param("compatible_smooth", 8, 6 * BLOCK + 10, 1.0, 0, id="dyadic-pushes"),
     # 39**2 columns: the panel's near product is split into column slabs
     pytest.param("compatible_smooth", 40, 60, 1.0, 0, id="N40"),
     pytest.param(
@@ -972,6 +1035,24 @@ class TestBootstrap:
             bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, 2, ratio=0)
 
 
+BINARY_SIZES = [
+    (512, "512 bytes"),
+    (2**20, "1.00 MiB"),
+    (2 * 8 * 1001 * 15**2, "3.44 MiB"),
+    (12.345 * 2**20, "12.3 MiB"),
+    (99.96 * 2**10, "100 KiB"),
+    (2 * 8 * (10**9 + 1) * 7**2, "730 GiB"),
+    (999.6 * 2**30, "1000 GiB"),
+    (8 * (10**12 + 1) * 15**2, "1.60 PiB"),
+]
+
+
+@pytest.mark.parametrize("nbytes,text", BINARY_SIZES, ids=[text for _, text in BINARY_SIZES])
+def test_binary_size_keeps_three_digits(nbytes, text):
+    # three significant digits, never an exponent or a trailing point
+    assert solver_module._binary_size(nbytes) == text
+
+
 class TestSolverValidation:
     def setup_method(self):
         self.bx = build_basis(6, (-1.0, 1.0))
@@ -995,6 +1076,12 @@ class TestSolverValidation:
                 quiet_tp(), self.bx, self.by, 0.1, 2,
                 correction_terms=2, exponents=(1.1, 1.2),
             )
+
+    def test_starting_values_end_within_the_first_block(self):
+        # the push of the block at BLOCK adds into u[BLOCK + 1] on
+        start = [np.zeros((self.bx.dim, self.by.dim))] * (BLOCK + 1)
+        with pytest.raises(ValueError, match=f"at most {BLOCK} starting values"):
+            AdiSolver(quiet_tp(), self.bx, self.by, 0.01, 2 * BLOCK, starting_values=start)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_source_stops_before_the_march(self):
@@ -1108,6 +1195,28 @@ class TestRun:
                 ratio = max(ratio, res.norms[n] ** 2 / bound)
         assert ratio > 0.0
         assert res.stability_ratio == ratio
+
+    def test_huge_final_time_has_zero_stability_ratio(self):
+        # tau = 0.5 is a sound step, but e^{2T} overflows from T = 354.9 on;
+        # the ratio is then 0 to double precision
+        res = run(get_problem("compatible_smooth"), 8, 800, 400.0)
+        assert res.stability_ratio == 0.0
+        assert np.isfinite(res.norms).all()
+
+    @pytest.mark.parametrize("m,exponents", [(3, (1.1,)), (2, (1.1, 1.2, 1.3))])
+    def test_exponent_count_must_match(self, monkeypatch, m, exponents):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(solver_module, "bootstrap_starting_values", no_march)
+        monkeypatch.setattr(AdiSolver, "march", no_march)
+        message = f"{m} correction terms need {m} exponents, got {len(exponents)}"
+        with pytest.raises(ValueError, match=message):
+            run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, correction_terms=m, exponents=exponents)
+
+    def test_uncorrected_run_records_no_exponents(self):
+        res = run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, exponents=(1.1,))
+        assert res.exponents == ()
 
     def test_zero_source_ignoring_time_across_blocks(self):
         res = run(quiet_tp(), 20, 200, 1.0)
