@@ -16,7 +16,6 @@ import argparse
 import configparser
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,6 +115,8 @@ class RunConfig:
                 )
             elif self.M < 0:
                 errors.append(f"M: step count must be nonnegative, got {self.M}")
+            elif need_study and self.M == 0:  # every error of a study is 0 at t = 0
+                errors.append(f"M: an N-study needs at least one step, got {self.M}")
             elif 0 < self.M <= self.m:
                 errors.append(
                     f"M: step count must exceed the correction count m = {self.m}, got {self.M}"
@@ -183,12 +184,8 @@ def _step_errors(spec, final_time, counts):
         return [f"T: step T/{n} = {fmt(final_time / n)} is below the smallest normal float"]
     n = min(counts)
     try:
-        with warnings.catch_warnings():  # the march itself warns of a step >= 1
-            warnings.simplefilter("ignore")
-            coeffs = step_coefficients(reduce_order(spec), final_time / n)
-            finite = all(
-                map(math.isfinite, (coeffs.mass_coef, coeffs.grad_coef, coeffs.cross_coef))
-            )
+        coeffs = step_coefficients(reduce_order(spec), final_time / n)
+        finite = all(map(math.isfinite, (coeffs.mass_coef, coeffs.grad_coef, coeffs.cross_coef)))
     except OverflowError:
         finite = False
     if not finite:
@@ -361,12 +358,13 @@ def build_run_config(args):
 
 
 def convergence_rates(errors, params):
-    """rate[i] = log(e[i-1]/e[i]) / log(h[i-1]/h[i]); first entry None."""
+    """rate[i] = log(e[i-1]/e[i]) / log(h[i-1]/h[i]), None where undefined: i = 0, or an e <= 0."""
     if len(errors) != len(params):
         raise ValueError("one error per refinement level")
-    rates = [None]
+    rates = [None] * len(errors)
     for i in range(1, len(errors)):
-        rates.append(math.log(errors[i - 1] / errors[i]) / math.log(params[i - 1] / params[i]))
+        if errors[i - 1] > 0.0 and errors[i] > 0.0:
+            rates[i] = math.log(errors[i - 1] / errors[i]) / math.log(params[i - 1] / params[i])
     return rates
 
 
@@ -471,6 +469,13 @@ def diagnostics_lines(cfg, problem, result):
 # -- subcommands -------------------------------------------------------------
 
 
+def _note_large_step(step):
+    """Say on stderr that a step of 1 or more is outside the stability analysis."""
+    if step >= 1.0:
+        note = f"note: step T/M = {fmt(step)} is >= 1, outside the stability analysis"
+        print(note, file=sys.stderr)
+
+
 def _execute(cfg, problem, steps, degree):
     return run(
         problem,
@@ -493,6 +498,8 @@ def _ensure_outdir(path):
 def cmd_run(args):
     cfg = build_run_config(args)
     problem = cfg.validate()
+    if cfg.M:
+        _note_large_step(cfg.T / cfg.M)
     result = _execute(cfg, problem, cfg.M, cfg.N)
 
     outdir = _ensure_outdir(cfg.output)
@@ -522,6 +529,7 @@ def cmd_study(args):
         hs = params
         param_name = "N"
 
+    _note_large_step(max(cfg.T / steps for _, steps in jobs))
     # one level at a time: the marches are memory-bound, so running levels
     # concurrently only added CPU time and peak memory
     results = [_execute(cfg, problem, steps, degree) for degree, steps in jobs]
@@ -549,8 +557,9 @@ def cmd_weights(args):
     order = args.order
     if not -1.0 <= order <= 1.0:
         raise ConfigError([f"order: must lie in [-1, 1], got {fmt(order)}"])
-    if args.count < 0:
-        raise ConfigError([f"count: must be nonnegative, got {args.count}"])
+    for name, value in (("count", args.count), ("rows", args.rows)):
+        if value < 0:
+            raise ConfigError([f"{name}: must be nonnegative, got {value}"])
     cs = None
     if args.sigma:
         try:

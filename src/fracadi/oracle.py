@@ -108,7 +108,7 @@ class UnsplitReference:
         self._factor = lu_factor(
             dense_step_matrix(mass_coef, grad_coef, basis_x, basis_y)
         )
-        _, self.source_hat, self.half_source_norms = project_time_series(
+        _, self._factors, self._profiles, self.half_source_norms = project_time_series(
             tp, basis_x, basis_y, tau, steps, source_mode
         )
         self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
@@ -127,7 +127,8 @@ class UnsplitReference:
     def rhs(self, k):
         tau = self.tau
         out = self._mass_apply(self.u[k])
-        out += tau * 0.5 * (self.source_hat[k] + self.source_hat[k + 1])
+        pair = self._factors[:, k] + self._factors[:, k + 1]
+        out += tau * 0.5 * np.tensordot(pair, self._profiles, axes=1)
         hist = self.u[: k + 1]
         for b, a in zip(self.tp.betas, self.tp.coeffs):
             c = half_sum_coefficients(self._lam[b], k)[: k + 1]

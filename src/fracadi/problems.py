@@ -69,22 +69,32 @@ class SeparableTerm:
             raise ValueError("time exponents must be finite")
 
 
-def evaluate_terms(terms, x, y, t):
-    """Sum of coefficient * t**exponent * profile.values(x, y) over terms.
-
-    The time factors of terms that share a profile are added first, so
-    each distinct profile is evaluated once per call.  t may be an array
-    that broadcasts against x and y, e.g. (B, 1, 1) against (1, Qx, 1)
-    and (1, 1, Qy) for B time levels at once.
-    """
+def time_factors(terms, t):
+    """{profile: sum of coefficient * t**exponent over its terms}, in term order."""
     factors = {}
     for term in terms:
         part = term.coefficient * t**term.exponent
         factors[term.profile] = factors.get(term.profile, 0.0) + part
+    return factors
+
+
+def profile_sum(factors, values):
+    """sum_p factors[p] * values[p] in order: evaluate_terms' sum, and the solver's."""
     total = 0.0
-    for profile, factor in factors.items():
-        total = total + factor * profile.values(x, y)
+    for factor, value in zip(factors, values):
+        total = total + factor * value
     return total
+
+
+def evaluate_terms(terms, x, y, t):
+    """Sum of coefficient * t**exponent * profile.values(x, y) over terms.
+
+    Each distinct profile is evaluated once.  t may be an array that
+    broadcasts against x and y, e.g. (B, 1, 1) against (1, Qx, 1) and
+    (1, 1, Qy) for B time levels at once.
+    """
+    factors = time_factors(terms, t)
+    return profile_sum(factors.values(), (profile.values(x, y) for profile in factors))
 
 
 def caputo_power_factor(order, exponent):
@@ -253,9 +263,6 @@ def example_6_1():
         forcing_terms=forcing,
         exact_terms=(SeparableTerm(1.0, 3.0, bump),),
     )
-
-
-_NONSMOOTH_POWERS = tuple(1.0 + 0.1 * k for k in range(1, 7))
 
 
 def _nonsmooth_terms(profile):

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +32,7 @@ from .basis import (
     level_blocks,
     to_eigen,
 )
-from .problems import ProblemSpec, SeparableTerm, SpatialProfile, evaluate_terms
+from .problems import ProblemSpec, SeparableTerm, SpatialProfile, profile_sum, time_factors
 from .weights import build_correction_set, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
@@ -66,25 +64,23 @@ NEAR_PRODUCT = 2**18
 # 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
 # steps; 16 columns cost no measurable CPU time.
 FFT_COLUMNS = 16
-# How the reduced source is projected: "analytic" integrates power-law
-# forcing in closed form, "sampled" applies the GL integral to the forcing
-# on the quadrature grid, "auto" picks analytic where it is available.
+# How the reduced source is formed: "analytic" integrates power-law forcing
+# in closed form, "sampled" applies the GL integral to the time factors of
+# the forcing, "auto" picks analytic where it is available.
 SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
-def causal_sum(kernel, hist, lo, hi, weights, out=None, add=False):
-    """Rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j].
+def causal_sum(kernel, hist, lo, hi, weights, out):
+    """Add rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j] into out.
 
-    kernel is (rows, length), hist (n, ...) and weights (rows, cols),
-    one weight per kernel row and column of a level (cols entries of
-    hist[0]).  The result has shape (hi - lo,) + hist.shape[1:] and equals
+    kernel is (rows, length), hist (n, ...) and weights broadcasts to
+    (rows, cols), one weight per kernel row and column of a level (cols
+    entries of hist[0]).  The sum has shape (hi - lo,) + hist.shape[1:] and equals
     the direct sum to round-off.  It is computed by real FFTs along time on
     chunks of FFT_COLUMNS columns (scipy's FFT, one thread, no BLAS); the
     rows are combined in frequency, so each chunk takes one inverse FFT.
-    The result is written to a C-contiguous `out`, or with add=True added
-    into it, one column chunk at a time, so no full-size temporary is
-    formed.  `out` may alias hist when it is written: each column chunk
-    is read in full before it is overwritten.
+    It is added into the C-contiguous `out` one column chunk at a time,
+    so no full-size temporary is formed; `out` is returned.
     """
     n = len(hist)
     first = max(lo - n + 1, 0)  # smallest lag the requested rows use
@@ -92,33 +88,27 @@ def causal_sum(kernel, hist, lo, hi, weights, out=None, add=False):
     size = sp_fft.next_fast_len(hi - lo + n - 1, real=True)
     kernel_hat = sp_fft.rfft(kernel[:, first:hi], size, axis=1).T
     cols = hist.reshape(n, -1)
-    weights = np.reshape(weights, (len(kernel), cols.shape[1]))
-    if out is None:
-        out = np.empty((hi - lo,) + hist.shape[1:])
+    weights = np.broadcast_to(weights, (len(kernel), cols.shape[1]))
     dest = out.reshape(hi - lo, -1)
     for c in range(0, cols.shape[1], FFT_COLUMNS):
         chunk = slice(c, c + FFT_COLUMNS)
         spectrum = sp_fft.rfft(cols[:, chunk], size, axis=0)
         spectrum *= kernel_hat @ weights[:, chunk]
-        rows = sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
-        if add:
-            dest[:, chunk] += rows
-        else:
-            dest[:, chunk] = rows
+        dest[:, chunk] += sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
     return out
 
 
 def near_product(near, hist):
-    """near @ hist for a (rows, L) near kernel and (L, cols) history.
+    """near @ hist for (rows, L) and (L, cols) arrays.
 
     The columns are split into slabs of NEAR_PRODUCT // (rows * L), so
-    that no product exceeds NEAR_PRODUCT multiply-adds; a history that
-    fits in one slab is a single product.
+    that no product exceeds NEAR_PRODUCT multiply-adds; a product that
+    fits in one slab is formed at once.
     """
     rows, (levels, cols) = len(near), hist.shape
-    width = NEAR_PRODUCT // (rows * levels)
-    if cols <= width:
+    if rows * levels * cols <= NEAR_PRODUCT:
         return near @ hist
+    width = NEAR_PRODUCT // (rows * levels)
     out = np.empty((rows, cols))
     for c in range(0, cols, width):
         out[:, c : c + width] = near @ hist[:, c : c + width]
@@ -133,11 +123,11 @@ class TransformedProblem:
     with u(0) = 0; `lift` holds the subtracted initial value (added back
     for physical output) and `exact` is the reduced exact solution.
 
-    g, f, g_smooth and exact are called as func(x, y, t) on blocks of
-    time levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy).
-    They must broadcast over all three (a result that ignores t, such
-    as a zero source of shape (1, Qx, Qy), is broadcast to the block);
-    lift(x, y) takes no time.
+    g, f and g_smooth are tuples of SeparableTerm, each source the sum
+    of its terms (problems.evaluate_terms); () is a zero source and None
+    an absent one.  exact is called as exact(x, y, t) on blocks of time
+    levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy), and it
+    must broadcast over all three; lift(x, y) takes no time.
     """
 
     name: str
@@ -146,9 +136,9 @@ class TransformedProblem:
     coeffs: tuple
     mu: float
     domain: object
-    g: callable = None  # closed-form reduced source
-    f: callable = None  # original forcing (sampled-integral path)
-    g_smooth: callable = None  # reduced-source part outside the integral of f, if any
+    g: tuple = None  # closed-form reduced source
+    f: tuple = None  # original forcing (sampled-integral path)
+    g_smooth: tuple = None  # reduced-source part outside the integral of f, if any
     exact: callable = None
     lift: callable = None
 
@@ -168,7 +158,7 @@ def reduce_order(problem):
     the initial value g1 (forcing picks up mu * Laplacian(g1)), and
     folds the initial-velocity terms into the source.  Power-law forcing
     integrates in closed form, one Gamma ratio per term, so every source
-    is evaluate_terms over a tuple of terms.
+    is a tuple of terms.
     """
     beta = problem.alpha - 1.0
     betas = tuple(a - problem.alpha + 1.0 for a in problem.alphas)
@@ -206,9 +196,6 @@ def reduce_order(problem):
             def exact_reduced(x, y, t):
                 return problem.exact(x, y, t) - lift(x, y)
 
-    # the partials bind the module's evaluate_terms when this runs, so a
-    # wrapper installed on it after import (perfbench's tracer) still counts
-    # every source evaluation
     return TransformedProblem(
         name=problem.name,
         beta=beta,
@@ -216,9 +203,9 @@ def reduce_order(problem):
         coeffs=tuple(problem.coeffs),
         mu=problem.mu,
         domain=problem.domain,
-        g=partial(evaluate_terms, velocity + integrated),
-        f=partial(evaluate_terms, shifted) if shifted else None,
-        g_smooth=partial(evaluate_terms, velocity) if velocity else None,
+        g=velocity + integrated,
+        f=shifted or None,
+        g_smooth=velocity or None,
         exact=exact_reduced,
         lift=lift,
     )
@@ -268,8 +255,6 @@ def eigen_operators(coeffs, basis_x, basis_y):
 def step_coefficients(tp, tau):
     if tau <= 0.0:
         raise ValueError("step must be positive")
-    if tau >= 1.0:
-        warnings.warn("step >= 1 is outside the stability analysis", stacklevel=2)
     mass = 1.0
     for b, a in zip(tp.betas, tp.coeffs):
         mass += 0.5 * a * (1.0 + b / 2.0) * tau ** (1.0 - b)
@@ -285,7 +270,7 @@ def _resolve_source_mode(tp, mode):
         mode = "analytic" if tp.g is not None else "sampled"
     if mode == "analytic" and tp.g is None:
         raise ValueError("problem has no closed-form reduced source")
-    if mode == "sampled" and tp.f is None:
+    if mode == "sampled" and not tp.f:
         raise ValueError("problem has no forcing to sample")
     return mode
 
@@ -294,53 +279,49 @@ def _resolve_source_mode(tp, mode):
 # AdiSolver reports with the level it happened at; no warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
 def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=None):
-    """Modal projections of the reduced source at every time level.
+    """The reduced source s(t_n) = sum_p factors[p, n] phi_p(x, y) at every level.
 
-    Returns (mode, source_hat, half_source_norms) with source_hat[n] the
-    inner products of g(t_n) against the tensor basis and
-    half_source_norms[k] = ||(g(t_k) + g(t_{k+1})) / 2|| in L2.  With
-    frame = (E_x, E_y) source_hat[n] is E_x^T (inner products) E_y, the
-    eigen-coordinate right side the stepper adds; E^T is folded into the
-    projection matrices, so it costs nothing per level.  The
-    sampled mode reconstructs the fractional integral of f on the
-    quadrature grid with the shifted GL rule (an FFT causal sum written
-    back into the sampled grid) before projecting.  The source callables
-    are evaluated on blocks of time levels (see basis.level_blocks).
+    Returns (mode, factors, profiles, half_source_norms): a (P, steps + 1)
+    table of time factors over the P distinct profiles phi_p of the terms,
+    and their inner products with the tensor basis, (P, dim_x, dim_y),
+    E_x^T (inner products) E_y with frame = (E_x, E_y).  The sampled mode
+    applies the shifted GL rule of order -beta to the factors of f (the
+    integral is linear in time) and adds g_smooth's.  half_source_norms[k]
+    = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms, formed on blocks of
+    levels (basis.level_blocks) from the table and the profiles' values.
     """
     mode = _resolve_source_mode(tp, mode)
     bx, by = basis_x, basis_y
+    n_levels = steps + 1
+    times = tau * np.arange(n_levels)
+    if mode == "analytic":
+        factors = time_factors(tp.g, times)
+    else:
+        forcing = time_factors(tp.f, times)
+        columns = np.array(list(forcing.values())).T
+        lam = shifted_weights(-tp.beta, steps)[None]
+        integral = causal_sum(lam, columns, 0, n_levels, 1.0, np.zeros(columns.shape))
+        factors = dict(zip(forcing, tau**tp.beta * integral.T))
+        for profile, part in time_factors(tp.g_smooth or (), times).items():
+            factors[profile] = factors.get(profile, 0.0) + part
+    table = np.array(list(factors.values())).reshape(len(factors), n_levels)
+
     x, y = bx.nodes[None, :, None], by.nodes[None, None, :]
+    shape = (bx.quad_count, by.quad_count)
+    grid = np.empty((len(factors),) + shape)
+    for p, profile in enumerate(factors):
+        grid[p] = profile.values(x, y)
     px = bx.basis_at_quad * bx.weights
     py = by.basis_at_quad * by.weights
     if frame is not None:
         px, py = frame[0].T @ px, frame[1].T @ py
-    shape = (bx.quad_count, by.quad_count)
-    n_levels = steps + 1
-    times = tau * np.arange(n_levels)
-    blocks = level_blocks(n_levels, shape[0] * shape[1])
+    profiles = px @ grid @ py.T
 
-    def at(func, b, e):
-        """func on the quadrature grid at times[b:e], shape (e - b, Qx, Qy)."""
-        return np.broadcast_to(func(x, y, times[b:e, None, None]), (e - b,) + shape)
-
-    if mode == "sampled":
-        f_grid = np.empty((n_levels,) + shape)
-        for b, e in blocks:
-            f_grid[b:e] = at(tp.f, b, e)
-        lam = shifted_weights(-tp.beta, steps)
-        causal_sum(lam[None], f_grid, 0, n_levels, np.ones((1, f_grid[0].size)), out=f_grid)
-
-    source_hat = np.empty((n_levels, bx.dim, by.dim))
     half_source_norms = np.empty(steps)
     prev = None
-    for b, e in blocks:
-        if mode == "analytic":
-            vals = at(tp.g, b, e)
-        else:
-            vals = tau**tp.beta * f_grid[b:e]
-            if tp.g_smooth is not None:
-                vals = vals + at(tp.g_smooth, b, e)
-        source_hat[b:e] = px @ vals @ py.T
+    for b, e in level_blocks(n_levels, shape[0] * shape[1]):
+        # a source without terms is the scalar 0.0
+        vals = np.broadcast_to(profile_sum(table[:, b:e, None, None], grid), (e - b,) + shape)
         # half_source_norms[n - 1] pairs levels n - 1 and n; the first
         # pair of a block reaches back to the last level of the previous one.
         # Halving before adding keeps the mean of two finite levels finite
@@ -348,7 +329,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=Non
             half_source_norms[b - 1 : b] = grid_norms(0.5 * prev + 0.5 * vals[:1], bx, by)
         half_source_norms[b : e - 1] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
         prev = vals[-1]
-    return mode, source_hat, half_source_norms
+    return mode, table, profiles, half_source_norms
 
 
 def physical_memory():
@@ -394,12 +375,12 @@ class AdiSolver:
     The march runs in the eigen-coordinates v = E_x^{-1} u E_y^{-T} of
     basis.eigen_factors, where the mass, stiffness, splitting and sweep
     operators act elementwise (eigen_operators).  While a march runs,
-    u, source_hat, assemble_rhs, correction_load and sweep_solve all work
-    in eigen-coordinates.  Starting values are given in the Shen basis and
-    mapped in with E^T S.  march() ends by mapping u back to the Shen
-    basis in place, block by block (see basis.level_blocks), so u after a
-    march holds Shen coefficients; steps taken with step_once alone stay
-    in eigen-coordinates.
+    u, the source profiles, assemble_rhs, correction_load and sweep_solve
+    all work in eigen-coordinates.  Starting values are given in the Shen
+    basis and mapped in with E^T S.  march() ends by mapping u back to the
+    Shen basis in place, block by block (see basis.level_blocks), so u
+    after a march holds Shen coefficients; steps taken with step_once
+    alone stay in eigen-coordinates.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -411,15 +392,16 @@ class AdiSolver:
     and sweep_solve applies the inverse of the symbol, computed once at
     construction, along the panel.  step_once is the same path with n = 1.
 
-    Holds the source projections, one memory kernel per operator (mass
-    and stiffness; the operators' diagonals weight them into one memory
-    sum), the inverse step symbol, in corrected runs the starting-weight
-    loads and the per-mode images of the starting differences, and the
-    full history u (the memory terms need it anyway).  The far part of
-    the memory sum needs no array of its own: until step k is taken,
-    u[k + 1] accumulates what the levels before k's block give to step k
-    (see _push).  The starting values are fixed at construction:
-    correction_load reads their images, not u[1..m].
+    Holds the source's time factors and profile projections, one memory
+    kernel per operator (mass and stiffness; the operators' diagonals
+    weight them into one memory sum), the inverse step symbol, in
+    corrected runs the starting-weight loads and the per-mode images of
+    the starting differences, and the full history u, its only array of
+    dim_x * dim_y values per level.  The far part of the memory sum needs
+    no array of its own: until step k is taken, u[k + 1] accumulates what
+    the levels before k's block give to step k (see _push).  The starting
+    values are fixed at construction: correction_load reads their images,
+    not u[1..m].
     """
 
     def __init__(
@@ -437,7 +419,7 @@ class AdiSolver:
         if steps < 1:
             raise ValueError("need at least one step")
         source_mode = _resolve_source_mode(tp, source_mode)
-        _check_memory(basis_x, basis_y, steps, source_mode)
+        _check_memory(basis_x, basis_y, steps)
         self.tp = tp
         self.basis_x = basis_x
         self.basis_y = basis_y
@@ -541,9 +523,10 @@ class AdiSolver:
 
     def _prepare_source(self, mode):
         frame = (self.basis_x.eigenvectors, self.basis_y.eigenvectors)
-        self.source_mode, self.source_hat, self.half_source_norms = project_time_series(
+        source = project_time_series(
             self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode, frame
         )
+        self.source_mode, self.source_factors, self.source_profiles, self.half_source_norms = source
         # a march on a non-finite source would only spread it; the steps
         # before self.count are not marched (a weak power source may be
         # singular at t = 0 when the starting values are given)
@@ -568,8 +551,9 @@ class AdiSolver:
         block starts up to b0 left it (see _push).  The first call for a
         block makes its push, so k must lie in the block of the last call
         or the next one, and past the first block step k must not have
-        been taken yet; other calls raise ValueError.  Returns an (n, dim_x, dim_y) stack; without n, the (dim_x, dim_y)
-        right side of step k alone.
+        been taken yet; other calls raise ValueError.  Returns an (n, dim_x,
+        dim_y) stack; without n, the (dim_x, dim_y) right side of step k
+        alone.
         """
         rows = 1 if n is None else n
         if not (0 <= k and 1 <= rows and k + rows <= self.steps):
@@ -593,18 +577,19 @@ class AdiSolver:
         near = windows[:, ::-1].reshape(2 * rows, levels)
         mem = near_product(near, self.u[b0 : k + 1].reshape(levels, -1)).reshape(2, rows, -1)
         mem *= self._weights[:, None]
-        memory, spare = mem
-        memory += spare
+        memory, stiff = mem
+        memory += stiff
         if b0:  # the first block has no far part
             memory += self.u[k + 1 : k + 1 + rows].reshape(rows, -1)
         shape = (rows,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
         rhs[0] += self._explicit * self.u[k]
-        # the stiffness rows, added in, hold each half of the source in turn
-        spare = spare.reshape(shape)
+        # halving before adding keeps the mean of two finite levels finite
         half = 0.5 * self.tau
-        rhs += np.multiply(half, self.source_hat[k : k + rows], out=spare)
-        rhs += np.multiply(half, self.source_hat[k + 1 : k + rows + 1], out=spare)
+        factors = self.source_factors
+        pairs = half * factors[:, k : k + rows] + half * factors[:, k + 1 : k + rows + 1]
+        profiles = self.source_profiles.reshape(len(factors), self.u[0].size)
+        rhs += near_product(pairs.T, profiles).reshape(shape)
         return rhs if n is not None else rhs[0]
 
     def _push(self, b0):
@@ -624,7 +609,7 @@ class AdiSolver:
         hi = min(b0 + span, self.steps)
         causal_sum(
             self._kernel, self.u[b0 - span : b0], span, span + hi - b0, self._weights,
-            out=self.u[b0 + 1 : hi + 1], add=True,
+            self.u[b0 + 1 : hi + 1],
         )
         self._far_block = b0
 
@@ -774,23 +759,19 @@ def _check_finite(what, norms, tau, steps, first=None):
         )
 
 
-def _check_memory(basis_x, basis_y, steps, source_mode):
-    """Raise MemoryError if the solver's per-level arrays exceed physical memory.
+def _check_memory(basis_x, basis_y, steps):
+    """Raise MemoryError if the history u would exceed physical memory.
 
-    Counts the (steps + 1)-row arrays AdiSolver holds: the history u and
-    source_hat, plus the sampled forcing grid in sampled mode.  The far
-    part of the memory sum needs no array beyond u (it accumulates in the
-    unsolved rows), so these three are all.
+    u, steps + 1 levels of dim_x * dim_y doubles, is the only array of
+    that size per level that AdiSolver holds: the source is a table of a
+    few time factors per level, and the far part of the memory sum
+    accumulates in the unsolved rows of u.
     """
-    row = 8 * (steps + 1)
-    sizes = [row * basis_x.dim * basis_y.dim] * 2
-    if source_mode == "sampled":
-        sizes.append(row * basis_x.quad_count * basis_y.quad_count)
+    size = 8 * (steps + 1) * basis_x.dim * basis_y.dim
     limit = physical_memory()
-    if sum(sizes) > limit:
+    if size > limit:
         raise MemoryError(
-            f"{steps} steps need {_binary_size(sum(sizes))} of per-level arrays "
-            f"({' + '.join(map(_binary_size, sizes))}), more than the "
+            f"{steps} steps need {_binary_size(size)} of history, more than the "
             f"{_binary_size(limit)} of physical memory"
         )
 

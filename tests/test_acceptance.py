@@ -18,7 +18,14 @@ from fracadi.oracle import (
     sweep_kronecker_gap,
     weight_identity_residual,
 )
-from fracadi.problems import PROBLEM_IDS, Rectangle, get_problem, pde_residual
+from fracadi.problems import (
+    PROBLEM_IDS,
+    Rectangle,
+    SeparableTerm,
+    SpatialProfile,
+    get_problem,
+    pde_residual,
+)
 from fracadi.solver import AdiSolver, TransformedProblem, reduce_order, run
 from fracadi.weights import apply_gl, default_sigmas, history_quadratic_form
 
@@ -200,10 +207,16 @@ def test_criterion_6_stability_bounds():
         mu = float(rng.uniform(0.5, 3.0))
         amp = rng.uniform(-2.0, 2.0, 4)
 
-        def g(x, y, t, amp=amp):
-            lobe = np.sin(np.pi * x) * np.sin(np.pi * y)
-            hump = np.cos(0.5 * np.pi * x) * np.cos(0.5 * np.pi * y)
-            return (amp[0] + amp[1] * t + amp[2] * t * t) * lobe + amp[3] * t * hump
+        lobe = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        hump = SpatialProfile(
+            values=lambda x, y: np.cos(0.5 * np.pi * x) * np.cos(0.5 * np.pi * y)
+        )
+        g = (
+            SeparableTerm(amp[0], 0.0, lobe),
+            SeparableTerm(amp[1], 1.0, lobe),
+            SeparableTerm(amp[2], 2.0, lobe),
+            SeparableTerm(amp[3], 1.0, hump),
+        )
 
         tp = TransformedProblem(
             name=f"random_{i}", beta=beta, betas=betas, coeffs=coeffs,

@@ -83,6 +83,12 @@ class TestConvergenceRates:
         with pytest.raises(ValueError, match="one error per"):
             convergence_rates((1.0, 0.5), (1.0,))
 
+    def test_rate_undefined_where_an_error_is_not_positive(self):
+        # a pair with an error of 0 (say, underflowed) has no rate
+        rates = convergence_rates((1.0, 0.25, 0.0, 0.0, 0.01), (1.0, 0.5, 0.25, 0.125, 0.0625))
+        assert rates[1] == pytest.approx(2.0, rel=1e-14)
+        assert rates[2:] == [None, None, None]
+
 
 class TestRateTable:
     def make(self):
@@ -347,6 +353,27 @@ class TestMainRun:
         assert diag["sigma"] == "1.1"
         assert diag["bootstrap_ratio"] == "1"
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_step_prints_one_note(self, tmp_path, capfd):
+        # a step T/M >= 1 is outside the stability analysis: run and study
+        # say so in one stderr line, for the largest step, and still exit 0
+        # with their usual output
+        argv = ["--problem", "compatible_smooth", "--N", "8", "--T", "40"]
+        assert main(["run", *argv, "--M", "20", "--output", str(tmp_path / "run")]) == 0
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "note: step T/M = 2 is >= 1, outside the stability analysis"
+        ]
+        assert captured.out.splitlines()[0] == "command = run"
+        assert main(["study", *argv, "--levels", "10", "80", "--output", str(tmp_path / "s")]) == 0
+        captured = capfd.readouterr()
+        assert captured.err.splitlines() == [
+            "note: step T/M = 4 is >= 1, outside the stability analysis"
+        ]
+        assert captured.out.splitlines()[0].startswith("one_over_tau, l2_error")
+        assert main(["run", *argv[:-2], "--M", "20", "--output", str(tmp_path / "small")]) == 0
+        assert capfd.readouterr().err == ""
+
     def test_zero_forcing_gives_zero_surface(self, tmp_path, capfd):
         path = tmp_path / "quiet.ini"
         path.write_text(
@@ -413,6 +440,17 @@ class TestMainStudy:
         l2 = [row[1] for row in rows]
         assert l2[0] / l2[1] >= 100.0
         assert l2[1] > l2[2]
+
+    def test_underflowed_errors_leave_the_rate_blank(self, tmp_path, capfd):
+        # at T = 1e-300 every error underflows to 0; the rates are undefined
+        code = main([
+            "study", "--problem", "compatible_smooth", "--N", "8", "--levels", "10", "20",
+            "--T", "1e-300", "--output", str(tmp_path),
+        ])
+        assert code == 0
+        assert capfd.readouterr().err == ""
+        _, rows = parse_rate_csv(tmp_path / "rates.csv")
+        assert rows == [(1e301, 0.0, None, 0.0, None), (2e301, 0.0, None, 0.0, None)]
 
     def test_study_needs_exact_solution(self, tmp_path, capfd):
         path = tmp_path / "custom.ini"
@@ -554,13 +592,13 @@ class TestMainExitCodes:
     def test_non_finite_level_in_the_march_is_a_numerical_failure(
         self, tmp_path, capfd, monkeypatch
     ):
-        # a source projection made infinite after the source check passed
+        # a source factor made infinite after the source check passed
         # reaches the march; the block-end check stops it
         prepare = AdiSolver._prepare_source
 
         def poisoned(solver, mode):
             prepare(solver, mode)
-            solver.source_hat[50] = np.inf
+            solver.source_factors[:, 50] = np.inf
 
         monkeypatch.setattr(AdiSolver, "_prepare_source", poisoned)
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
@@ -611,8 +649,8 @@ class TestMainExitCodes:
 
     def test_memory_guard_names_the_size(self, tmp_path, capfd, monkeypatch):
         # with 1 MiB of "physical memory" the 1001 levels of 15 x 15
-        # coefficients (1.72 MiB each for u and source_hat) do not fit;
-        # nothing that large is allocated
+        # coefficients in u (1.72 MiB) do not fit; nothing that large is
+        # allocated
         monkeypatch.setattr("fracadi.solver.physical_memory", lambda: 2**20)
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         outdir = tmp_path / "out"
@@ -622,8 +660,8 @@ class TestMainExitCodes:
         assert code == 1
         err = capfd.readouterr().err
         assert err.splitlines() == [
-            "config error: 1000 steps need 3.44 MiB of per-level arrays "
-            "(1.72 MiB + 1.72 MiB), more than the 1.00 MiB of physical memory"
+            "config error: 1000 steps need 1.72 MiB of history, "
+            "more than the 1.00 MiB of physical memory"
         ]
         assert "Traceback" not in err
         assert not outdir.exists()
@@ -702,6 +740,10 @@ REJECTED_BEFORE_MARCH = {
         ["weights", "--order", "0.5", "--sigma", "nan"], None,
         "sigma: correction exponents must be finite",
     ),
+    "weights-rows-negative": (
+        ["weights", "--order", "0.5", "--sigma", "1.1", "--rows", "-2"], None,
+        "rows: must be nonnegative, got -2",
+    ),
     "M-below-m": (
         ["run"] + NONSMOOTH + ["--M", "2", "--m", "3"], None,
         "M: step count must exceed the correction count m = 3, got 2",
@@ -709,6 +751,11 @@ REJECTED_BEFORE_MARCH = {
     "M-equal-m": (
         ["run"] + NONSMOOTH + ["--M", "3", "--m", "3"], None,
         "M: step count must exceed the correction count m = 3, got 3",
+    ),
+    "N-study-M-zero": (
+        ["study", "--problem", "compatible_smooth", "--study-param", "N",
+         "--levels", "4", "8", "--M", "0"], None,
+        "M: an N-study needs at least one step, got 0",
     ),
     "N-study-M-below-m": (
         ["study", "--problem", "compatible_nonsmooth", "--study-param", "N",

@@ -136,6 +136,7 @@ class TestUnsplitReference:
     def test_vanishing_diffusion_removes_the_gap(self):
         # with mu = 0 the splitting perturbation is identically zero, so
         # the two marches agree to rounding
+        lobe = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         tp = TransformedProblem(
             name="massonly",
             beta=0.5,
@@ -143,7 +144,7 @@ class TestUnsplitReference:
             coeffs=(0.7,),
             mu=0.0,
             domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
-            g=lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y) * t**1.3,
+            g=(SeparableTerm(1.0, 1.3, lobe),),
         )
         bx = build_basis(6, (-1.0, 1.0))
         by = build_basis(6, (-1.0, 1.0))
