@@ -108,7 +108,7 @@ class UnsplitReference:
         self._factor = lu_factor(
             dense_step_matrix(mass_coef, grad_coef, basis_x, basis_y)
         )
-        _, self._factors, self._profiles, self.half_source_norms = project_time_series(
+        self._factors, self._profiles, self.half_source_norms = project_time_series(
             tp, basis_x, basis_y, tau, steps, source_mode
         )
         self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))

@@ -33,7 +33,7 @@ from .basis import (
     to_eigen,
 )
 from .problems import ProblemSpec, SeparableTerm, SpatialProfile, profile_sum, time_factors
-from .weights import build_correction_set, power_factor, shifted_weights
+from .weights import build_correction_set, check_exponents, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
 # directly (near_product), the older ones reach a block's rows through the
@@ -64,9 +64,9 @@ NEAR_PRODUCT = 2**18
 # 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
 # steps; 16 columns cost no measurable CPU time.
 FFT_COLUMNS = 16
-# How the reduced source is formed: "analytic" integrates power-law forcing
-# in closed form, "sampled" applies the GL integral to the time factors of
-# the forcing, "auto" picks analytic where it is available.
+# How the reduced source I^beta f + g is formed: "analytic" integrates the
+# power-law terms of f in closed form, "sampled" applies the GL integral to
+# their time factors; "auto" is analytic.
 SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
@@ -119,15 +119,17 @@ def near_product(near, hist):
 class TransformedProblem:
     """The reduced first-order-in-time problem the stepper integrates.
 
-    d/dt u + sum_i coeffs_i D^{betas_i} u = mu D^{-beta} Laplacian(u) + g,
+    d/dt u + sum_i coeffs_i D^{betas_i} u = mu D^{-beta} Laplacian(u) + s,
     with u(0) = 0; `lift` holds the subtracted initial value (added back
     for physical output) and `exact` is the reduced exact solution.
 
-    g, f and g_smooth are tuples of SeparableTerm, each source the sum
-    of its terms (problems.evaluate_terms); () is a zero source and None
-    an absent one.  exact is called as exact(x, y, t) on blocks of time
-    levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy), and it
-    must broadcast over all three; lift(x, y) takes no time.
+    The reduced source is s = I^beta f + g: f, the shifted forcing, enters
+    through its fractional integral of order beta, and g (the
+    initial-velocity terms) is added as it stands.  Both are tuples of
+    SeparableTerm, each the sum of its terms (problems.evaluate_terms);
+    () is a zero source.  exact is called as exact(x, y, t) on blocks of
+    time levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy), and
+    it must broadcast over all three; lift(x, y) takes no time.
     """
 
     name: str
@@ -136,9 +138,8 @@ class TransformedProblem:
     coeffs: tuple
     mu: float
     domain: object
-    g: tuple = None  # closed-form reduced source
-    f: tuple = None  # original forcing (sampled-integral path)
-    g_smooth: tuple = None  # reduced-source part outside the integral of f, if any
+    f: tuple = ()  # shifted forcing, under the integral of order beta
+    g: tuple = ()  # terms added to the reduced source directly
     exact: callable = None
     lift: callable = None
 
@@ -147,8 +148,8 @@ class TransformedProblem:
             raise ValueError("reduced order beta must lie in (0, 1)")
         if any(not -1.0 <= b <= 1.0 for b in self.betas):
             raise ValueError("memory orders must lie in [-1, 1]")
-        if self.g is None and self.f is None:
-            raise ValueError("need a closed-form reduced source or a forcing to sample")
+        if len(self.betas) != len(self.coeffs):
+            raise ValueError("one coefficient per memory order")
 
 
 def reduce_order(problem):
@@ -156,9 +157,8 @@ def reduce_order(problem):
 
     Applies the fractional integral of order beta = alpha - 1, shifts by
     the initial value g1 (forcing picks up mu * Laplacian(g1)), and
-    folds the initial-velocity terms into the source.  Power-law forcing
-    integrates in closed form, one Gamma ratio per term, so every source
-    is a tuple of terms.
+    collects the initial-velocity terms: f is the shifted forcing and g
+    the velocity terms, both tuples of terms.
     """
     beta = problem.alpha - 1.0
     betas = tuple(a - problem.alpha + 1.0 for a in problem.alphas)
@@ -168,14 +168,6 @@ def reduce_order(problem):
         if problem.g1.laplacian is None:
             raise ValueError("initial value needs a Laplacian to shift the forcing")
         shifted += (SeparableTerm(problem.mu, 0.0, SpatialProfile(values=problem.g1.laplacian)),)
-    integrated = tuple(
-        SeparableTerm(
-            term.coefficient * power_factor(-beta, term.exponent),
-            term.exponent + beta,
-            term.profile,
-        )
-        for term in shifted
-    )
 
     # velocity terms: g2 plus one t^{alpha - alpha_j} term per order above
     # one (orders <= 1 carry no initial-velocity data)
@@ -203,9 +195,8 @@ def reduce_order(problem):
         coeffs=tuple(problem.coeffs),
         mu=problem.mu,
         domain=problem.domain,
-        g=velocity + integrated,
-        f=shifted or None,
-        g_smooth=velocity or None,
+        f=shifted,
+        g=velocity,
         exact=exact_reduced,
         lift=lift,
     )
@@ -262,47 +253,48 @@ def step_coefficients(tp, tau):
     return StepCoefficients(mass_coef=mass, grad_coef=grad)
 
 
-def _resolve_source_mode(tp, mode):
-    """The source mode a run of tp uses: one of SOURCE_MODES, auto resolved."""
+def _resolve_source_mode(mode):
+    """The source mode a run uses: one of SOURCE_MODES, auto resolved to analytic."""
     if mode not in SOURCE_MODES:
         raise ValueError(f"unknown source mode {mode!r}")
-    if mode == "auto":
-        mode = "analytic" if tp.g is not None else "sampled"
-    if mode == "analytic" and tp.g is None:
-        raise ValueError("problem has no closed-form reduced source")
-    if mode == "sampled" and not tp.f:
-        raise ValueError("problem has no forcing to sample")
-    return mode
+    return "analytic" if mode == "auto" else mode
 
 
 # Overflow of the source shows up as a non-finite half-source norm, which
 # AdiSolver reports with the level it happened at; no warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
 def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=None):
-    """The reduced source s(t_n) = sum_p factors[p, n] phi_p(x, y) at every level.
+    """The reduced source I^beta f + g, s(t_n) = sum_p factors[p, n] phi_p(x, y).
 
-    Returns (mode, factors, profiles, half_source_norms): a (P, steps + 1)
+    Returns (factors, profiles, half_source_norms): a (P, steps + 1)
     table of time factors over the P distinct profiles phi_p of the terms,
     and their inner products with the tensor basis, (P, dim_x, dim_y),
-    E_x^T (inner products) E_y with frame = (E_x, E_y).  The sampled mode
-    applies the shifted GL rule of order -beta to the factors of f (the
-    integral is linear in time) and adds g_smooth's.  half_source_norms[k]
-    = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms, formed on blocks of
-    levels (basis.level_blocks) from the table and the profiles' values.
+    E_x^T (inner products) E_y with frame = (E_x, E_y).  The analytic
+    mode integrates each term of f in closed form (one Gamma ratio) after
+    g's terms; the sampled mode applies the shifted GL rule of order -beta
+    to f's time factors (the integral is linear in time) and adds g's.
+    half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms,
+    formed on blocks of levels (basis.level_blocks) from the table and
+    the profiles' values.
     """
-    mode = _resolve_source_mode(tp, mode)
     bx, by = basis_x, basis_y
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
-    if mode == "analytic":
-        factors = time_factors(tp.g, times)
+    if _resolve_source_mode(mode) == "analytic":
+        b = tp.beta
+        integrated = tuple(
+            SeparableTerm(f.coefficient * power_factor(-b, f.exponent), f.exponent + b, f.profile)
+            for f in tp.f
+        )
+        factors = time_factors(tp.g + integrated, times)
     else:
         forcing = time_factors(tp.f, times)
-        columns = np.array(list(forcing.values())).T
+        # (levels, P) columns, (levels, 0) without forcing
+        columns = np.array(list(forcing.values())).reshape(len(forcing), n_levels).T
         lam = shifted_weights(-tp.beta, steps)[None]
         integral = causal_sum(lam, columns, 0, n_levels, 1.0, np.zeros(columns.shape))
         factors = dict(zip(forcing, tau**tp.beta * integral.T))
-        for profile, part in time_factors(tp.g_smooth or (), times).items():
+        for profile, part in time_factors(tp.g, times).items():
             factors[profile] = factors.get(profile, 0.0) + part
     table = np.array(list(factors.values())).reshape(len(factors), n_levels)
 
@@ -329,7 +321,7 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=Non
             half_source_norms[b - 1 : b] = grid_norms(0.5 * prev + 0.5 * vals[:1], bx, by)
         half_source_norms[b : e - 1] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
         prev = vals[-1]
-    return mode, table, profiles, half_source_norms
+    return table, profiles, half_source_norms
 
 
 def physical_memory():
@@ -355,17 +347,23 @@ def _binary_size(nbytes):
     return f"{value:.{decimals}f} {units[i]}"
 
 
-def _correction_exponents(m, exponents):
+def _correction_exponents(m, exponents, steps):
     """The exponents of m correction terms as a tuple; () for m = 0.
 
-    Raises ValueError unless a corrected run gets exactly m exponents.
+    Raises ValueError for m < 0 and unless a corrected run gets exactly m
+    valid exponents (weights.check_exponents) and more than m steps.
     """
+    if m < 0:
+        raise ValueError("correction_terms must be nonnegative")
     if not m:
         return ()
     if exponents is None:
         raise ValueError("corrected runs need exponents")
     if len(exponents) != m:
         raise ValueError(f"{m} correction terms need {m} exponents, got {len(exponents)}")
+    if steps <= m:
+        raise ValueError("need more steps than correction terms")
+    check_exponents(exponents)
     return tuple(exponents)
 
 
@@ -418,7 +416,7 @@ class AdiSolver:
     ):
         if steps < 1:
             raise ValueError("need at least one step")
-        source_mode = _resolve_source_mode(tp, source_mode)
+        source_mode = _resolve_source_mode(source_mode)
         _check_memory(basis_x, basis_y, steps)
         self.tp = tp
         self.basis_x = basis_x
@@ -428,11 +426,7 @@ class AdiSolver:
         self.coeffs = step_coefficients(tp, self.tau)
 
         self.m = int(correction_terms)
-        if self.m < 0:
-            raise ValueError("correction_terms must be nonnegative")
-        exponents = _correction_exponents(self.m, exponents)
-        if self.m and steps <= self.m:
-            raise ValueError("need more steps than correction terms")
+        exponents = _correction_exponents(self.m, exponents, steps)
 
         self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
         self.count = 1
@@ -522,11 +516,12 @@ class AdiSolver:
     # -- source handling ------------------------------------------------
 
     def _prepare_source(self, mode):
+        self.source_mode = mode
         frame = (self.basis_x.eigenvectors, self.basis_y.eigenvectors)
         source = project_time_series(
             self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode, frame
         )
-        self.source_mode, self.source_factors, self.source_profiles, self.half_source_norms = source
+        self.source_factors, self.source_profiles, self.half_source_norms = source
         # a march on a non-finite source would only spread it; the steps
         # before self.count are not marched (a weak power source may be
         # singular at t = 0 when the starting values are given)
@@ -828,12 +823,12 @@ def run(
     basis_x = build_basis(degree, tp.domain.x_interval)
     basis_y = build_basis(degree, tp.domain.y_interval)
     if steps == 0:
-        return _initial_only(tp, basis_x, basis_y, _resolve_source_mode(tp, source_mode))
+        return _initial_only(tp, basis_x, basis_y, _resolve_source_mode(source_mode))
     tau = final_time / steps
 
     t0 = time.perf_counter()
     m = int(correction_terms)
-    exponents = _correction_exponents(m, exponents)  # before any march
+    exponents = _correction_exponents(m, exponents, steps)  # before any march
     if m and starting_values is None:
         starting_values = bootstrap_starting_values(
             tp, basis_x, basis_y, tau, m, ratio=bootstrap_ratio, source_mode=source_mode

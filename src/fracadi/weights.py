@@ -123,7 +123,8 @@ def rl_power(order, exponent, t):
     return power_factor(order, exponent) * t ** (exponent - order)
 
 
-def _check_exponents(exponents):
+def check_exponents(exponents):
+    """1 to MAX_CORRECTION_TERMS positive, finite, increasing correction exponents as floats."""
     sig = tuple(float(s) for s in exponents)
     if not 1 <= len(sig) <= MAX_CORRECTION_TERMS:
         raise ValueError(
@@ -266,7 +267,7 @@ def build_correction_set(orders, exponents, rows):
     memory orders beta_i plus the integral order -beta).  rows: number
     of time rows needed (number of steps).
     """
-    sig = _check_exponents(exponents)
+    sig = check_exponents(exponents)
     if rows < 2:
         raise ValueError("need at least two rows")
     frac = {}

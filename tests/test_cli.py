@@ -388,6 +388,24 @@ class TestMainRun:
         for line in (tmp_path / "out" / "surface.dat").read_text().splitlines():
             assert line.split()[2] == "0"
 
+    def test_unforced_problem_runs_in_every_source_mode(self, tmp_path, capfd):
+        # without forcing the sampled source is g alone, here zero, as the
+        # analytic one is
+        path = tmp_path / "quiet.ini"
+        path.write_text(
+            "[run]\nN = 8\nM = 20\n\n[problem]\nname = silent\nalpha = 1.5\n"
+            "alphas = 0.5\ncoeffs = 1.0\nmu = 1.0\ndomain = -1 1 -1 1\n"
+        )
+        diags = {}
+        for mode in ("analytic", "sampled"):
+            out = tmp_path / mode
+            argv = ["run", "--config", str(path), "--source-mode", mode, "--output", str(out)]
+            assert main(argv) == 0
+            diags[mode] = read_kv(out / "diagnostics.txt")
+        capfd.readouterr()
+        for key in ("final_l2_norm", "max_l2_norm", "stability_ratio"):
+            assert diags["sampled"][key] == diags["analytic"][key] == "0"
+
 
 class TestMainStudy:
     def test_temporal_study_rates(self, tmp_path, capfd):

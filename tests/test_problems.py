@@ -211,7 +211,7 @@ class TestProblemSpecValidation:
         spec = ProblemSpec(**self.base_kwargs())
         assert spec.g1 is None and spec.g2 is None
         tp = reduce_order(spec)
-        assert tp.lift is None and tp.g_smooth is None
+        assert tp.lift is None and tp.g == ()
 
 
 class TestRegistry:

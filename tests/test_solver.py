@@ -130,6 +130,16 @@ def power_shape_problem(sigmas, amps, domain=UNIT_SQUARE,
     return tp, wfun
 
 
+def closed_form_source(tp, x, y, t):
+    """I^beta f + g of tp at (x, y, t), each term of f integrated with math.gamma."""
+    total = evaluate_terms(tp.g, x, y, t)
+    for term in tp.f:
+        e = term.exponent
+        c = term.coefficient * math.gamma(e + 1.0) / math.gamma(e + 1.0 + tp.beta)
+        total = total + c * t ** (e + tp.beta) * term.profile.values(x, y)
+    return total
+
+
 class TestReduceOrder:
     def test_orders_smooth(self):
         tp = reduce_order(get_problem("compatible_smooth"))
@@ -161,7 +171,9 @@ class TestReduceOrder:
                 term.exponent + 1.0 + tp.beta
             )
             want += c * t ** (term.exponent + tp.beta) * term.profile.values(x, y)
-        assert evaluate_terms(tp.g, x, y, t) == pytest.approx(want, rel=1e-13)
+        assert tp.f == tuple(spec.forcing_terms)
+        assert tp.g == ()
+        assert closed_form_source(tp, x, y, t) == pytest.approx(want, rel=1e-13)
 
     def test_shifted_source_includes_initial_laplacian(self):
         spec = get_problem("compatible_nonsmooth")
@@ -174,7 +186,10 @@ class TestReduceOrder:
             )
             want += c * t ** (term.exponent + tp.beta) * term.profile.values(x, y)
         want += spec.mu / math.gamma(1.0 + tp.beta) * t**tp.beta * spec.g1.laplacian(x, y)
-        assert evaluate_terms(tp.g, x, y, t) == pytest.approx(want, rel=1e-12)
+        shifted = evaluate_terms(spec.forcing_terms, x, y, t) + spec.mu * spec.g1.laplacian(x, y)
+        assert evaluate_terms(tp.f, x, y, t) == pytest.approx(shifted, rel=1e-13)
+        assert tp.g == ()
+        assert closed_form_source(tp, x, y, t) == pytest.approx(want, rel=1e-12)
 
     def test_lift_and_reduced_exact(self):
         spec = get_problem("compatible_nonsmooth")
@@ -213,6 +228,7 @@ class TestReduceOrder:
         tp = reduce_order(spec)
         x, y, t = 0.3, 0.1, 0.5
         want = prof.values(x, y) * (1.0 + 2.0 / math.gamma(1.4) * t**0.4)
+        assert tp.f == ()
         assert evaluate_terms(tp.g, x, y, t) == pytest.approx(want, rel=1e-13)
 
     def test_every_source_against_hand_summed_terms(self):
@@ -246,22 +262,26 @@ class TestReduceOrder:
             - 1.2 / math.gamma(1.0 + beta) * t**beta * s2.values(x, y)
             + 1.5 / math.gamma(1.0 + beta) * t**beta * g1.laplacian(x, y)
         )
-        for got, want in ((tp.f, f), (tp.g_smooth, smooth), (tp.g, smooth + integral)):
+        for got, want in (
+            (evaluate_terms(tp.f, x, y, t), f),
+            (evaluate_terms(tp.g, x, y, t), smooth),
+            (closed_form_source(tp, x, y, t), smooth + integral),
+        ):
             np.testing.assert_allclose(
-                np.broadcast_to(evaluate_terms(got, x, y, t), want.shape), want,
+                np.broadcast_to(got, want.shape), want,
                 rtol=1e-13, atol=1e-13 * np.max(np.abs(want)),
             )
 
     def test_no_velocity_source_without_g2(self):
-        assert reduce_order(get_problem("compatible_nonsmooth")).g_smooth is None
-        assert reduce_order(get_problem("compatible_smooth")).g_smooth is None
+        assert reduce_order(get_problem("compatible_nonsmooth")).g == ()
+        assert reduce_order(get_problem("compatible_smooth")).g == ()
 
     def test_no_source_terms_reduce_to_zero(self):
         spec = ProblemSpec(
             name="quiet", alpha=1.5, alphas=(), coeffs=(), mu=1.0, domain=UNIT_SQUARE
         )
         tp = reduce_order(spec)
-        assert tp.f is None
+        assert tp.f == ()
         assert tp.g == ()
 
 
@@ -275,11 +295,11 @@ class TestTransformedProblemValidation:
         with pytest.raises(ValueError, match="memory orders"):
             quiet_tp(betas=(1.5, 0.0), coeffs=(1.0, 1.0))
 
-    def test_some_source_required(self):
-        with pytest.raises(ValueError, match="source"):
-            TransformedProblem(
-                name="t", beta=0.5, betas=(), coeffs=(), mu=1.0, domain=UNIT_SQUARE
-            )
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_one_coefficient_per_memory_order(self, coeffs):
+        # zip would drop the unmatched orders from the step and the kernels
+        with pytest.raises(ValueError, match="one coefficient per memory order"):
+            quiet_tp(betas=(0.5, -0.1), coeffs=coeffs)
 
 
 class TestStepCoefficients:
@@ -320,11 +340,10 @@ HUMP = SpatialProfile(values=lambda x, y: (1.0 - x**2) * np.cos(y))
 
 
 def two_profile_problem():
-    """A reduced problem with every source on two profiles, lobe and hump.
+    """A reduced problem with both sources on two profiles, lobe and hump.
 
-    g = (t^1.4 + 2) lobe - t hump, f = (1 + t^1.2) lobe + t^2 hump and
-    g_smooth = t^0.5 hump; f and g are not related, so the two source
-    modes give different sources.
+    f = (1 + t^1.2) lobe + t^2 hump and g = t^0.5 hump, so the sampled
+    mode adds g's factors to the integral's on a shared profile.
     """
     return TransformedProblem(
         name="two_profiles",
@@ -333,35 +352,31 @@ def two_profile_problem():
         coeffs=(1.0,),
         mu=1.0,
         domain=UNIT_SQUARE,
-        g=(
-            SeparableTerm(1.0, 1.4, LOBE),
-            SeparableTerm(2.0, 0.0, LOBE),
-            SeparableTerm(-1.0, 1.0, HUMP),
-        ),
         f=(
             SeparableTerm(1.0, 0.0, LOBE),
             SeparableTerm(1.0, 1.2, LOBE),
             SeparableTerm(1.0, 2.0, HUMP),
         ),
-        g_smooth=(SeparableTerm(1.0, 0.5, HUMP),),
+        g=(SeparableTerm(1.0, 0.5, HUMP),),
     )
 
 
 def direct_source_grids(tp, basis_x, basis_y, tau, steps, mode):
     """The source on the quadrature grid at every level, one level at a time.
 
-    The sampled mode sums the GL rule of order -beta over the forcing's
-    grid values directly, with no FFT and no time-factor table.
+    The analytic mode is closed_form_source; the sampled mode sums the
+    GL rule of order -beta over the forcing's grid values directly, with
+    no FFT and no time-factor table.
     """
     x, y = basis_x.nodes[:, None], basis_y.nodes[None, :]
     times = tau * np.arange(steps + 1)
     if mode == "analytic":
-        return np.array([evaluate_terms(tp.g, x, y, t) for t in times])
+        return np.array([closed_form_source(tp, x, y, t) for t in times])
     f = np.array([evaluate_terms(tp.f, x, y, t) for t in times])
     lam = shifted_weights(-tp.beta, steps)
     return np.array([
         tau**tp.beta * np.tensordot(lam[n::-1], f[: n + 1], axes=(0, 0))
-        + evaluate_terms(tp.g_smooth, x, y, t)
+        + evaluate_terms(tp.g, x, y, t)
         for n, t in enumerate(times)
     ])
 
@@ -373,15 +388,15 @@ class TestProjectTimeSeries:
         self.by = build_basis(8, self.tp.domain.y_interval)
 
     def test_auto_prefers_analytic(self):
-        mode, factors, profiles, norms = project_time_series(self.tp, self.bx, self.by, 0.25, 4)
-        assert mode == "analytic"
+        factors, profiles, norms = project_time_series(self.tp, self.bx, self.by, 0.25, 4)
         assert factors.shape == (1, 5)  # every term of compatible_smooth is on one profile
         assert profiles.shape == (1, self.bx.dim, self.by.dim)
         assert norms.shape == (4,)
 
-    def test_auto_falls_back_to_sampled(self):
+    def test_auto_is_analytic(self):
+        # a problem with forcing alone, as any other, takes the closed form
         tp = TransformedProblem(
-            name="samples_only",
+            name="forcing_only",
             beta=0.5,
             betas=(),
             coeffs=(),
@@ -389,29 +404,48 @@ class TestProjectTimeSeries:
             domain=UNIT_SQUARE,
             f=(SeparableTerm(1.0, 1.0, LOBE),),
         )
-        mode, factors, profiles, _ = project_time_series(tp, self.bx, self.by, 0.25, 4)
-        assert mode == "sampled"
-        assert np.all(np.isfinite(factors)) and np.all(np.isfinite(profiles))
+        auto = project_time_series(tp, self.bx, self.by, 0.25, 4)
+        for got, want in zip(auto, project_time_series(tp, self.bx, self.by, 0.25, 4, "analytic")):
+            np.testing.assert_array_equal(got, want)
+        sampled = project_time_series(tp, self.bx, self.by, 0.25, 4, "sampled")
+        assert not np.array_equal(auto[0], sampled[0])
+        assert AdiSolver(tp, self.bx, self.by, 0.25, 4).source_mode == "analytic"
+
+    def test_sampled_without_forcing_is_g_alone(self):
+        # with no forcing to integrate both modes give g's factors as they are
+        tp = TransformedProblem(
+            name="velocity_only",
+            beta=0.5,
+            betas=(),
+            coeffs=(),
+            mu=1.0,
+            domain=UNIT_SQUARE,
+            g=(SeparableTerm(1.0, 0.5, HUMP), SeparableTerm(2.0, 0.0, LOBE)),
+        )
+        sampled = project_time_series(tp, self.bx, self.by, 0.25, 4, "sampled")
+        analytic = project_time_series(tp, self.bx, self.by, 0.25, 4, "analytic")
+        for got, want in zip(sampled, analytic):
+            np.testing.assert_array_equal(got, want)
 
     def test_profile_sum_matches_projection(self):
         # the modes that vanish by symmetry carry round-off of the level's
         # scale, which differs between the two ways of summing
-        _, factors, profiles, _ = project_time_series(self.tp, self.bx, self.by, 0.25, 4)
+        factors, profiles, _ = project_time_series(self.tp, self.bx, self.by, 0.25, 4)
         for n, t in enumerate((0.0, 0.5, 1.0)):
             got = np.tensordot(factors[:, 2 * n], profiles, axes=1)
-            want = project_source(lambda x, y: evaluate_terms(self.tp.g, x, y, t), self.bx, self.by)
+            want = project_source(lambda x, y: closed_form_source(self.tp, x, y, t), self.bx, self.by)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
     def test_half_source_norms_manual(self):
         tau = 0.25
-        _, _, _, norms = project_time_series(self.tp, self.bx, self.by, tau, 4)
+        _, _, norms = project_time_series(self.tp, self.bx, self.by, tau, 4)
         x, yv = self.bx.nodes[:, None], self.by.nodes[None, :]
         wx = self.bx.quad_weights * self.bx.jacobian
         wy = self.by.quad_weights * self.by.jacobian
         for k in range(4):
             half = 0.5 * (
-                evaluate_terms(self.tp.g, x, yv, tau * k)
-                + evaluate_terms(self.tp.g, x, yv, tau * (k + 1))
+                closed_form_source(self.tp, x, yv, tau * k)
+                + closed_form_source(self.tp, x, yv, tau * (k + 1))
             )
             want = math.sqrt(float(wx @ half**2 @ wy))
             assert norms[k] == pytest.approx(want, rel=1e-13)
@@ -425,7 +459,7 @@ class TestProjectTimeSeries:
         tp = two_profile_problem()
         steps = self.blocked_steps()
         tau = 1.0 / steps
-        _, factors, profiles, half_norms = project_time_series(
+        factors, profiles, half_norms = project_time_series(
             tp, self.bx, self.by, tau, steps, mode
         )
         vals = direct_source_grids(tp, self.bx, self.by, tau, steps, mode)
@@ -443,7 +477,7 @@ class TestProjectTimeSeries:
     def test_zero_source_ignoring_time_across_blocks(self):
         # a source without terms has an empty table and zero norms
         steps = self.blocked_steps()
-        _, factors, profiles, half_norms = project_time_series(
+        factors, profiles, half_norms = project_time_series(
             quiet_tp(), self.bx, self.by, 0.01, steps
         )
         assert factors.shape == (0, steps + 1)
@@ -469,23 +503,6 @@ class TestProjectTimeSeries:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="source mode"):
             project_time_series(self.tp, self.bx, self.by, 0.25, 4, mode="grid")
-
-    def test_analytic_needs_closed_form(self):
-        tp = TransformedProblem(
-            name="samples_only",
-            beta=0.5,
-            betas=(),
-            coeffs=(),
-            mu=1.0,
-            domain=UNIT_SQUARE,
-            f=(SeparableTerm(1.0, 1.0, SpatialProfile(values=lambda x, y: x * y)),),
-        )
-        with pytest.raises(ValueError, match="closed-form"):
-            project_time_series(tp, self.bx, self.by, 0.25, 4, mode="analytic")
-
-    def test_sampled_needs_forcing(self):
-        with pytest.raises(ValueError, match="forcing"):
-            project_time_series(quiet_tp(), self.bx, self.by, 0.25, 4, mode="sampled")
 
 
 class TestAssembleRhs:
@@ -1309,6 +1326,31 @@ class TestRun:
         message = f"{m} correction terms need {m} exponents, got {len(exponents)}"
         with pytest.raises(ValueError, match=message):
             run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, correction_terms=m, exponents=exponents)
+
+    @pytest.mark.parametrize(
+        "m,exponents,steps,message",
+        [
+            (3, (1.3, 1.2, 1.1), 20, "correction exponents must be strictly increasing"),
+            (7, tuple(1.1 + 0.1 * p for p in range(7)), 20,
+             "need between 1 and 6 correction exponents, got 7"),
+            (3, (0.0, 1.2, 1.3), 20, "correction exponents must be positive"),
+            (3, (1.1, math.nan, 1.3), 20, "correction exponents must be finite"),
+            (3, (1.1, 1.2, 1.3), 3, "need more steps than correction terms"),
+        ],
+        ids=["decreasing", "seven", "nonpositive", "nan", "few-steps"],
+    )
+    def test_corrected_run_checked_before_any_march(
+        self, monkeypatch, m, exponents, steps, message
+    ):
+        # the bootstrap march makes the starting values, so it may not
+        # start before the exponents and the step count are known to be valid
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(AdiSolver, "march", no_march)
+        problem = get_problem("compatible_nonsmooth")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(problem, 8, steps, 1.0, correction_terms=m, exponents=exponents)
 
     def test_uncorrected_run_records_no_exponents(self):
         res = run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, exponents=(1.1,))
