@@ -236,19 +236,6 @@ def evaluate_field(field, x, y):
     return px.T @ field.coeffs @ py
 
 
-def project_source(f, basis_x, basis_y):
-    """Matrix of inner products (f, phi_i psi_j) over the physical rectangle.
-
-    f is a vectorized function of physical (x, y); the mapped-quadrature
-    Jacobian factors are included.
-    """
-    fx = f(basis_x.nodes[:, None], basis_y.nodes[None, :])
-    fx = np.broadcast_to(fx, (basis_x.quad_count, basis_y.quad_count))
-    px = basis_x.basis_at_quad * basis_x.weights
-    py = basis_y.basis_at_quad * basis_y.weights
-    return px @ fx @ py.T
-
-
 def grid_norms(vals, basis_x, basis_y):
     """L2 norms by quadrature of a (levels, Qx, Qy) stack of grid values."""
     wx, wy = basis_x.weights, basis_y.weights

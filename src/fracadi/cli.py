@@ -130,7 +130,9 @@ class RunConfig:
                 f"m: correction count must lie in 0..{MAX_CORRECTION_TERMS}, got {self.m}"
             )
         if self.sigma is not None:
-            if self.m and len(self.sigma) != self.m:
+            if self.m == 0:
+                errors.append("sigma: exponents given, but m = 0 requests no corrections")
+            elif len(self.sigma) != self.m:
                 errors.append(
                     f"sigma: expected {self.m} exponents for m = {self.m}, got {len(self.sigma)}"
                 )
@@ -167,8 +169,6 @@ class RunConfig:
         return spec
 
     def sigmas(self):
-        if self.m == 0:
-            return ()
         return self.sigma if self.sigma is not None else default_sigmas(self.m)
 
 
@@ -489,6 +489,16 @@ def _execute(cfg, problem, steps, degree):
     )
 
 
+def _level_errors(cfg, problem, steps, degree):
+    """(error_final, error_max) of one study level.
+
+    The RunResult dies on return, so a study holds one level's trajectory
+    at a time, the array that the solver's memory guard checks.
+    """
+    result = _execute(cfg, problem, steps, degree)
+    return result.error_final, result.error_max
+
+
 def _ensure_outdir(path):
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -532,14 +542,12 @@ def cmd_study(args):
     _note_large_step(max(cfg.T / steps for _, steps in jobs))
     # one level at a time: the marches are memory-bound, so running levels
     # concurrently only added CPU time and peak memory
-    results = [_execute(cfg, problem, steps, degree) for degree, steps in jobs]
+    l2_errors, max_errors = zip(
+        *(_level_errors(cfg, problem, steps, degree) for degree, steps in jobs)
+    )
 
     table = RateTable(
-        param_name=param_name,
-        params=params,
-        l2_errors=tuple(r.error_final for r in results),
-        max_errors=tuple(r.error_max for r in results),
-        hs=hs,
+        param_name=param_name, params=params, l2_errors=l2_errors, max_errors=max_errors, hs=hs
     )
     outdir = _ensure_outdir(cfg.output)
     write_lines(outdir / "rates.csv", table.csv_lines())

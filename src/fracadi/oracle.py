@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import (
@@ -175,6 +174,10 @@ def direct_caputo(order, t, exponent=None, derivative=None):
         return math.exp(lg) * t ** (exponent - order)
     if float(order).is_integer():
         return float(derivative(t))
+    # imported here: scipy.integrate (and the scipy.optimize it loads) would
+    # add about 17 MB to every process that imports the CLI
+    from scipy.integrate import quad
+
     n = math.ceil(order)
     weight_exponent = n - order - 1.0  # in (-1, 0)
     val, err = quad(

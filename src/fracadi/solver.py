@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 from .basis import (
     ModalField2D,
@@ -70,6 +69,19 @@ FFT_COLUMNS = 16
 SOURCE_MODES = ("auto", "analytic", "sampled")
 
 
+def _fast_length(n):
+    """The smallest 2^a 3^b 5^c >= n: an FFT length pocketfft splits into small factors."""
+    best = 1 << (n - 1).bit_length()  # the smallest 2^a >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 = 3^b 5^c; try the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def causal_sum(kernel, hist, lo, hi, weights, out):
     """Add rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j] into out.
 
@@ -77,24 +89,25 @@ def causal_sum(kernel, hist, lo, hi, weights, out):
     (rows, cols), one weight per kernel row and column of a level (cols
     entries of hist[0]).  The sum has shape (hi - lo,) + hist.shape[1:] and equals
     the direct sum to round-off.  It is computed by real FFTs along time on
-    chunks of FFT_COLUMNS columns (scipy's FFT, one thread, no BLAS); the
-    rows are combined in frequency, so each chunk takes one inverse FFT.
+    chunks of FFT_COLUMNS columns (numpy's pocketfft on a 5-smooth length,
+    one thread, no BLAS); the rows are combined in frequency, so each chunk
+    takes one inverse FFT.
     It is added into the C-contiguous `out` one column chunk at a time,
     so no full-size temporary is formed; `out` is returned.
     """
     n = len(hist)
     first = max(lo - n + 1, 0)  # smallest lag the requested rows use
     # a circular length of hi - lo + n - 1 leaves rows lo..hi-1 unaliased
-    size = sp_fft.next_fast_len(hi - lo + n - 1, real=True)
-    kernel_hat = sp_fft.rfft(kernel[:, first:hi], size, axis=1).T
+    size = _fast_length(hi - lo + n - 1)
+    kernel_hat = np.fft.rfft(kernel[:, first:hi], size, axis=1).T
     cols = hist.reshape(n, -1)
     weights = np.broadcast_to(weights, (len(kernel), cols.shape[1]))
     dest = out.reshape(hi - lo, -1)
     for c in range(0, cols.shape[1], FFT_COLUMNS):
         chunk = slice(c, c + FFT_COLUMNS)
-        spectrum = sp_fft.rfft(cols[:, chunk], size, axis=0)
+        spectrum = np.fft.rfft(cols[:, chunk], size, axis=0)
         spectrum *= kernel_hat @ weights[:, chunk]
-        dest[:, chunk] += sp_fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
+        dest[:, chunk] += np.fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
     return out
 
 

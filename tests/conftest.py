@@ -2,12 +2,25 @@
 import numpy as np
 import pytest
 
-from fracadi.basis import build_basis, project_source
+from fracadi.basis import build_basis
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def project_source(f, basis_x, basis_y):
+    """Matrix of inner products (f, phi_i psi_j) over the physical rectangle.
+
+    f is a vectorized function of physical (x, y); the mapped-quadrature
+    Jacobian factors are included.
+    """
+    fx = f(basis_x.nodes[:, None], basis_y.nodes[None, :])
+    fx = np.broadcast_to(fx, (basis_x.quad_count, basis_y.quad_count))
+    px = basis_x.basis_at_quad * basis_x.weights
+    py = basis_y.basis_at_quad * basis_y.weights
+    return px @ fx @ py.T
 
 
 def project_field(func, basis_x, basis_y):

@@ -15,13 +15,12 @@ from fracadi.basis import (
     l2_norm,
     legendre_deriv_table,
     legendre_table,
-    project_source,
     shen_mass_matrix,
     shen_stiffness_diagonal,
 )
 from fracadi.oracle import gauss_rule_deviation, quadrature_matrix_check
 
-from conftest import project_field
+from conftest import project_field, project_source
 
 
 class TestLegendre:

@@ -1,8 +1,13 @@
 """Driver behavior: config parsing, rate tables, output files, exit codes."""
 import contextlib
+import gc
 import io
+import os
 import pathlib
+import subprocess
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -446,6 +451,28 @@ class TestMainStudy:
         capfd.readouterr()
         assert calls == [(True, 8, 10), (True, 8, 20), (True, 8, 40)]
 
+    def test_each_level_released_before_the_next(self, tmp_path, capfd, monkeypatch):
+        # a study holds one level's trajectory at a time: when a march
+        # starts, every RunResult of the earlier levels is dead
+        results, alive = [], []
+        march = cli.run
+
+        def checked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in results))
+            result = march(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run", checked)
+        code = main([
+            "study", "--problem", "compatible_smooth", "--N", "8", "--levels", "10", "20", "40",
+            "--output", str(tmp_path),
+        ])
+        assert code == 0
+        capfd.readouterr()
+        assert alive == [0, 0, 0]
+
     def test_spatial_study_decays_fast(self, tmp_path, capfd):
         code = main([
             "study", "--problem", "compatible_smooth", "--study-param", "N",
@@ -479,6 +506,25 @@ class TestMainStudy:
         assert main(["study", "--config", str(path)]) == 1
         err = capfd.readouterr().err
         assert "exact solution" in err
+
+
+def test_cli_import_loads_only_the_scipy_it_runs():
+    # scipy.integrate (with scipy.optimize) is loaded by the oracle's one
+    # quad call only; the FFTs are numpy's, so scipy.fft and scipy.special
+    # stay out too
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, fracadi.cli; print(' '.join(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "fracadi.cli" in loaded
+    unused = {"scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special"}
+    assert loaded.isdisjoint(unused)
 
 
 class TestMainWeights:
@@ -723,6 +769,14 @@ REJECTED_BEFORE_MARCH = {
     ),
     "sigma-inf": (
         SMOOTH_RUN + ["--sigma", "inf", "--m", "1"], None, "sigma: exponents must be finite"
+    ),
+    "sigma-without-m": (
+        SMOOTH_RUN + ["--sigma", "1.1", "1.2"], None,
+        "sigma: exponents given, but m = 0 requests no corrections",
+    ),
+    "sigma-without-m-in-file": (
+        ["run", "--config", "{config}"], ("[run]", "[run]\nsigma = 1.1"),
+        "sigma: exponents given, but m = 0 requests no corrections",
     ),
     "mu-nan": (
         ["run", "--config", "{config}"], ("mu = 1.5", "mu = nan"),

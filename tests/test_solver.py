@@ -10,7 +10,7 @@ import pytest
 
 from scipy.linalg import solve_triangular
 
-from conftest import project_field
+from conftest import project_field, project_source
 from fracadi.basis import (
     LEVEL_BLOCK_VALUES,
     ShenSystemSolver,
@@ -18,7 +18,6 @@ from fracadi.basis import (
     from_eigen,
     l2_error,
     l2_norm,
-    project_source,
 )
 from fracadi.oracle import half_sum_coefficients
 from fracadi.problems import (
@@ -36,6 +35,7 @@ from fracadi.solver import (
     PANEL,
     AdiSolver,
     TransformedProblem,
+    _fast_length,
     bootstrap_starting_values,
     causal_sum,
     eigen_operators,
@@ -707,6 +707,21 @@ class TestCausalSum:
         got = causal_sum(kernel, hist, lo, hi, weights, out)
         assert got is out
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_fast_length_is_the_smallest_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    want, nxt = {}, None
+    for k in range(5000, 0, -1):  # 5000 = 2^3 5^4 is 5-smooth
+        if smooth(k):
+            nxt = k
+        want[k] = nxt
+    assert all(_fast_length(n) == want[n] for n in range(1, 5001))
 
 
 class TestStepVersusDense:
