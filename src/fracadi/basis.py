@@ -237,9 +237,15 @@ def evaluate_field(field, x, y):
 
 
 def grid_norms(vals, basis_x, basis_y):
-    """L2 norms by quadrature of a (levels, Qx, Qy) stack of grid values."""
+    """L2 norms by quadrature of a (levels, Qx, Qy) stack of grid values.
+
+    Each level's norm has the same bits in every stack it is part of: the
+    y weights are applied by a sum along rows, not by one matrix-vector
+    product over the stack, whose BLAS kernel sums a row in an order
+    that depends on its position.
+    """
     wx, wy = basis_x.weights, basis_y.weights
-    return stack_norms(lambda v: wx @ v**2 @ wy, vals)
+    return stack_norms(lambda v: np.sum((wx @ v**2) * wy, axis=-1), vals)
 
 
 # Values per block temporary in the blocked evaluators: a stack of time

@@ -276,19 +276,19 @@ def _resolve_source_mode(mode):
 # Overflow of the source shows up as a non-finite half-source norm, which
 # AdiSolver reports with the level it happened at; no warnings on the way.
 @np.errstate(over="ignore", invalid="ignore")
-def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=None):
+def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     """The reduced source I^beta f + g, s(t_n) = sum_p factors[p, n] phi_p(x, y).
 
     Returns (factors, profiles, half_source_norms): a (P, steps + 1)
     table of time factors over the P distinct profiles phi_p of the terms,
-    and their inner products with the tensor basis, (P, dim_x, dim_y),
-    E_x^T (inner products) E_y with frame = (E_x, E_y).  The analytic
-    mode integrates each term of f in closed form (one Gamma ratio) after
-    g's terms; the sampled mode applies the shifted GL rule of order -beta
+    and their inner products with the Shen tensor basis, (P, dim_x,
+    dim_y).  The analytic mode integrates each term of f in closed form
+    (one Gamma ratio) after g's terms; the sampled mode applies the shifted GL rule of order -beta
     to f's time factors (the integral is linear in time) and adds g's.
     half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms,
-    formed on blocks of levels (basis.level_blocks) from the table and
-    the profiles' values.
+    formed on blocks of steps (basis.level_blocks) from the table and
+    the profiles' values: the block of steps b..e-1 evaluates the
+    levels b..e.
     """
     bx, by = basis_x, basis_y
     n_levels = steps + 1
@@ -316,24 +316,15 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto", frame=Non
     grid = np.empty((len(factors),) + shape)
     for p, profile in enumerate(factors):
         grid[p] = profile.values(x, y)
-    px = bx.basis_at_quad * bx.weights
-    py = by.basis_at_quad * by.weights
-    if frame is not None:
-        px, py = frame[0].T @ px, frame[1].T @ py
-    profiles = px @ grid @ py.T
+    profiles = (bx.basis_at_quad * bx.weights) @ grid @ (by.basis_at_quad * by.weights).T
 
     half_source_norms = np.empty(steps)
-    prev = None
-    for b, e in level_blocks(n_levels, shape[0] * shape[1]):
+    for b, e in level_blocks(steps, shape[0] * shape[1]):
         # a source without terms is the scalar 0.0
-        vals = np.broadcast_to(profile_sum(table[:, b:e, None, None], grid), (e - b,) + shape)
-        # half_source_norms[n - 1] pairs levels n - 1 and n; the first
-        # pair of a block reaches back to the last level of the previous one.
-        # Halving before adding keeps the mean of two finite levels finite
-        if prev is not None:
-            half_source_norms[b - 1 : b] = grid_norms(0.5 * prev + 0.5 * vals[:1], bx, by)
-        half_source_norms[b : e - 1] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
-        prev = vals[-1]
+        vals = profile_sum(table[:, b : e + 1, None, None], grid)
+        vals = np.broadcast_to(vals, (e + 1 - b,) + shape)
+        # halving before adding keeps the mean of two finite levels finite
+        half_source_norms[b:e] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
     return table, profiles, half_source_norms
 
 
@@ -358,6 +349,16 @@ def _binary_size(nbytes):
     value = float(f"{nbytes / 2 ** (10 * i):.3g}")
     decimals = max(2 - math.floor(math.log10(value)), 0)
     return f"{value:.{decimals}f} {units[i]}"
+
+
+def _check_starting_count(m, count, steps):
+    """Raise ValueError unless m <= count <= steps starting values, at most BLOCK."""
+    if count > BLOCK:  # the first push adds into u[BLOCK + 1]
+        raise ValueError(f"at most {BLOCK} starting values")
+    if count > steps:
+        raise ValueError(f"too many starting values: {count} for {steps} steps")
+    if count < m:
+        raise ValueError(f"too few starting values: {count} for {m} correction terms")
 
 
 def _correction_exponents(m, exponents, steps):
@@ -388,10 +389,13 @@ class AdiSolver:
     operators act elementwise (eigen_operators).  While a march runs,
     u, the source profiles, assemble_rhs, correction_load and sweep_solve
     all work in eigen-coordinates.  Starting values are given in the Shen
-    basis and mapped in with E^T S.  march() ends by mapping u back to the
-    Shen basis in place, block by block (see basis.level_blocks), so u
-    after a march holds Shen coefficients; steps taken with step_once
-    alone stay in eigen-coordinates.
+    basis and mapped in with E^T S, the Shen-basis source projections of
+    project_time_series with E_x^T . E_y.  march() ends by mapping u
+    back to the Shen basis in place, block by block (see
+    basis.level_blocks), so u after a march holds Shen coefficients;
+    steps taken with step_once alone stay in eigen-coordinates.  The
+    starting values, m <= count <= steps of them and at most BLOCK, are
+    checked before any table is built.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -441,14 +445,13 @@ class AdiSolver:
         self.m = int(correction_terms)
         exponents = _correction_exponents(self.m, exponents, steps)
 
+        starting_values = () if starting_values is None else starting_values
+        _check_starting_count(self.m, len(starting_values), steps)
+
         self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
-        self.count = 1
-        if starting_values is not None:
-            for j, val in enumerate(starting_values, start=1):
-                self.u[j] = to_eigen(val, basis_x, basis_y)
-            self.count = 1 + len(starting_values)
-        if self.count > BLOCK + 1:  # the first push adds into u[BLOCK + 1]
-            raise ValueError(f"at most {BLOCK} starting values")
+        for j, val in enumerate(starting_values, start=1):
+            self.u[j] = to_eigen(val, basis_x, basis_y)
+        self.count = 1 + len(starting_values)
         self._eigen = True  # u holds eigen-coordinates until march() ends
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
@@ -530,19 +533,19 @@ class AdiSolver:
 
     def _prepare_source(self, mode):
         self.source_mode = mode
-        frame = (self.basis_x.eigenvectors, self.basis_y.eigenvectors)
-        source = project_time_series(
-            self.tp, self.basis_x, self.basis_y, self.tau, self.steps, mode, frame
-        )
-        self.source_factors, self.source_profiles, self.half_source_norms = source
+        bx, by = self.basis_x, self.basis_y
+        source = project_time_series(self.tp, bx, by, self.tau, self.steps, mode)
+        self.source_factors, profiles, self.half_source_norms = source
+        self.source_profiles = bx.eigenvectors.T @ profiles @ by.eigenvectors
         # a march on a non-finite source would only spread it; the steps
-        # before self.count are not marched (a weak power source may be
-        # singular at t = 0 when the starting values are given)
+        # before self.count are not marched.  SeparableTerm rejects negative
+        # exponents, so only a hand-built term can be singular at t = 0,
+        # and then only starting values let a march begin past it
         _check_finite("source", self.half_source_norms[self.count - 1 :], self.tau, self.steps)
 
     # -- one panel of steps ----------------------------------------------
 
-    def assemble_rhs(self, k, n=None):
+    def assemble_rhs(self, k, n):
         """Known part of the right sides of steps k..k+n-1 (no corrections).
 
         Row t holds what levels 0..k give to the step from t_{k+t} to
@@ -560,14 +563,12 @@ class AdiSolver:
         block makes its push, so k must lie in the block of the last call
         or the next one, and past the first block step k must not have
         been taken yet; other calls raise ValueError.  Returns an (n, dim_x,
-        dim_y) stack; without n, the (dim_x, dim_y) right side of step k
-        alone.
+        dim_y) stack.
         """
-        rows = 1 if n is None else n
-        if not (0 <= k and 1 <= rows and k + rows <= self.steps):
+        if not (0 <= k and 1 <= n and k + n <= self.steps):
             raise ValueError("step index out of range")
         b0 = k - k % BLOCK
-        if k + rows > b0 + BLOCK:
+        if k + n > b0 + BLOCK:
             raise ValueError("a panel of steps may not cross a BLOCK boundary")
         if b0 == self._far_block + BLOCK:
             self._push(b0)  # before the panel's own temporaries exist
@@ -581,24 +582,24 @@ class AdiSolver:
         # row t takes lags k + t - b0 .. t, the window that starts at the
         # reversed kernel's column steps - (k - b0) - t
         first = self.steps - (k - b0)
-        windows = self._windows[:, first - rows + 1 : first + 1, :levels]
-        near = windows[:, ::-1].reshape(2 * rows, levels)
-        mem = near_product(near, self.u[b0 : k + 1].reshape(levels, -1)).reshape(2, rows, -1)
+        windows = self._windows[:, first - n + 1 : first + 1, :levels]
+        near = windows[:, ::-1].reshape(2 * n, levels)
+        mem = near_product(near, self.u[b0 : k + 1].reshape(levels, -1)).reshape(2, n, -1)
         mem *= self._weights[:, None]
         memory, stiff = mem
         memory += stiff
         if b0:  # the first block has no far part
-            memory += self.u[k + 1 : k + 1 + rows].reshape(rows, -1)
-        shape = (rows,) + self.u.shape[1:]
+            memory += self.u[k + 1 : k + 1 + n].reshape(n, -1)
+        shape = (n,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
         rhs[0] += self._explicit * self.u[k]
         # halving before adding keeps the mean of two finite levels finite
         half = 0.5 * self.tau
         factors = self.source_factors
-        pairs = half * factors[:, k : k + rows] + half * factors[:, k + 1 : k + rows + 1]
+        pairs = half * factors[:, k : k + n] + half * factors[:, k + 1 : k + n + 1]
         profiles = self.source_profiles.reshape(len(factors), self.u[0].size)
         rhs += near_product(pairs.T, profiles).reshape(shape)
-        return rhs if n is not None else rhs[0]
+        return rhs
 
     def _push(self, b0):
         """Add the far part that the block start b0 sends into u.
@@ -621,23 +622,21 @@ class AdiSolver:
         )
         self._far_block = b0
 
-    def correction_load(self, k, n=None):
+    def correction_load(self, k, n):
         """Starting-weight additions to the right sides of steps k..k+n-1.
 
         One product of the steps' load columns with the images of the
         starting differences, which were taken at construction.  Returns
-        an (n, dim_x, dim_y) stack; without n, the load of step k alone.
+        an (n, dim_x, dim_y) stack.
         """
         if self._loads is None:
             raise ValueError("solver built without corrections")
         if k < self.m:
             raise ValueError("corrected stepping starts at k = m")
-        rows = 1 if n is None else n
-        if k + rows > self.steps:
+        if k + n > self.steps:
             raise ValueError("step index out of range")
-        columns = self._loads[:, k : k + rows].transpose(1, 0, 2).reshape(rows, -1)
-        loads = (columns @ self._images).reshape((rows,) + self.u.shape[1:])
-        return loads if n is not None else loads[0]
+        columns = self._loads[:, k : k + n].transpose(1, 0, 2).reshape(n, -1)
+        return (columns @ self._images).reshape((n,) + self.u.shape[1:])
 
     def sweep_solve(self, rhs, out=None):
         """Solve a panel of steps for the new levels, given their known parts.
@@ -646,11 +645,8 @@ class AdiSolver:
         correction_load) returns u[k+1+t] = sum_{s<=t} b_{t-s} R_s, with b
         the inverse step symbol; lag 0 is the elementwise division by the
         sweep operator (the two sweeps in eigen-coordinates), the others
-        are added one lag at a time.  A (dim_x, dim_y) right side is
-        solved as a panel of one step.  `out` must not overlap rhs.
+        are added one lag at a time.  `out` must not overlap rhs.
         """
-        if rhs.ndim == 2:
-            return self.sweep_solve(rhs[None])[0]
         n = len(rhs)
         out = np.divide(rhs, self._sweep, out=out)
         term = np.empty_like(rhs[1:])
@@ -727,13 +723,16 @@ def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, sourc
 
 @dataclass
 class RunResult:
-    """Trajectory and diagnostics of one march."""
+    """Trajectory and diagnostics of one march.
+
+    times, error_final and error_max are read from tau, coeffs and
+    errors; the last two are None without an exact solution.
+    """
 
     tp: TransformedProblem
     basis_x: SpectralBasis1D
     basis_y: SpectralBasis1D
-    tau: float
-    times: np.ndarray
+    tau: float  # 0.0 for a run of no steps
     coeffs: np.ndarray  # (steps + 1, dim_x, dim_y)
     norms: np.ndarray
     half_source_norms: np.ndarray
@@ -742,9 +741,19 @@ class RunResult:
     exponents: tuple
     source_mode: str  # the mode the source was projected in, auto resolved
     errors: np.ndarray = None
-    error_final: float = None
-    error_max: float = None
     wall_time: float = 0.0
+
+    @property
+    def times(self):
+        return self.tau * np.arange(len(self.coeffs))
+
+    @property
+    def error_final(self):
+        return None if self.errors is None else float(self.errors[-1])
+
+    @property
+    def error_max(self):
+        return None if self.errors is None else float(np.max(self.errors))
 
     def field(self, n=-1):
         return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
@@ -784,32 +793,6 @@ def _check_memory(basis_x, basis_y, steps):
         )
 
 
-def _initial_only(tp, basis_x, basis_y, source_mode):
-    """Zero-step trajectory: the (zero) transformed initial state alone."""
-    coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
-    errors = error_final = error_max = None
-    if tp.exact is not None:
-        errors = l2_errors(coeffs, basis_x, basis_y, tp.exact, np.zeros(1))
-        error_final = error_max = float(errors[0])
-    return RunResult(
-        tp=tp,
-        basis_x=basis_x,
-        basis_y=basis_y,
-        tau=0.0,
-        times=np.zeros(1),
-        coeffs=coeffs,
-        norms=np.zeros(1),
-        half_source_norms=np.zeros(0),
-        stability_ratio=0.0,
-        correction_terms=0,
-        exponents=(),
-        source_mode=source_mode,
-        errors=errors,
-        error_final=error_final,
-        error_max=error_max,
-    )
-
-
 def run(
     problem,
     degree,
@@ -826,7 +809,8 @@ def run(
     problem may be a ProblemSpec (reduced automatically) or an already
     reduced TransformedProblem.  With correction_terms m > 0 the first m
     values come from `starting_values` or a fine bootstrap run, and all
-    later steps use the starting-weight corrections.
+    later steps use the starting-weight corrections.  A run of no steps
+    records the zero initial level alone, without corrections.
     """
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
@@ -835,35 +819,39 @@ def run(
     tp = reduce_order(problem) if isinstance(problem, ProblemSpec) else problem
     basis_x = build_basis(degree, tp.domain.x_interval)
     basis_y = build_basis(degree, tp.domain.y_interval)
-    if steps == 0:
-        return _initial_only(tp, basis_x, basis_y, _resolve_source_mode(source_mode))
-    tau = final_time / steps
+    tau = final_time / steps if steps else 0.0
 
     t0 = time.perf_counter()
-    m = int(correction_terms)
+    m = int(correction_terms) if steps else 0
     exponents = _correction_exponents(m, exponents, steps)  # before any march
-    if m and starting_values is None:
+    if starting_values is not None:
+        _check_starting_count(m, len(starting_values), steps)
+    elif m:
         starting_values = bootstrap_starting_values(
             tp, basis_x, basis_y, tau, m, ratio=bootstrap_ratio, source_mode=source_mode
         )
-    solver = AdiSolver(
-        tp,
-        basis_x,
-        basis_y,
-        tau,
-        steps,
-        correction_terms=m,
-        exponents=exponents,
-        starting_values=starting_values if m else None,
-        source_mode=source_mode,
-    )
-    solver.march()
+    if steps:
+        solver = AdiSolver(
+            tp,
+            basis_x,
+            basis_y,
+            tau,
+            steps,
+            correction_terms=m,
+            exponents=exponents,
+            starting_values=starting_values,
+            source_mode=source_mode,
+        )
+        coeffs = solver.march()
+        half_norms, source_mode = solver.half_source_norms, solver.source_mode
+    else:  # the zero initial level alone
+        coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
+        half_norms, source_mode = np.zeros(0), _resolve_source_mode(source_mode)
     wall = time.perf_counter() - t0
 
-    times = tau * np.arange(steps + 1)
-    norms = l2_norm(solver.u, basis_x, basis_y)
+    norms = l2_norm(coeffs, basis_x, basis_y)
     # the stability bound sums every half-source norm, marched or not
-    _check_finite("source", solver.half_source_norms, tau, steps)
+    _check_finite("source", half_norms, tau, steps)
     _check_finite("solution", norms, tau, steps)
 
     # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
@@ -876,35 +864,28 @@ def run(
         growth = math.exp(2.0 * final_time)
     except OverflowError:
         growth = math.inf
-    shift = np.frexp(np.max(solver.half_source_norms))[1]
-    half = np.ldexp(solver.half_source_norms, -shift)
+    shift = np.frexp(np.max(half_norms, initial=0.0))[1]
+    half = np.ldexp(half_norms, -shift)
     scaled = np.ldexp(norms[1:], -shift)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = growth * 2.0 * tau * np.cumsum(half**2)
     positive = bound > 0.0
     ratio = float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
-    errors = error_final = error_max = None
-    if tp.exact is not None:
-        errors = l2_errors(solver.u, basis_x, basis_y, tp.exact, times)
-        error_final = float(errors[-1])
-        error_max = float(np.max(errors))
-
-    return RunResult(
+    result = RunResult(
         tp=tp,
         basis_x=basis_x,
         basis_y=basis_y,
         tau=tau,
-        times=times,
-        coeffs=solver.u,
+        coeffs=coeffs,
         norms=norms,
-        half_source_norms=solver.half_source_norms,
+        half_source_norms=half_norms,
         stability_ratio=ratio,
         correction_terms=m,
         exponents=exponents,
-        source_mode=solver.source_mode,
-        errors=errors,
-        error_final=error_final,
-        error_max=error_max,
+        source_mode=source_mode,
         wall_time=wall,
     )
+    if tp.exact is not None:
+        result.errors = l2_errors(coeffs, basis_x, basis_y, tp.exact, result.times)
+    return result

@@ -156,7 +156,7 @@ def test_criterion_4_adi_matches_dense():
         sx = np.diag(bx.stiffness)[:, None]
         sy = np.diag(by.stiffness)[None, :]
         for k in (0, 3, 7):
-            rhs = (sx * bx.eigenvectors) @ solver.assemble_rhs(k) @ (by.eigenvectors.T * sy)
+            rhs = (sx * bx.eigenvectors) @ solver.assemble_rhs(k, 1)[0] @ (by.eigenvectors.T * sy)
             dense = dense_kronecker_solve(solver.coeffs, bx, by, rhs)
             step = from_eigen(solver.u[k + 1], bx, by)
             gap = float(np.abs(dense - step).max() / np.abs(step).max())

@@ -28,6 +28,7 @@ from fracadi.problems import (
     evaluate_terms,
     get_problem,
 )
+from fracadi import basis as basis_module
 from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
@@ -474,6 +475,20 @@ class TestProjectTimeSeries:
             half = 0.5 * (vals[k] + vals[k + 1])
             assert half_norms[k] == pytest.approx(math.sqrt(float(wx @ half**2 @ wy)), rel=1e-13)
 
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_half_source_norms_ignore_the_block_size(self, monkeypatch, mode):
+        # each block of steps evaluates both end levels of its steps, and
+        # every norm is summed in one order, so one step per block, the
+        # default blocks and one block in all give the same bits
+        tp = two_profile_problem()
+        steps = self.blocked_steps()
+        norms = []
+        for values in (1, LEVEL_BLOCK_VALUES, 2**40):
+            monkeypatch.setattr(basis_module, "LEVEL_BLOCK_VALUES", values)
+            norms.append(project_time_series(tp, self.bx, self.by, 1.0 / steps, steps, mode)[2])
+        np.testing.assert_array_equal(norms[0], norms[1])
+        np.testing.assert_array_equal(norms[0], norms[2])
+
     def test_zero_source_ignoring_time_across_blocks(self):
         # a source without terms has an empty table and zero norms
         steps = self.blocked_steps()
@@ -513,7 +528,7 @@ class TestAssembleRhs:
         solver = AdiSolver(tp, bx, by, 0.1, 6)
         factors, profiles = solver.source_factors, solver.source_profiles
         want = np.tensordot(0.5 * 0.1 * factors[:, 0] + 0.5 * 0.1 * factors[:, 1], profiles, axes=1)
-        np.testing.assert_array_equal(solver.assemble_rhs(0), want)
+        np.testing.assert_array_equal(solver.assemble_rhs(0, 1)[0], want)
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_panel_source_matches_direct_projections(self, mode):
@@ -601,7 +616,7 @@ class TestAssembleRhs:
             for start in [*range(BLOCK, k + 1, BLOCK), k]:
                 solver.u[: start + 1] = 0.0
                 solver.u[j] = e
-                rhs = solver.assemble_rhs(start)
+                rhs = solver.assemble_rhs(start, 1)[0]
 
             u = from_eigen(e, bx, by)
             mass_e = jx * jy * (bx.mass @ u) @ by.mass
@@ -657,7 +672,7 @@ class TestAssembleRhs:
     def test_step_index_range(self, k):
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.1, 6)
         with pytest.raises(ValueError, match="index"):
-            solver.assemble_rhs(k)
+            solver.assemble_rhs(k, 1)
 
 
 class TestNearProduct:
@@ -754,25 +769,25 @@ class TestStepVersusDense:
         for k in (5, BLOCK + 3, 5 * BLOCK + 3, 6 * BLOCK + 3):
             while solver.count - 1 < k:
                 solver.step_once()
-            step = solver.sweep_solve(solver.assemble_rhs(k))
+            step = solver.sweep_solve(solver.assemble_rhs(k, 1))
             solver.step_once()
-            np.testing.assert_array_equal(step, solver.u[k + 1])
+            np.testing.assert_array_equal(step, solver.u[k + 1 : k + 2])
 
     def test_out_of_order_call_rejected(self):
         # the far part of a block is in u only from its push on, and only
         # until its steps overwrite it
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, 4 * BLOCK)
         with pytest.raises(ValueError, match="outside the block at 0"):
-            solver.assemble_rhs(2 * BLOCK)
+            solver.assemble_rhs(2 * BLOCK, 1)
         for _ in range(BLOCK + 6):
             solver.step_once()
         with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
-            solver.assemble_rhs(5)
+            solver.assemble_rhs(5, 1)
         with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
-            solver.assemble_rhs(3 * BLOCK)
+            solver.assemble_rhs(3 * BLOCK, 1)
         with pytest.raises(ValueError, match=f"step {BLOCK + 4} was taken"):
-            solver.assemble_rhs(BLOCK + 4)
-        solver.assemble_rhs(BLOCK + 6)
+            solver.assemble_rhs(BLOCK + 4, 1)
+        solver.assemble_rhs(BLOCK + 6, 1)
 
 
     def test_march_maps_back_once(self):
@@ -920,8 +935,8 @@ class TestPanels:
                 want[:, i, j] = solve_triangular(dense, rhs[:, i, j], lower=True)
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
-        # a single level is divided by the sweep operator, as ever
-        np.testing.assert_array_equal(solver.sweep_solve(rhs[0]), rhs[0] / sweep)
+        # a panel of one step is divided by the sweep operator
+        np.testing.assert_array_equal(solver.sweep_solve(rhs[:1]), rhs[:1] / sweep)
 
     @pytest.mark.parametrize("m,steps", [(0, 2 * BLOCK + 37), (3, BLOCK + 40)])
     def test_panels_cover_the_march_within_blocks(self, m, steps):
@@ -937,7 +952,7 @@ class TestPanels:
         calls = []
         assemble = solver.assemble_rhs
 
-        def recording(k, n=None):
+        def recording(k, n):
             calls.append((k, n))
             return assemble(k, n)
 
@@ -1035,8 +1050,8 @@ class TestCorrectedMarch:
         )
         while solver.count <= solver.steps:  # stays in eigen-coordinates
             solver.step_once()
-        step = solver.sweep_solve(solver.assemble_rhs(4) + solver.correction_load(4))
-        np.testing.assert_array_equal(step, solver.u[5])
+        step = solver.sweep_solve(solver.assemble_rhs(4, 1) + solver.correction_load(4, 1))
+        np.testing.assert_array_equal(step, solver.u[5:6])
 
     def test_run_with_exact_seed_is_exact(self):
         sigmas, amps = (1.1, 1.2, 1.3), (1.3, -0.4, 0.7)
@@ -1069,7 +1084,7 @@ class TestCorrectedMarch:
             tp, bx, by, tau, steps,
             correction_terms=3, exponents=sigmas, starting_values=starting,
         )
-        load = solver.correction_load(k)
+        load = solver.correction_load(k, 1)[0]
 
         cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), sigmas, steps)
         diffs = np.array(starting)
@@ -1099,7 +1114,7 @@ class TestCorrectedMarch:
         by = build_basis(6, (-1.0, 1.0))
         plain = AdiSolver(tp, bx, by, 0.1, 6)
         with pytest.raises(ValueError, match="without corrections"):
-            plain.correction_load(3)
+            plain.correction_load(3, 1)
         base = np.zeros((bx.dim, by.dim))
         base[0, 0] = 4.0 / 9.0
         corrected = AdiSolver(
@@ -1107,7 +1122,7 @@ class TestCorrectedMarch:
             starting_values=[wfun(0.1) * base, wfun(0.2) * base],
         )
         with pytest.raises(ValueError, match="starts at"):
-            corrected.correction_load(1)
+            corrected.correction_load(1, 1)
 
 
 class TestBootstrap:
@@ -1205,6 +1220,34 @@ class TestSolverValidation:
         with pytest.raises(ValueError, match=f"at most {BLOCK} starting values"):
             AdiSolver(quiet_tp(), self.bx, self.by, 0.01, 2 * BLOCK, starting_values=start)
 
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(solver_module, "build_correction_set", no_table)
+        monkeypatch.setattr(solver_module, "project_time_series", no_table)
+
+    def test_too_many_starting_values(self, no_tables):
+        start = [np.zeros((self.bx.dim, self.by.dim))] * 6
+        with pytest.raises(ValueError, match="too many starting values: 6 for 5 steps"):
+            AdiSolver(quiet_tp(), self.bx, self.by, 0.2, 5, starting_values=start)
+        with pytest.raises(ValueError, match="too many starting values: 6 for 4 steps"):
+            AdiSolver(
+                quiet_tp(), self.bx, self.by, 0.25, 4,
+                correction_terms=3, exponents=(1.1, 1.2, 1.3), starting_values=start,
+            )
+
+    def test_too_few_starting_values(self, no_tables):
+        # corrected stepping starts at k = m, past the m starting values
+        start = [np.zeros((self.bx.dim, self.by.dim))]
+        for given in (start, None):
+            with pytest.raises(ValueError, match="too few starting values: . for 3 correction"):
+                AdiSolver(
+                    quiet_tp(), self.bx, self.by, 0.1, 10,
+                    correction_terms=3, exponents=(1.1, 1.2, 1.3), starting_values=given,
+                )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_source_stops_before_the_march(self):
         # a source on a unit profile, infinite at t = 0 (t^-0.5), whose
@@ -1238,11 +1281,23 @@ class TestRun:
             run(get_problem("compatible_smooth"), 8, 10, final_time)
 
     def test_zero_steps_initial_only(self):
-        res = run(get_problem("compatible_smooth"), 8, 0, 1.0)
+        # a run of no steps records the zero initial level alone, without
+        # corrections even where they are asked for, and no half-source norms
+        res = run(
+            get_problem("compatible_smooth"), 8, 0, 1.0,
+            correction_terms=3, exponents=(1.1, 1.2, 1.3),
+        )
         assert res.tau == 0.0
-        assert res.times.shape == (1,)
+        np.testing.assert_array_equal(res.times, [0.0])
         assert res.coeffs.shape == (1, 7, 7)
+        assert not res.coeffs.any()
+        assert res.half_source_norms.shape == (0,)
+        assert res.correction_terms == 0
+        assert res.exponents == ()
+        assert res.source_mode == "analytic"
         assert res.error_final == pytest.approx(0.0, abs=1e-13)
+        assert res.error_final == res.errors[-1]
+        assert res.error_max == max(res.errors)
         assert res.stability_ratio == 0.0
 
     def test_zero_data_stays_zero(self):
@@ -1366,6 +1421,42 @@ class TestRun:
         problem = get_problem("compatible_nonsmooth")
         with pytest.raises(ValueError, match=re.escape(message)):
             run(problem, 8, steps, 1.0, correction_terms=m, exponents=exponents)
+
+    @pytest.mark.parametrize(
+        "m,steps,count,message",
+        [
+            (3, 4, 6, "too many starting values: 6 for 4 steps"),
+            (0, 0, 1, "too many starting values: 1 for 0 steps"),
+            (3, 10, 1, "too few starting values: 1 for 3 correction terms"),
+        ],
+        ids=["corrected", "no-steps", "too-few"],
+    )
+    def test_starting_value_count_checked_before_any_march(
+        self, monkeypatch, m, steps, count, message
+    ):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(AdiSolver, "__init__", no_march)
+        start = [np.zeros((7, 7))] * count
+        with pytest.raises(ValueError, match=message):
+            run(
+                get_problem("compatible_nonsmooth"), 8, steps, 1.0,
+                correction_terms=m, exponents=(1.1, 1.2, 1.3)[:m], starting_values=start,
+            )
+
+    def test_uncorrected_run_keeps_starting_values(self):
+        # without corrections the march starts after the given levels, as
+        # an AdiSolver given them does, instead of from level 0
+        spec = get_problem("compatible_nonsmooth")
+        tp = reduce_order(spec)
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        start = [np.zeros((bx.dim, by.dim))] * 2
+        res = run(spec, 8, 10, 1.0, starting_values=start)
+        want = AdiSolver(tp, bx, by, 0.1, 10, starting_values=start).march()
+        np.testing.assert_array_equal(res.coeffs, want)
+        assert not res.coeffs[:3].any() and res.coeffs[3].any()
 
     def test_uncorrected_run_records_no_exponents(self):
         res = run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, exponents=(1.1,))
