@@ -17,6 +17,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .problems import SpatialProfile, profile_sum
+
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 100
 
@@ -268,24 +270,30 @@ def level_blocks(count, values_per_level):
     return [(b, min(b + size, count)) for b in range(0, count, size)]
 
 
-def l2_errors(coeffs, basis_x, basis_y, exact, times):
-    """L2 distances between the fields coeffs[n] and exact(x, y, times[n]).
+def grid_values(profiles, basis_x, basis_y):
+    """(P, Qx, Qy) values of P profiles on the Gauss grid, x of shape (Qx, 1), y (1, Qy)."""
+    x, y = basis_x.nodes[:, None], basis_y.nodes[None, :]
+    grid = np.empty((len(profiles), basis_x.quad_count, basis_y.quad_count))
+    for p, profile in enumerate(profiles):
+        grid[p] = profile.values(x, y)
+    return grid
 
-    coeffs is a (levels, dim_x, dim_y) stack.  Levels are taken in blocks
-    (see level_blocks): exact is called once per block with t of shape
-    (B, 1, 1), x of shape (1, Qx, 1) and y of shape (1, 1, Qy), and must
-    broadcast over all three.  The errors are quadratures of pointwise
-    differences on the bases' own rules (grid_norms), so a finite
-    difference has a finite error.
+
+def table_norms(table, grid, basis_x, basis_y, coeffs=None):
+    """Grid norms (grid_norms) of the L levels sum_p table[p, n] * grid[p].
+
+    table is (P, L) and grid the (P, Qx, Qy) values of its profiles
+    (grid_values); given a (L, dim_x, dim_y) stack coeffs, they are the
+    errors of coeffs[n] against level n.  The profiles are summed in
+    order (problems.profile_sum), one block of levels at a time.
     """
-    x = basis_x.nodes[None, :, None]
-    y = basis_y.nodes[None, None, :]
-    px, py = basis_x.basis_at_quad, basis_y.basis_at_quad
-    times = np.asarray(times, dtype=float)
-    out = np.empty(len(coeffs))
-    for b, e in level_blocks(len(coeffs), basis_x.quad_count * basis_y.quad_count):
-        target = exact(x, y, times[b:e, None, None])
-        out[b:e] = grid_norms(px.T @ coeffs[b:e] @ py - target, basis_x, basis_y)
+    shape = grid.shape[1:]
+    out = np.empty(table.shape[1])
+    for b, e in level_blocks(len(out), shape[0] * shape[1]):
+        vals = profile_sum(table[:, b:e, None, None], grid)  # 0.0 for no profiles
+        if coeffs is not None:
+            vals = basis_x.basis_at_quad.T @ coeffs[b:e] @ basis_y.basis_at_quad - vals
+        out[b:e] = grid_norms(np.broadcast_to(vals, (e - b,) + shape), basis_x, basis_y)
     return out
 
 
@@ -294,14 +302,9 @@ def l2_error(field, exact):
 
     exact receives x of shape (Qx, 1) and y of shape (1, Qy).
     """
-    errors = l2_errors(
-        field.coeffs[None],
-        field.basis_x,
-        field.basis_y,
-        lambda x, y, t: exact(x[0], y[0]),
-        np.zeros(1),
-    )
-    return float(errors[0])
+    bx, by = field.basis_x, field.basis_y
+    grid = grid_values((SpatialProfile(values=exact),), bx, by)
+    return float(table_norms(np.ones((1, 1)), grid, bx, by, field.coeffs[None])[0])
 
 
 def l2_norm(coeffs, basis_x, basis_y):

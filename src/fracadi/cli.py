@@ -433,7 +433,7 @@ def snapshot_lines(result, points=SNAPSHOT_POINTS):
     # basis functions vanish identically on the boundary rows/columns
     values[1:-1, 1:-1] = evaluate_field(result.field(-1), xs[1:-1], ys[1:-1])
     if result.tp.lift is not None:
-        values = values + result.tp.lift(xs[:, None], ys[None, :])
+        values = values + result.tp.lift.values(xs[:, None], ys[None, :])
     lines = []
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):

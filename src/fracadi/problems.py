@@ -43,9 +43,9 @@ class Rectangle:
 class SpatialProfile:
     """A spatial factor and (when known) its Laplacian, both vectorized.
 
-    values(x, y) and laplacian(x, y) must broadcast their arguments like
-    numpy ufuncs: the solver passes x of shape (1, Qx, 1) and y of shape
-    (1, 1, Qy) and scales the result by time factors of shape (B, 1, 1).
+    values(x, y) and laplacian(x, y) broadcast their arguments like numpy
+    ufuncs; the solver evaluates values once per run on the Gauss grid,
+    x of shape (Qx, 1) against y of shape (1, Qy) (basis.grid_values).
     """
 
     values: callable
@@ -69,17 +69,22 @@ class SeparableTerm:
             raise ValueError("time exponents must be finite")
 
 
-def time_factors(terms, t):
-    """{profile: sum of coefficient * t**exponent over its terms}, in term order."""
+def term_table(terms, t):
+    """(profiles, table) of a term tuple at the times t.
+
+    profiles are the terms' distinct profiles in order of first use, and
+    table[p] sums coefficient * t**exponent over the terms on profiles[p],
+    in term order; table has shape (P,) + the shape of t.
+    """
     factors = {}
     for term in terms:
         part = term.coefficient * t**term.exponent
         factors[term.profile] = factors.get(term.profile, 0.0) + part
-    return factors
+    return tuple(factors), np.array(list(factors.values())).reshape((len(factors),) + np.shape(t))
 
 
 def profile_sum(factors, values):
-    """sum_p factors[p] * values[p] in order: evaluate_terms' sum, and the solver's."""
+    """sum_p factors[p] * values[p] in order: evaluate_terms' sum, and basis.table_norms'."""
     total = 0.0
     for factor, value in zip(factors, values):
         total = total + factor * value
@@ -89,12 +94,11 @@ def profile_sum(factors, values):
 def evaluate_terms(terms, x, y, t):
     """Sum of coefficient * t**exponent * profile.values(x, y) over terms.
 
-    Each distinct profile is evaluated once.  t may be an array that
-    broadcasts against x and y, e.g. (B, 1, 1) against (1, Qx, 1) and
-    (1, 1, Qy) for B time levels at once.
+    Each distinct profile is evaluated once; t may be an array that
+    broadcasts against x and y.
     """
-    factors = time_factors(terms, t)
-    return profile_sum(factors.values(), (profile.values(x, y) for profile in factors))
+    profiles, table = term_table(terms, t)
+    return profile_sum(table, (profile.values(x, y) for profile in profiles))
 
 
 def caputo_power_factor(order, exponent):

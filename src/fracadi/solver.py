@@ -25,13 +25,13 @@ from .basis import (
     SpectralBasis1D,
     build_basis,
     from_eigen,
-    grid_norms,
-    l2_errors,
+    grid_values,
     l2_norm,
     level_blocks,
+    table_norms,
     to_eigen,
 )
-from .problems import ProblemSpec, SeparableTerm, SpatialProfile, profile_sum, time_factors
+from .problems import ProblemSpec, SeparableTerm, SpatialProfile, term_table
 from .weights import build_correction_set, check_exponents, power_factor, shifted_weights
 
 # Steps per block of the memory sum: the last < BLOCK levels are contracted
@@ -133,16 +133,15 @@ class TransformedProblem:
     """The reduced first-order-in-time problem the stepper integrates.
 
     d/dt u + sum_i coeffs_i D^{betas_i} u = mu D^{-beta} Laplacian(u) + s,
-    with u(0) = 0; `lift` holds the subtracted initial value (added back
-    for physical output) and `exact` is the reduced exact solution.
+    with u(0) = 0; `lift` is the SpatialProfile of the subtracted initial
+    value (added back for physical output), None for none.
 
     The reduced source is s = I^beta f + g: f, the shifted forcing, enters
     through its fractional integral of order beta, and g (the
-    initial-velocity terms) is added as it stands.  Both are tuples of
-    SeparableTerm, each the sum of its terms (problems.evaluate_terms);
-    () is a zero source.  exact is called as exact(x, y, t) on blocks of
-    time levels: t has shape (B, 1, 1), x (1, Qx, 1) and y (1, 1, Qy), and
-    it must broadcast over all three; lift(x, y) takes no time.
+    initial-velocity terms) is added as it stands.  f, g and the reduced
+    exact solution `exact` are tuples of SeparableTerm, each the sum of
+    its terms (problems.evaluate_terms); () is a zero source, and an
+    empty `exact` means no exact solution.
     """
 
     name: str
@@ -153,10 +152,13 @@ class TransformedProblem:
     domain: object
     f: tuple = ()  # shifted forcing, under the integral of order beta
     g: tuple = ()  # terms added to the reduced source directly
-    exact: callable = None
-    lift: callable = None
+    exact: tuple = ()
+    lift: SpatialProfile = None
 
     def __post_init__(self):
+        for name in ("f", "g", "exact"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name}: terms must be a tuple of SeparableTerm")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("reduced order beta must lie in (0, 1)")
         if any(not -1.0 <= b <= 1.0 for b in self.betas):
@@ -171,7 +173,7 @@ def reduce_order(problem):
     Applies the fractional integral of order beta = alpha - 1, shifts by
     the initial value g1 (forcing picks up mu * Laplacian(g1)), and
     collects the initial-velocity terms: f is the shifted forcing and g
-    the velocity terms, both tuples of terms.
+    the velocity terms, both tuples of terms; exact loses g1 as a -1 * t^0 term.
     """
     beta = problem.alpha - 1.0
     betas = tuple(a - problem.alpha + 1.0 for a in problem.alphas)
@@ -192,14 +194,9 @@ def reduce_order(problem):
                 e = problem.alpha - a_j
                 velocity += (SeparableTerm(c_j / math.gamma(e + 1.0), e, problem.g2),)
 
-    exact_reduced = None
-    lift = problem.g1.values if problem.g1 is not None else None
-    if problem.has_exact:
-        if lift is None:
-            exact_reduced = problem.exact
-        else:
-            def exact_reduced(x, y, t):
-                return problem.exact(x, y, t) - lift(x, y)
+    exact = tuple(problem.exact_terms)
+    if exact and problem.g1 is not None:
+        exact += (SeparableTerm(-1.0, 0.0, problem.g1),)
 
     return TransformedProblem(
         name=problem.name,
@@ -210,8 +207,8 @@ def reduce_order(problem):
         domain=problem.domain,
         f=shifted,
         g=velocity,
-        exact=exact_reduced,
-        lift=lift,
+        exact=exact,
+        lift=problem.g1,
     )
 
 
@@ -285,12 +282,9 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
     dim_y).  The analytic mode integrates each term of f in closed form
     (one Gamma ratio) after g's terms; the sampled mode applies the shifted GL rule of order -beta
     to f's time factors (the integral is linear in time) and adds g's.
-    half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms,
-    formed on blocks of steps (basis.level_blocks) from the table and
-    the profiles' values: the block of steps b..e-1 evaluates the
-    levels b..e.
+    half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms
+    (basis.table_norms) of the half sums of the table's columns.
     """
-    bx, by = basis_x, basis_y
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
     if _resolve_source_mode(mode) == "analytic":
@@ -299,33 +293,23 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
             SeparableTerm(f.coefficient * power_factor(-b, f.exponent), f.exponent + b, f.profile)
             for f in tp.f
         )
-        factors = time_factors(tp.g + integrated, times)
+        profiles, table = term_table(tp.g + integrated, times)
     else:
-        forcing = time_factors(tp.f, times)
-        # (levels, P) columns, (levels, 0) without forcing
-        columns = np.array(list(forcing.values())).reshape(len(forcing), n_levels).T
+        forcing, columns = term_table(tp.f, times)
         lam = shifted_weights(-tp.beta, steps)[None]
-        integral = causal_sum(lam, columns, 0, n_levels, 1.0, np.zeros(columns.shape))
-        factors = dict(zip(forcing, tau**tp.beta * integral.T))
-        for profile, part in time_factors(tp.g, times).items():
-            factors[profile] = factors.get(profile, 0.0) + part
-    table = np.array(list(factors.values())).reshape(len(factors), n_levels)
+        integral = causal_sum(lam, columns.T, 0, n_levels, 1.0, np.zeros(columns.T.shape))
+        velocity, rows = term_table(tp.g, times)
+        profiles = forcing + tuple(p for p in velocity if p not in forcing)
+        table = np.zeros((len(profiles), n_levels))
+        table[: len(forcing)] = tau**tp.beta * integral.T
+        table[[profiles.index(p) for p in velocity]] += rows
 
-    x, y = bx.nodes[None, :, None], by.nodes[None, None, :]
-    shape = (bx.quad_count, by.quad_count)
-    grid = np.empty((len(factors),) + shape)
-    for p, profile in enumerate(factors):
-        grid[p] = profile.values(x, y)
-    profiles = (bx.basis_at_quad * bx.weights) @ grid @ (by.basis_at_quad * by.weights).T
-
-    half_source_norms = np.empty(steps)
-    for b, e in level_blocks(steps, shape[0] * shape[1]):
-        # a source without terms is the scalar 0.0
-        vals = profile_sum(table[:, b : e + 1, None, None], grid)
-        vals = np.broadcast_to(vals, (e + 1 - b,) + shape)
-        # halving before adding keeps the mean of two finite levels finite
-        half_source_norms[b:e] = grid_norms(0.5 * vals[:-1] + 0.5 * vals[1:], bx, by)
-    return table, profiles, half_source_norms
+    bx, by = basis_x, basis_y
+    grid = grid_values(profiles, bx, by)
+    projections = (bx.basis_at_quad * bx.weights) @ grid @ (by.basis_at_quad * by.weights).T
+    # halving before adding keeps the mean of two finite levels finite
+    half = 0.5 * table[:, :-1] + 0.5 * table[:, 1:]
+    return table, projections, table_norms(half, grid, bx, by)
 
 
 def physical_memory():
@@ -886,6 +870,8 @@ def run(
         source_mode=source_mode,
         wall_time=wall,
     )
-    if tp.exact is not None:
-        result.errors = l2_errors(coeffs, basis_x, basis_y, tp.exact, result.times)
+    if tp.exact:
+        profiles, table = term_table(tp.exact, result.times)
+        grid = grid_values(profiles, basis_x, basis_y)
+        result.errors = table_norms(table, grid, basis_x, basis_y, coeffs)
     return result

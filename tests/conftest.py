@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fracadi.basis import build_basis
+from fracadi.problems import evaluate_terms
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def project_field(func, basis_x, basis_y):
 def exact_starting_values(tp, basis_x, basis_y, tau, count):
     """L2 projections of the reduced exact solution at t_1 .. t_count."""
     return [
-        project_field(lambda x, y, t=j * tau: tp.exact(x, y, t), basis_x, basis_y)
+        project_field(lambda x, y, t=j * tau: evaluate_terms(tp.exact, x, y, t), basis_x, basis_y)
         for j in range(1, count + 1)
     ]
 

@@ -10,15 +10,17 @@ from fracadi.basis import (
     build_basis,
     evaluate_field,
     gauss_legendre,
+    grid_values,
     l2_error,
-    l2_errors,
     l2_norm,
     legendre_deriv_table,
     legendre_table,
     shen_mass_matrix,
     shen_stiffness_diagonal,
+    table_norms,
 )
 from fracadi.oracle import gauss_rule_deviation, quadrature_matrix_check
+from fracadi.problems import SpatialProfile
 
 from conftest import project_field, project_source
 
@@ -220,12 +222,12 @@ class TestL2:
         bx, by = unit_bases
         coeffs = rng.standard_normal((3, bx.dim, by.dim))
         times = np.array([0.0, 0.5, 1.0])
+        table = (1.0 + times)[None]
+        profile = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.cos(y))
+        grid = grid_values((profile,), bx, by)
 
-        def exact(x, y, t):
-            return (1.0 + t) * np.sin(np.pi * x) * np.cos(y)
-
-        plain = l2_errors(coeffs, bx, by, exact, times)
-        huge = l2_errors(1e170 * coeffs, bx, by, lambda x, y, t: 1e170 * exact(x, y, t), times)
+        plain = table_norms(table, grid, bx, by, coeffs)
+        huge = table_norms(1e170 * table, grid, bx, by, 1e170 * coeffs)
         assert np.all(plain > 1.0)
         np.testing.assert_allclose(huge, 1e170 * plain, rtol=1e-12)
 

@@ -2,6 +2,7 @@
 import contextlib
 import gc
 import io
+import math
 import os
 import pathlib
 import subprocess
@@ -485,6 +486,10 @@ class TestMainStudy:
         l2 = [row[1] for row in rows]
         assert l2[0] / l2[1] >= 100.0
         assert l2[1] > l2[2]
+        # the rate is the slope of log e against log N: negative while e falls
+        for (n0, e0, _, _, _), (n1, e1, rate, _, _) in zip(rows, rows[1:]):
+            assert rate < 0.0
+            assert rate == pytest.approx(math.log(e0 / e1) / math.log(n0 / n1), rel=1e-12)
 
     def test_underflowed_errors_leave_the_rate_blank(self, tmp_path, capfd):
         # at T = 1e-300 every error underflows to 0; the rates are undefined

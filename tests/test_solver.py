@@ -115,9 +115,6 @@ def power_shape_problem(sigmas, amps, domain=UNIT_SQUARE,
         g += dw(a, b, values)
     g += dw(-mu, -beta, laplacian)
 
-    def exact(x, y, t):
-        return wfun(t) * shape(x, y)
-
     tp = TransformedProblem(
         name="power_shape",
         beta=beta,
@@ -126,7 +123,7 @@ def power_shape_problem(sigmas, amps, domain=UNIT_SQUARE,
         mu=mu,
         domain=domain,
         g=tuple(g),
-        exact=exact,
+        exact=tuple(SeparableTerm(c, s, values) for c, s in zip(amps, sigmas)),
     )
     return tp, wfun
 
@@ -159,8 +156,8 @@ class TestReduceOrder:
     def test_exact_passthrough_without_lift(self):
         spec = get_problem("compatible_smooth")
         tp = reduce_order(spec)
-        x, y, t = 0.2, -0.6, 0.9
-        assert tp.exact(x, y, t) == spec.exact(x, y, t)
+        assert tp.exact == spec.exact_terms
+        assert tp.lift is None
 
     def test_closed_form_source_smooth(self):
         spec = get_problem("compatible_smooth")
@@ -196,10 +193,11 @@ class TestReduceOrder:
         spec = get_problem("compatible_nonsmooth")
         tp = reduce_order(spec)
         x, y, t = -0.3, 0.55, 0.8
-        assert tp.lift(x, y) == pytest.approx(spec.g1.values(x, y), rel=1e-14)
+        assert tp.exact == spec.exact_terms + (SeparableTerm(-1.0, 0.0, spec.g1),)
+        assert tp.lift is spec.g1
         want = spec.exact(x, y, t) - spec.g1.values(x, y)
-        assert tp.exact(x, y, t) == pytest.approx(want, rel=1e-13)
-        assert tp.exact(x, y, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert evaluate_terms(tp.exact, x, y, t) == pytest.approx(want, rel=1e-13)
+        assert evaluate_terms(tp.exact, x, y, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_missing_laplacian_rejected(self):
         spec = ProblemSpec(
@@ -480,14 +478,20 @@ class TestProjectTimeSeries:
         # each block of steps evaluates both end levels of its steps, and
         # every norm is summed in one order, so one step per block, the
         # default blocks and one block in all give the same bits
+        # default blocks and one block in all give the same bits; so do
+        # the errors of a run, whose default blocks are 64 levels here
         tp = two_profile_problem()
         steps = self.blocked_steps()
-        norms = []
+        spec = get_problem("compatible_nonsmooth")
+        norms, errors = [], []
         for values in (1, LEVEL_BLOCK_VALUES, 2**40):
             monkeypatch.setattr(basis_module, "LEVEL_BLOCK_VALUES", values)
             norms.append(project_time_series(tp, self.bx, self.by, 1.0 / steps, steps, mode)[2])
-        np.testing.assert_array_equal(norms[0], norms[1])
-        np.testing.assert_array_equal(norms[0], norms[2])
+            errors.append(run(spec, 8, 150, 1.0, source_mode=mode).errors)
+        for got in norms[1:]:
+            np.testing.assert_array_equal(got, norms[0])
+        for got in errors[1:]:
+            np.testing.assert_array_equal(got, errors[0])
 
     def test_zero_source_ignoring_time_across_blocks(self):
         # a source without terms has an empty table and zero norms
@@ -1199,6 +1203,16 @@ class TestSolverValidation:
         with pytest.raises(ValueError, match="at least one step"):
             AdiSolver(quiet_tp(), self.bx, self.by, 0.1, 0)
 
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("g", SeparableTerm(1.0, 0.5, HUMP), id="single-term"),
+        pytest.param("g", [SeparableTerm(1.0, 0.5, HUMP)], id="list"),
+        pytest.param("exact", lambda x, y, t: t * x * y, id="callable-exact"),
+    ])
+    def test_term_fields_must_be_tuples(self, field, value):
+        # rejected when built, not deep inside the march or after it
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            dataclasses.replace(quiet_tp(), **{field: value})
+
     def test_negative_corrections(self):
         with pytest.raises(ValueError, match="nonnegative"):
             AdiSolver(quiet_tp(), self.bx, self.by, 0.1, 6, correction_terms=-1)
@@ -1357,10 +1371,11 @@ class TestRun:
         # (the error grid is larger than dim**2)
         degree = 20
         steps = 2 * (LEVEL_BLOCK_VALUES // (degree - 1) ** 2) + 7
-        res = run(get_problem("compatible_nonsmooth"), degree, steps, 1.0)
+        spec = get_problem("compatible_nonsmooth")
+        res = run(spec, degree, steps, 1.0)
         tol = 1e-13 * np.max(res.norms)
         for n, t in enumerate(res.times):
-            want = l2_error(res.field(n), lambda x, y: res.tp.exact(x, y, t))
+            want = l2_error(res.field(n), lambda x, y: spec.exact(x, y, t) - spec.g1.values(x, y))
             assert res.errors[n] == pytest.approx(want, rel=1e-12, abs=tol)
             want = l2_norm(res.coeffs[n], res.basis_x, res.basis_y)
             assert res.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
@@ -1470,7 +1485,7 @@ class TestRun:
 
     def test_field_accessor_matches_exact(self):
         res = run(get_problem("compatible_smooth"), 12, 32, 1.0)
-        err = l2_error(res.field(-1), lambda x, y: res.tp.exact(x, y, 1.0))
+        err = l2_error(res.field(-1), lambda x, y: evaluate_terms(res.tp.exact, x, y, 1.0))
         assert err == pytest.approx(res.error_final, rel=1e-10)
 
     def test_exact_projection_seed_matches_conftest_helper(self):
@@ -1478,8 +1493,8 @@ class TestRun:
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(12, tp.domain.x_interval)
         by = build_basis(12, tp.domain.y_interval)
-        coeffs = project_field(lambda x, y: tp.exact(x, y, 0.5), bx, by)
+        coeffs = project_field(lambda x, y: evaluate_terms(tp.exact, x, y, 0.5), bx, by)
         from fracadi.basis import ModalField2D
 
-        err = l2_error(ModalField2D(coeffs, bx, by), lambda x, y: tp.exact(x, y, 0.5))
+        err = l2_error(ModalField2D(coeffs, bx, by), lambda x, y: evaluate_terms(tp.exact, x, y, 0.5))
         assert err <= 1e-6
