@@ -199,7 +199,9 @@ def build_basis(degree, interval):
 
     Its one Gauss rule, shared by projections, source norms and errors,
     has degree + 8 points: enough to integrate products of basis
-    functions exactly, with headroom for smooth data.
+    functions exactly, with headroom for smooth data.  The norms of
+    level_norms rest on that exactness: on the basis the grid inner
+    product is the L2 one, so a field's grid norm is its mass-matrix norm.
     """
     if degree < 4:
         raise ValueError("degree must be at least 4")
@@ -238,16 +240,14 @@ def evaluate_field(field, x, y):
     return px.T @ field.coeffs @ py
 
 
-def grid_norms(vals, basis_x, basis_y):
-    """L2 norms by quadrature of a (levels, Qx, Qy) stack of grid values.
+def eigen_mass(basis_x, basis_y):
+    """(dim_x, dim_y) diagonal J_x J_y lam_x lam_y of the mass operator in eigen-coordinates.
 
-    Each level's norm has the same bits in every stack it is part of: the
-    y weights are applied by a sum along rows, not by one matrix-vector
-    product over the stack, whose BLAS kernel sums a row in an order
-    that depends on its position.
+    The squared L2 norm of a field with eigen-coordinates v is
+    sum(eigen_mass * v**2).
     """
-    wx, wy = basis_x.weights, basis_y.weights
-    return stack_norms(lambda v: np.sum((wx @ v**2) * wy, axis=-1), vals)
+    jx, jy = basis_x.jacobian, basis_y.jacobian
+    return (jx * jy) * basis_x.eigenvalues[:, None] * basis_y.eigenvalues[None, :]
 
 
 # Values per block temporary in the blocked evaluators: a stack of time
@@ -279,36 +279,104 @@ def grid_values(profiles, basis_x, basis_y):
     return grid
 
 
-def table_norms(table, grid, basis_x, basis_y, coeffs=None):
-    """Grid norms (grid_norms) of the L levels sum_p table[p, n] * grid[p].
+def shen_loads(grid, basis_x, basis_y):
+    """(P, dim_x, dim_y) inner products, by the Gauss rule, of P grid functions with the basis."""
+    bx, by = basis_x, basis_y
+    return (bx.basis_at_quad * bx.weights) @ grid @ (by.basis_at_quad * by.weights).T
 
-    table is (P, L) and grid the (P, Qx, Qy) values of its profiles
-    (grid_values); given a (L, dim_x, dim_y) stack coeffs, they are the
-    errors of coeffs[n] against level n.  The profiles are summed in
-    order (problems.profile_sum), one block of levels at a time.
+
+def grid_factor(grid, basis_x, basis_y):
+    """R factor of the thin QR of P weighted grid functions, a (P, P) matrix.
+
+    With sqrt(W) the square roots of the Gauss weights, the columns of
+    the QR are sqrt(W) * grid[p]; so the grid norm of sum_p t_p grid[p] is
+    the Euclidean norm of sum_p t_p r[:, p].  scipy.linalg.qr, not numpy's,
+    for the reason eigen_factors gives.  A non-finite grid value makes
+    the factor non-finite.
     """
-    shape = grid.shape[1:]
-    out = np.empty(table.shape[1])
-    for b, e in level_blocks(len(out), shape[0] * shape[1]):
-        vals = profile_sum(table[:, b:e, None, None], grid)  # 0.0 for no profiles
-        if coeffs is not None:
-            vals = basis_x.basis_at_quad.T @ coeffs[b:e] @ basis_y.basis_at_quad - vals
-        out[b:e] = grid_norms(np.broadcast_to(vals, (e - b,) + shape), basis_x, basis_y)
-    return out
+    count = len(grid)
+    root = np.sqrt(basis_x.weights)[:, None] * np.sqrt(basis_y.weights)[None, :]
+    weighted = (grid * root).reshape(count, root.size).T
+    return scipy.linalg.qr(weighted, mode="r", check_finite=False)[0][:count]
+
+
+def projection_factors(grid, basis_x, basis_y):
+    """(eigen, r): the per-run factors of P profiles that level_norms needs.
+
+    grid holds the profiles' (P, Qx, Qy) values (grid_values).  eigen,
+    (P, dim_x, dim_y), are the eigen-coordinates E_x^T b_p E_y / eigen_mass
+    of each profile's projection onto the basis, with b_p its Shen loads
+    (shen_loads); r is the grid_factor of the residuals, the profiles
+    minus their projections on the grid.
+    """
+    bx, by = basis_x, basis_y
+    eigen = bx.eigenvectors.T @ shen_loads(grid, bx, by) @ by.eigenvectors
+    eigen /= eigen_mass(bx, by)
+    residual = grid - bx.basis_at_quad.T @ from_eigen(eigen, bx, by) @ by.basis_at_quad
+    return eigen, grid_factor(residual, bx, by)
+
+
+def _factor_squares(t, r):
+    """||sum_p t[n, p] r[:, p]||^2 for each row n of an (L, P) stack t.
+
+    The profiles are summed in order (problems.profile_sum) and each row
+    on its own, so a row's value has the same bits in every stack.
+    """
+    start = np.zeros((len(t), len(r)))
+    return np.sum(profile_sum(t.T[:, :, None], r.T[:, None, :], start) ** 2, axis=1)
+
+
+def factor_norms(table, r):
+    """||sum_p table[p, n] r[:, p]|| for each column n of a (P, L) table.
+
+    For r = grid_factor(grid) these are the grid norms of the levels
+    sum_p table[p, n] grid[p], at O(P^2) per level.
+    """
+    return stack_norms(lambda t: _factor_squares(t, r), table.T)
+
+
+def level_norms(v, basis_x, basis_y, table=None, factors=None):
+    """Grid norms of u_n - sum_p table[p, n] phi_p, one per level n of v.
+
+    v is the (L, dim_x, dim_y) stack of the levels u_n in
+    eigen-coordinates (to_eigen), table a (P, L) table of time factors
+    and factors = projection_factors of the P profiles phi_p; without a
+    table these are the norms of the u_n.  The Gauss rule of build_basis
+    integrates products of basis functions exactly, and the residuals
+    phi_p - Pi phi_p of the projections Pi phi_p are grid-orthogonal to
+    the basis, so with d_n = sum_p table[p, n] eigen_p - v_n the squared
+    norm is sum(eigen_mass * d_n**2) + ||sum_p table[p, n] r[:, p]||^2.
+    Both sums run over the profiles in order (problems.profile_sum) and
+    each level is summed on its own, so a level's norm has the same bits
+    in every stack.  Both parts share one power-of-two shift per level
+    where the squares overflow (stack_norms).
+    """
+    mass = eigen_mass(basis_x, basis_y)
+    if table is None:
+        return stack_norms(lambda v: np.sum(mass * v**2, axis=(1, 2)), v)
+    eigen, r = factors
+
+    def squared(t, v):
+        d = profile_sum(t.T[:, :, None, None], eigen) - v
+        return np.sum(mass * d**2, axis=(1, 2)) + _factor_squares(t, r)
+
+    return stack_norms(squared, table.T, v)
 
 
 def l2_error(field, exact):
     """L2 distance between the field and a vectorized exact(x, y).
 
-    exact receives x of shape (Qx, 1) and y of shape (1, Qy).
+    exact receives x of shape (Qx, 1) and y of shape (1, Qy); the
+    distance is the grid norm of level_norms, with exact as one profile.
     """
     bx, by = field.basis_x, field.basis_y
-    grid = grid_values((SpatialProfile(values=exact),), bx, by)
-    return float(table_norms(np.ones((1, 1)), grid, bx, by, field.coeffs[None])[0])
+    factors = projection_factors(grid_values((SpatialProfile(values=exact),), bx, by), bx, by)
+    v = to_eigen(field.coeffs, bx, by)[None]
+    return float(level_norms(v, bx, by, np.ones((1, 1)), factors)[0])
 
 
 def l2_norm(coeffs, basis_x, basis_y):
-    """L2 norm of a modal coefficient matrix (exact, via mass matrices).
+    """L2 norm of a modal coefficient matrix (level_norms of its eigen-coordinates).
 
     For a (levels, dim_x, dim_y) stack it returns the array of the
     levels' norms, computed in blocks of levels (see level_blocks).
@@ -316,33 +384,29 @@ def l2_norm(coeffs, basis_x, basis_y):
     coeffs = np.asarray(coeffs)
     if coeffs.ndim == 2:
         return float(l2_norm(coeffs[None], basis_x, basis_y)[0])
-    scale = basis_x.jacobian * basis_y.jacobian
-
-    def squared(block):
-        quad = scale * np.sum(block * (basis_x.mass @ block @ basis_y.mass), axis=(1, 2))
-        # tiny negative round-off can appear for near-zero fields
-        return np.maximum(quad, 0.0)
-
     out = np.empty(len(coeffs))
     for b, e in level_blocks(len(coeffs), coeffs.shape[1] * coeffs.shape[2]):
-        out[b:e] = stack_norms(squared, coeffs[b:e])
+        out[b:e] = level_norms(to_eigen(coeffs[b:e], basis_x, basis_y), basis_x, basis_y)
     return out
 
 
-def stack_norms(squared, stack):
-    """Square roots of squared(stack), one per level of a (levels, n, m) stack.
+def stack_norms(squared, *stacks):
+    """Square roots of squared(*stacks), one per level (axis 0 of every stack).
 
-    squared must be a sum of squares of the entries (homogeneous of degree
-    two).  Where a result is not finite, every level is first divided by a
-    power of two near its largest entry, which keeps the squares of a
-    finite level finite; the division is exact, so both ways give the same
-    bits wherever the plain squares do not overflow.
+    squared must be a sum of squares of linear combinations of the
+    entries (homogeneous of degree two in all stacks together).  Where a
+    result is not finite, every level is first divided, in each stack, by
+    one power of two near its largest entry in any of them, which keeps
+    the squares of a finite level finite; the division is exact, so both
+    ways give the same bits wherever the plain squares do not overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # handled below
-        out = np.sqrt(squared(stack))
+        out = np.sqrt(squared(*stacks))
     if not np.isfinite(out).all():
-        shift = np.frexp(np.max(np.abs(stack), axis=(1, 2), keepdims=True))[1]
-        out = np.ldexp(np.sqrt(squared(np.ldexp(stack, -shift))), shift[:, 0, 0])
+        top = [np.abs(s).max(axis=tuple(range(1, s.ndim)), initial=0.0) for s in stacks]
+        shift = np.frexp(np.max(top, axis=0))[1]
+        scaled = [np.ldexp(s, -shift.reshape((-1,) + (1,) * (s.ndim - 1))) for s in stacks]
+        out = np.ldexp(np.sqrt(squared(*scaled)), shift)
     return out
 
 

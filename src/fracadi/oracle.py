@@ -3,8 +3,9 @@
 Everything here is deliberately structured differently from the code it
 validates: dense pivoted LU instead of the eigen-coordinate sweeps,
 direct endpoint-averaged weight sums instead of telescoped pair sums,
-library quadrature instead of the closed Gamma forms, and an external
-Gauss-Legendre rule for the matrix entries.  verify_checks() is the
+library quadrature instead of the closed Gamma forms, an external
+Gauss-Legendre rule for the matrix entries, and sums over the Gauss grid
+instead of the eigen-coordinate norms.  verify_checks() is the
 battery that `fracadi verify` prints.
 """
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .basis import (
     eigen_factors,
     from_eigen,
     gauss_legendre,
+    grid_values,
     legendre_deriv_table,
     legendre_table,
     shen_mass_matrix,
     shen_stiffness_diagonal,
 )
-from .solver import StepCoefficients, eigen_operators, project_time_series
+from .problems import get_problem, term_table
+from .solver import StepCoefficients, eigen_operators, project_time_series, run, source_table
 from .weights import (
     build_correction_set,
     default_sigmas,
@@ -310,6 +313,43 @@ def weight_identity_residual(order, exponents, rows):
     return worst.astype(float)
 
 
+def grid_norms(table, grid, basis_x, basis_y, coeffs=None):
+    """Norms of the L levels u_n - sum_p table[p, n] grid[p], summed on the Gauss grid.
+
+    The direct path for basis.level_norms and factor_norms: table is
+    (P, L), grid the (P, Qx, Qy) values of its profiles (grid_values), and
+    coeffs the (L, dim_x, dim_y) Shen coefficients of the u_n, None for
+    zero.  Every level is evaluated on the grid and weighted there.
+    """
+    vals = np.tensordot(table.T, grid, axes=1)
+    if coeffs is not None:
+        vals = basis_x.basis_at_quad.T @ coeffs @ basis_y.basis_at_quad - vals
+    weights = np.outer(basis_x.weights, basis_y.weights)
+    return np.sqrt(np.sum(weights * vals**2, axis=(1, 2)))
+
+
+def direct_norm_gap(result):
+    """Largest gap of a RunResult's norms from grid_norms, the direct path.
+
+    Compares the half-source norms (relative to the largest of them),
+    and the norms and errors (relative to max ||u^n||), each recomputed
+    from the run's coefficients, source table and exact terms.
+    """
+    tp, bx, by, coeffs = result.tp, result.basis_x, result.basis_y, result.coeffs
+    profiles, table = source_table(tp, result.tau, len(coeffs) - 1, result.source_mode)
+    half = grid_norms(0.5 * table[:, :-1] + 0.5 * table[:, 1:], grid_values(profiles, bx, by), bx, by)
+    norms = grid_norms(np.zeros((0, len(coeffs))), grid_values((), bx, by), bx, by, coeffs)
+    gaps = [
+        np.max(np.abs(result.half_source_norms - half)) / np.max(half),
+        np.max(np.abs(result.norms - norms)) / np.max(norms),
+    ]
+    if tp.exact:
+        profiles, table = term_table(tp.exact, result.times)
+        errors = grid_norms(table, grid_values(profiles, bx, by), bx, by, coeffs)
+        gaps.append(np.max(np.abs(result.errors - errors)) / np.max(norms))
+    return max(float(gap) for gap in gaps)
+
+
 def verify_checks():
     """Deterministic oracle cross-checks; yields (name, ok, metric)."""
     for n in (8, 24, 64):
@@ -339,3 +379,13 @@ def verify_checks():
             qf = history_quadratic_form(order, v)
             worst = max(worst, -qf / float(v @ v))
     yield "memory_quadratic_form", worst <= 1e-12, worst
+
+    # a corrected sampled run, and one at N = 4 (fig3's first level),
+    # whose error is mostly the part of the exact solution off the basis
+    corrected = run(
+        get_problem("compatible_nonsmooth"), 12, 64, 1.0,
+        correction_terms=3, exponents=default_sigmas(3), source_mode="sampled",
+    )
+    coarse = run(get_problem("compatible_smooth"), 4, 2000, 1.0)
+    gap = max(direct_norm_gap(corrected), direct_norm_gap(coarse))
+    yield "norms_vs_grid_sums", gap <= 1e-13, gap

@@ -83,9 +83,13 @@ def term_table(terms, t):
     return tuple(factors), np.array(list(factors.values())).reshape((len(factors),) + np.shape(t))
 
 
-def profile_sum(factors, values):
-    """sum_p factors[p] * values[p] in order: evaluate_terms' sum, and basis.table_norms'."""
-    total = 0.0
+def profile_sum(factors, values, total=0.0):
+    """total + sum_p factors[p] * values[p], added in order.
+
+    The one sum over profiles of evaluate_terms and of the norms in basis
+    (level_norms, factor_norms): a level's sum has the same bits however
+    many levels the factors hold.
+    """
     for factor, value in zip(factors, values):
         total = total + factor * value
     return total

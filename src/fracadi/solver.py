@@ -24,11 +24,15 @@ from .basis import (
     ModalField2D,
     SpectralBasis1D,
     build_basis,
+    eigen_mass,
+    factor_norms,
     from_eigen,
+    grid_factor,
     grid_values,
-    l2_norm,
     level_blocks,
-    table_norms,
+    level_norms,
+    projection_factors,
+    shen_loads,
     to_eigen,
 )
 from .problems import ProblemSpec, SeparableTerm, SpatialProfile, term_table
@@ -246,7 +250,7 @@ def eigen_operators(coeffs, basis_x, basis_y):
     lx, ly = basis_x.eigenvalues[:, None], basis_y.eigenvalues[None, :]
     p = math.sqrt(coeffs.mass_coef)
     q = coeffs.grad_coef
-    mass = (jx * jy) * lx * ly
+    mass = eigen_mass(basis_x, basis_y)
     stiff = (jy / jx) * ly + (jx / jy) * lx
     cross = np.full(mass.shape, 1.0 / (jx * jy))
     sweep = (p * jx * lx + q / (p * jx)) * (p * jy * ly + q / (p * jy))
@@ -270,20 +274,14 @@ def _resolve_source_mode(mode):
     return "analytic" if mode == "auto" else mode
 
 
-# Overflow of the source shows up as a non-finite half-source norm, which
-# AdiSolver reports with the level it happened at; no warnings on the way.
-@np.errstate(over="ignore", invalid="ignore")
-def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
-    """The reduced source I^beta f + g, s(t_n) = sum_p factors[p, n] phi_p(x, y).
+def source_table(tp, tau, steps, mode="auto"):
+    """(profiles, table) of the reduced source I^beta f + g at t_n = n tau.
 
-    Returns (factors, profiles, half_source_norms): a (P, steps + 1)
-    table of time factors over the P distinct profiles phi_p of the terms,
-    and their inner products with the Shen tensor basis, (P, dim_x,
-    dim_y).  The analytic mode integrates each term of f in closed form
-    (one Gamma ratio) after g's terms; the sampled mode applies the shifted GL rule of order -beta
-    to f's time factors (the integral is linear in time) and adds g's.
-    half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2|| are grid norms
-    (basis.table_norms) of the half sums of the table's columns.
+    s(t_n) = sum_p table[p, n] phi_p(x, y) over the P distinct profiles
+    phi_p of the terms; table is (P, steps + 1).  The analytic mode
+    integrates each term of f in closed form (one Gamma ratio) after g's
+    terms; the sampled mode applies the shifted GL rule of order -beta to
+    f's time factors (the integral is linear in time) and adds g's.
     """
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
@@ -293,23 +291,48 @@ def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
             SeparableTerm(f.coefficient * power_factor(-b, f.exponent), f.exponent + b, f.profile)
             for f in tp.f
         )
-        profiles, table = term_table(tp.g + integrated, times)
-    else:
-        forcing, columns = term_table(tp.f, times)
-        lam = shifted_weights(-tp.beta, steps)[None]
-        integral = causal_sum(lam, columns.T, 0, n_levels, 1.0, np.zeros(columns.T.shape))
-        velocity, rows = term_table(tp.g, times)
-        profiles = forcing + tuple(p for p in velocity if p not in forcing)
-        table = np.zeros((len(profiles), n_levels))
-        table[: len(forcing)] = tau**tp.beta * integral.T
-        table[[profiles.index(p) for p in velocity]] += rows
+        return term_table(tp.g + integrated, times)
+    forcing, columns = term_table(tp.f, times)
+    lam = shifted_weights(-tp.beta, steps)[None]
+    integral = causal_sum(lam, columns.T, 0, n_levels, 1.0, np.zeros(columns.T.shape))
+    velocity, rows = term_table(tp.g, times)
+    profiles = forcing + tuple(p for p in velocity if p not in forcing)
+    table = np.zeros((len(profiles), n_levels))
+    table[: len(forcing)] = tau**tp.beta * integral.T
+    table[[profiles.index(p) for p in velocity]] += rows
+    return profiles, table
 
-    bx, by = basis_x, basis_y
-    grid = grid_values(profiles, bx, by)
-    projections = (bx.basis_at_quad * bx.weights) @ grid @ (by.basis_at_quad * by.weights).T
+
+# Overflow of the source shows up as a non-finite half-source norm, which
+# AdiSolver reports with the level it happened at; no warnings on the way.
+@np.errstate(over="ignore", invalid="ignore")
+def project_time_series(tp, basis_x, basis_y, tau, steps, mode="auto"):
+    """The reduced source of source_table, projected, and its half-source norms.
+
+    Returns (factors, profiles, half_source_norms): the (P, steps + 1)
+    table of time factors of source_table, the inner products of its P
+    profiles with the Shen tensor basis, (P, dim_x, dim_y), and
+    half_source_norms[k] = ||(s(t_k) + s(t_{k+1})) / 2||, the grid norms
+    of the half sums of the table's columns.  Each profile is evaluated
+    once, on the Gauss grid; the norms then cost O(P^2) per level
+    (basis.factor_norms of the profiles' grid_factor).
+    """
+    profiles, table = source_table(tp, tau, steps, mode)
+    grid = grid_values(profiles, basis_x, basis_y)
     # halving before adding keeps the mean of two finite levels finite
     half = 0.5 * table[:, :-1] + 0.5 * table[:, 1:]
-    return table, projections, table_norms(half, grid, bx, by)
+    half_norms = factor_norms(half, grid_factor(grid, basis_x, basis_y))
+    return table, shen_loads(grid, basis_x, basis_y), half_norms
+
+
+def _exact_factors(tp, basis_x, basis_y, times):
+    """(table, factors) of tp's exact solution for basis.level_norms' errors.
+
+    table holds the time factors of the terms of tp.exact at the times,
+    factors the projection_factors of their profiles.
+    """
+    profiles, table = term_table(tp.exact, times)
+    return table, projection_factors(grid_values(profiles, basis_x, basis_y), basis_x, basis_y)
 
 
 def physical_memory():
@@ -374,10 +397,13 @@ class AdiSolver:
     u, the source profiles, assemble_rhs, correction_load and sweep_solve
     all work in eigen-coordinates.  Starting values are given in the Shen
     basis and mapped in with E^T S, the Shen-basis source projections of
-    project_time_series with E_x^T . E_y.  march() ends by mapping u
-    back to the Shen basis in place, block by block (see
-    basis.level_blocks), so u after a march holds Shen coefficients;
-    steps taken with step_once alone stay in eigen-coordinates.  The
+    project_time_series with E_x^T . E_y.  march() ends with one pass
+    over u, block by block (see basis.level_blocks): it takes each
+    level's L2 norm (`norms`) and, where tp has an exact solution, its
+    error (`errors`; None without one) in eigen-coordinates
+    (basis.level_norms), then maps the block back to the Shen basis in
+    place.  So u after a march holds Shen coefficients; steps taken with
+    step_once alone stay in eigen-coordinates and set no norms.  The
     starting values, m <= count <= steps of them and at most BLOCK, are
     checked before any table is built.
 
@@ -437,6 +463,7 @@ class AdiSolver:
             self.u[j] = to_eigen(val, basis_x, basis_y)
         self.count = 1 + len(starting_values)
         self._eigen = True  # u holds eigen-coordinates until march() ends
+        self.norms = self.errors = None  # set by march()
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
         self._explicit = mass + self.coeffs.cross_coef * cross
@@ -655,12 +682,14 @@ class AdiSolver:
     # steps up to it raise no floating-point warnings
     @np.errstate(over="ignore", invalid="ignore")
     def march(self):
-        """Step to the last level in panels, then map u back to the Shen basis.
+        """Step to the last level in panels; then take norms and errors and map u back.
 
         A panel is min(PANEL, b0 + BLOCK - k, steps - k) steps, so it ends
         at the latest where its block does.  At the end of each block the
         newest level must be finite; otherwise FloatingPointError names
-        the first level that is not.
+        the first level that is not.  The last pass sets norms and errors
+        one block of levels at a time, in eigen-coordinates, before it
+        maps the block to the Shen basis.
         """
         while self.count <= self.steps:
             k = self.count - 1
@@ -670,8 +699,17 @@ class AdiSolver:
                 self._check_level(end)
         if self._eigen:
             bx, by = self.basis_x, self.basis_y
-            for b, e in level_blocks(len(self.u), bx.dim * by.dim):
-                self.u[b:e] = from_eigen(self.u[b:e], bx, by)
+            levels = len(self.u)
+            self.norms = np.empty(levels)
+            if self.tp.exact:
+                table, factors = _exact_factors(self.tp, bx, by, self.tau * np.arange(levels))
+                self.errors = np.empty(levels)
+            for b, e in level_blocks(levels, bx.dim * by.dim):
+                v = self.u[b:e]
+                self.norms[b:e] = level_norms(v, bx, by)
+                if self.errors is not None:
+                    self.errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
+                self.u[b:e] = from_eigen(v, bx, by)
             self._eigen = False
         return self.u
 
@@ -710,7 +748,9 @@ class RunResult:
     """Trajectory and diagnostics of one march.
 
     times, error_final and error_max are read from tau, coeffs and
-    errors; the last two are None without an exact solution.
+    errors; the last two are None without an exact solution.  wall_time
+    covers the bootstrap, the set-up and the march, which takes the
+    norms and errors.
     """
 
     tp: TransformedProblem
@@ -794,7 +834,8 @@ def run(
     reduced TransformedProblem.  With correction_terms m > 0 the first m
     values come from `starting_values` or a fine bootstrap run, and all
     later steps use the starting-weight corrections.  A run of no steps
-    records the zero initial level alone, without corrections.
+    records the zero initial level alone, without corrections; its error
+    is the formula of basis.level_norms with v = 0.
     """
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
@@ -827,13 +868,17 @@ def run(
             source_mode=source_mode,
         )
         coeffs = solver.march()
+        norms, errors = solver.norms, solver.errors
         half_norms, source_mode = solver.half_source_norms, solver.source_mode
     else:  # the zero initial level alone
         coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
+        norms, errors = level_norms(coeffs, basis_x, basis_y), None
+        if tp.exact:
+            exact = _exact_factors(tp, basis_x, basis_y, np.zeros(1))
+            errors = level_norms(coeffs, basis_x, basis_y, *exact)
         half_norms, source_mode = np.zeros(0), _resolve_source_mode(source_mode)
     wall = time.perf_counter() - t0
 
-    norms = l2_norm(coeffs, basis_x, basis_y)
     # the stability bound sums every half-source norm, marched or not
     _check_finite("source", half_norms, tau, steps)
     _check_finite("solution", norms, tau, steps)
@@ -856,7 +901,7 @@ def run(
     positive = bound > 0.0
     ratio = float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
-    result = RunResult(
+    return RunResult(
         tp=tp,
         basis_x=basis_x,
         basis_y=basis_y,
@@ -868,10 +913,6 @@ def run(
         correction_terms=m,
         exponents=exponents,
         source_mode=source_mode,
+        errors=errors,
         wall_time=wall,
     )
-    if tp.exact:
-        profiles, table = term_table(tp.exact, result.times)
-        grid = grid_values(profiles, basis_x, basis_y)
-        result.errors = table_norms(table, grid, basis_x, basis_y, coeffs)
-    return result

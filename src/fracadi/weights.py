@@ -104,12 +104,19 @@ def history_quadratic_form(order, values):
 
 
 def power_factor(order, exponent):
-    """Gamma(exponent + 1) / Gamma(exponent + 1 - order).
+    """Gamma(exponent + 1) / Gamma(exponent + 1 - order), for exponent > -1.
 
     The factor a fractional derivative (order > 0) or integral
-    (order < 0) of t^exponent carries; see rl_power.
+    (order < 0) of t^exponent carries; see rl_power.  Where
+    exponent + 1 - order is not positive the ratio carries the sign of
+    Gamma there, and at its poles (0, -1, -2, ...) it is 0.
     """
-    return math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - order))
+    lower = exponent + 1.0 - order
+    if lower <= 0.0 and float(lower).is_integer():
+        return 0.0  # 1 / Gamma vanishes at the poles of Gamma
+    ratio = math.exp(math.lgamma(exponent + 1.0) - math.lgamma(lower))
+    # Gamma is negative on (-1, 0), (-3, -2), ...
+    return -ratio if lower < 0.0 and math.floor(lower) % 2 else ratio
 
 
 def rl_power(order, exponent, t):

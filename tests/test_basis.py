@@ -9,17 +9,21 @@ from fracadi.basis import (
     ShenSystemSolver,
     build_basis,
     evaluate_field,
+    factor_norms,
     gauss_legendre,
+    grid_factor,
     grid_values,
     l2_error,
     l2_norm,
     legendre_deriv_table,
     legendre_table,
+    level_norms,
+    projection_factors,
     shen_mass_matrix,
     shen_stiffness_diagonal,
-    table_norms,
+    to_eigen,
 )
-from fracadi.oracle import gauss_rule_deviation, quadrature_matrix_check
+from fracadi.oracle import gauss_rule_deviation, grid_norms, quadrature_matrix_check
 from fracadi.problems import SpatialProfile
 
 from conftest import project_field, project_source
@@ -204,10 +208,12 @@ class TestL2:
         )
 
     def test_zero_field_against_sine_product(self, unit_bases):
+        # ||sin(pi x) sin(pi y)|| = 1 on (-1, 1)^2; most of it lies off
+        # the degree-8 basis, in the residual part of the norm
         bx, by = unit_bases
         field = ModalField2D(np.zeros((bx.dim, by.dim)), bx, by)
         err = l2_error(field, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        assert err == pytest.approx(1.0, rel=1e-12)
+        assert err == pytest.approx(1.0, rel=0.0, abs=1e-13)
 
     def test_norm_matches_error_to_zero(self, unit_bases, rng):
         bx, by = unit_bases
@@ -216,6 +222,7 @@ class TestL2:
         err = l2_error(field, lambda x, y: np.zeros(np.broadcast(x, y).shape))
         assert l2_norm(coeffs, bx, by) == pytest.approx(err, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_errors_of_huge_finite_fields_stay_finite(self, unit_bases, rng):
         # the squared differences of a 1e170-scaled stack overflow; the
         # errors must still scale exactly with the data
@@ -224,12 +231,16 @@ class TestL2:
         times = np.array([0.0, 0.5, 1.0])
         table = (1.0 + times)[None]
         profile = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.cos(y))
-        grid = grid_values((profile,), bx, by)
+        factors = projection_factors(grid_values((profile,), bx, by), bx, by)
+        v = to_eigen(coeffs, bx, by)
 
-        plain = table_norms(table, grid, bx, by, coeffs)
-        huge = table_norms(1e170 * table, grid, bx, by, 1e170 * coeffs)
+        plain = level_norms(v, bx, by, table, factors)
+        huge = level_norms(1e170 * v, bx, by, 1e170 * table, factors)
         assert np.all(plain > 1.0)
         np.testing.assert_allclose(huge, 1e170 * plain, rtol=1e-12)
+        np.testing.assert_allclose(l2_norm(1e170 * coeffs, bx, by), 1e170 * l2_norm(coeffs, bx, by), rtol=1e-12)
+        r = factors[1]
+        np.testing.assert_allclose(factor_norms(1e170 * table, r), 1e170 * factor_norms(table, r), rtol=1e-12)
 
     def test_spectral_decay_on_analytic_function(self):
         # boundary-compatible analytic target: geometric decay in N
@@ -244,6 +255,68 @@ class TestL2:
             errs.append(l2_error(ModalField2D(coeffs, bx, by), f))
         errs = np.array(errs)
         assert np.all(errs[1:] < 2e-2 * errs[:-1])
+
+
+class TestNormIdentity:
+    """The grid norm split into an eigen-coordinate part and a residual part."""
+
+    @pytest.fixture
+    def mapped_bases(self):
+        return build_basis(9, (0.0, 2.5)), build_basis(7, (-1.0, 0.5))
+
+    def test_shen_polynomial_profile_has_no_residual(self, mapped_bases, rng):
+        bx, by = mapped_bases
+        coeffs = rng.standard_normal((bx.dim, by.dim))
+        field = ModalField2D(coeffs, bx, by)
+        profile = SpatialProfile(values=lambda x, y: evaluate_field(field, x[:, 0], y[0, :]))
+        eigen, r = projection_factors(grid_values((profile,), bx, by), bx, by)
+        assert np.abs(r).max() <= 1e-14
+        want = to_eigen(coeffs, bx, by)
+        np.testing.assert_allclose(eigen[0], want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    def test_eigen_norm_matches_mass_matrix_norm(self, mapped_bases, rng):
+        bx, by = mapped_bases
+        stack = rng.standard_normal((40, bx.dim, by.dim)) * np.logspace(-3.0, 3.0, 40)[:, None, None]
+        mass = bx.jacobian * by.jacobian * np.einsum("nij,ik,nkl,jl->n", stack, bx.mass, stack, by.mass)
+        np.testing.assert_allclose(l2_norm(stack, bx, by), np.sqrt(mass), rtol=1e-14, atol=0.0)
+
+    def test_grid_factor_gives_grid_norms(self, mapped_bases, rng):
+        bx, by = mapped_bases
+        grid = grid_values((LOBE_PROFILE, HUMP_PROFILE, DECAY_PROFILE), bx, by)
+        table = rng.standard_normal((3, 25))
+        want = grid_norms(table, grid, bx, by)
+        np.testing.assert_allclose(factor_norms(table, grid_factor(grid, bx, by)), want, rtol=1e-14)
+
+    def test_errors_match_grid_sums(self, mapped_bases, rng):
+        bx, by = mapped_bases
+        grid = grid_values((LOBE_PROFILE, HUMP_PROFILE, DECAY_PROFILE), bx, by)
+        table = rng.standard_normal((3, 25))
+        coeffs = rng.standard_normal((25, bx.dim, by.dim))
+        want = grid_norms(table, grid, bx, by, coeffs)
+        got = level_norms(to_eigen(coeffs, bx, by), bx, by, table, projection_factors(grid, bx, by))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_nearly_cancelling_profiles_match_grid_sums(self, mapped_bases):
+        # two profiles whose sum is 1e-8 of either: the norms of the sum
+        # keep the accuracy of the grid sums, round-off of the profiles'
+        # size, which a Gram matrix of the profiles would not
+        bx, by = mapped_bases
+        twin = SpatialProfile(values=lambda x, y: -(1.0 + 1e-8 * x * y) * LOBE_PROFILE.values(x, y))
+        grid = grid_values((LOBE_PROFILE, twin), bx, by)
+        table = np.array([np.linspace(0.5, 2.0, 7), np.linspace(0.5, 2.0, 7)])
+        scale = 2.0 * np.abs(grid).max()
+        want = grid_norms(table, grid, bx, by)
+        assert np.all(want < 1e-7 * scale)
+        got = factor_norms(table, grid_factor(grid, bx, by))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * scale)
+        zero = np.zeros((7, bx.dim, by.dim))
+        got = level_norms(zero, bx, by, table, projection_factors(grid, bx, by))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * scale)
+
+
+LOBE_PROFILE = SpatialProfile(values=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+HUMP_PROFILE = SpatialProfile(values=lambda x, y: (1.0 - x**2) * np.cos(y))
+DECAY_PROFILE = SpatialProfile(values=lambda x, y: np.exp(-x) * (x + y))
 
 
 class TestShenSystemSolver:

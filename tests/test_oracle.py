@@ -10,6 +10,7 @@ from fracadi.oracle import (
     dense_kronecker_solve,
     dense_step_matrix,
     direct_caputo,
+    direct_norm_gap,
     eigen_factor_residual,
     gauss_rule_deviation,
     half_sum_coefficients,
@@ -27,6 +28,7 @@ from fracadi.solver import (
     StepCoefficients,
     TransformedProblem,
     reduce_order,
+    run,
 )
 from fracadi.weights import shifted_weights
 
@@ -227,3 +229,18 @@ class TestMatrixChecks:
     @pytest.mark.parametrize("n", [8, 24, 64])
     def test_gauss_rule_matches_library(self, n):
         assert gauss_rule_deviation(n) <= 1e-13
+
+
+class TestDirectNormGap:
+    def test_run_matches_grid_sums(self):
+        res = run(get_problem("compatible_nonsmooth"), 8, 30, 1.0, source_mode="sampled")
+        assert direct_norm_gap(res) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["half_source_norms", "norms", "errors"])
+    def test_perturbed_norms_fail(self, name):
+        # a shift of one level by 1e-10 of the gap's scale must show far
+        # above the 1e-13 bound
+        res = run(get_problem("compatible_nonsmooth"), 8, 30, 1.0)
+        scale = res.half_source_norms if name == "half_source_norms" else res.norms
+        getattr(res, name)[7] += 1e-10 * np.max(scale)
+        assert direct_norm_gap(res) > 1e-12

@@ -1380,6 +1380,48 @@ class TestRun:
             want = l2_norm(res.coeffs[n], res.basis_x, res.basis_y)
             assert res.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_problem_scales_norms_and_errors(self):
+        # the reduced problem is linear in its data, so scaling every term
+        # by 1e300 scales the trajectory; the squares of the norms, errors
+        # and half-source norms overflow and are rescaled without warnings
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+
+        def scaled(terms):
+            return tuple(dataclasses.replace(t, coefficient=1e300 * t.coefficient) for t in terms)
+
+        huge_tp = dataclasses.replace(tp, f=scaled(tp.f), g=scaled(tp.g), exact=scaled(tp.exact))
+        unit, huge = run(tp, 8, 40, 1.0), run(huge_tp, 8, 40, 1.0)
+        for name in ("norms", "errors", "half_source_norms"):
+            got, want = getattr(huge, name), 1e300 * getattr(unit, name)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
+        assert huge.stability_ratio == pytest.approx(unit.stability_ratio, rel=1e-12)
+
+    def test_errors_and_norms_come_from_the_march(self):
+        # march() leaves the levels' norms and errors on the solver, and
+        # run() reports them as they are
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        solver = AdiSolver(tp, bx, by, 0.05, 20)
+        assert solver.norms is None and solver.errors is None
+        solver.march()
+        res = run(tp, 8, 20, 1.0)
+        np.testing.assert_array_equal(res.norms, solver.norms)
+        np.testing.assert_array_equal(res.errors, solver.errors)
+        quiet = AdiSolver(quiet_tp(), bx, by, 0.05, 20)
+        quiet.march()
+        assert quiet.errors is None and not quiet.norms.any()
+
+    def test_initial_error_is_round_off_on_both_paths(self):
+        # at t = 0 the reduced exact solution of compatible_nonsmooth is 0,
+        # its terms' sum cancels to round-off; M = 0 uses the same formula
+        spec = get_problem("compatible_nonsmooth")
+        marched, initial = run(spec, 8, 10, 1.0), run(spec, 8, 0, 1.0)
+        assert initial.errors[0] == marched.errors[0]
+        assert 0.0 <= marched.errors[0] <= 1e-13
+
     def test_stability_ratio_matches_running_sum(self):
         # the largest ratio sits at level 59, where a pairwise (np.sum)
         # accumulation already differs from the running sum in the last bits

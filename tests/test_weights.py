@@ -11,6 +11,7 @@ from fracadi.weights import (
     binomial_weights,
     build_correction_set,
     history_quadratic_form,
+    power_factor,
     rl_power,
     shifted_weights,
 )
@@ -169,6 +170,27 @@ class TestRlPower:
     def test_weak_exponent_rejected(self):
         with pytest.raises(ValueError):
             rl_power(0.5, -1.0, 1.0)
+
+    @pytest.mark.parametrize("exponent", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.5])
+    def test_first_order_is_the_ordinary_derivative(self, exponent):
+        # below exponent = 0 the Gamma ratio is negative, at 0 it is a pole
+        for t in (0.3, 1.0, 2.0):
+            want = exponent * t ** (exponent - 1.0)
+            assert rl_power(1.0, exponent, t) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("order, exponent", [(0.5, -0.5), (1.0, 0.0), (2.0, 1.0), (0.75, -0.25)])
+    def test_poles_of_gamma_give_zero(self, order, exponent):
+        assert rl_power(order, exponent, 1.0) == 0.0
+        assert rl_power(order, exponent, 2.0) == 0.0
+
+    def test_second_order_derivative_of_square_root(self):
+        # d^2/dt^2 t^0.5 = -t^-1.5 / 4: Gamma(1.5) / Gamma(-0.5) is negative
+        assert rl_power(2.0, 0.5, 2.0) == pytest.approx(-0.25 * 2.0**-1.5, rel=1e-14)
+
+    def test_positive_lower_argument_keeps_the_log_gamma_bits(self):
+        for order, exponent in ((0.5, 1.0), (-0.5, 0.0), (0.9, 0.1), (1.0, 1.5)):
+            want = math.exp(math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.0 - order))
+            assert power_factor(order, exponent) == want
 
 
 def frac_row(order, exponents, k):
