@@ -252,12 +252,12 @@ def eigen_mass(basis_x, basis_y):
 
 # Values per block temporary in the blocked evaluators: a stack of time
 # levels is processed LEVEL_BLOCK_VALUES // (values per level) levels at a
-# time, at least one.  At 2**14 doubles (128 kB: 20 levels of a 28 x 28
-# grid, 3 of a 72 x 72 one) the per-level Python overhead is amortised.
-# Measured on 2 cores: 2**15 ran no faster but added 3.6 MB (3 %) to the
-# peak RSS of the N = 64 table1 study, then run as four concurrent levels
-# that each held a few block temporaries; 2**13 added none there but ran
-# the N = 20 sampled marches about 10 % slower.
+# time, at least one.  The constant bounds the temporaries of march()'s
+# norm and back-map pass, of the solver's finiteness check (_check_level)
+# and of l2_norm to a few arrays of 2**14 doubles (128 kB) each, whatever
+# the step count, while a block still holds enough levels (45 at N = 20,
+# whose levels hold 19 x 19 coefficients) to amortise the per-block
+# Python overhead.
 LEVEL_BLOCK_VALUES = 2**14
 
 

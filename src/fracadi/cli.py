@@ -448,8 +448,8 @@ def diagnostics_lines(cfg, problem, result):
         f"N = {cfg.N}",
         f"M = {cfg.M}",
         f"T = {fmt(cfg.T)}",
-        f"m = {cfg.m}",
-        f"sigma = {' '.join(fmt(s) for s in cfg.sigmas())}",
+        f"m = {result.correction_terms}",
+        f"sigma = {' '.join(fmt(s) for s in result.exponents)}",
         f"bootstrap_ratio = {cfg.bootstrap_ratio}",
         f"source_mode = {cfg.source_mode}",
         f"source_mode_used = {result.source_mode}",

@@ -275,7 +275,9 @@ def weight_identity_residual(order, exponents, rows):
     """Defects of the three starting-weight identities, rows 0..rows-1.
 
     Checks the rows of build_correction_set((order,), exponents, rows),
-    the table the stepper loads.  Row k of the corrected GL sum must
+    the table the stepper loads for `rows` steps; other lengths give frac
+    rows that differ by up to 4.6e-9 relative (weights.CorrectionSet,
+    ROADMAP item 6).  Row k of the corrected GL sum must
     reproduce the Riemann-Liouville derivative of t^sigma at t_{k+1};
     the averaged difference quotient must hit (t^sigma)' at the half
     point (from row 1 on; row 0 of delta is padding); the perturbation

@@ -358,14 +358,18 @@ def _binary_size(nbytes):
     return f"{value:.{decimals}f} {units[i]}"
 
 
-def _check_starting_count(m, count, steps):
-    """Raise ValueError unless m <= count <= steps starting values, at most BLOCK."""
+def _check_starting_values(m, values, steps, shape):
+    """Raise ValueError unless m <= len(values) <= steps, at most BLOCK, each of `shape`."""
+    count = len(values)
     if count > BLOCK:  # the first push adds into u[BLOCK + 1]
         raise ValueError(f"at most {BLOCK} starting values")
     if count > steps:
         raise ValueError(f"too many starting values: {count} for {steps} steps")
     if count < m:
         raise ValueError(f"too few starting values: {count} for {m} correction terms")
+    for i, val in enumerate(values):
+        if np.shape(val) != shape:
+            raise ValueError(f"starting value {i} has shape {np.shape(val)}, expected {shape}")
 
 
 def _correction_exponents(m, exponents, steps):
@@ -404,8 +408,8 @@ class AdiSolver:
     (basis.level_norms), then maps the block back to the Shen basis in
     place.  So u after a march holds Shen coefficients; steps taken with
     step_once alone stay in eigen-coordinates and set no norms.  The
-    starting values, m <= count <= steps of them and at most BLOCK, are
-    checked before any table is built.
+    starting values, m <= count <= steps of them, at most BLOCK and each
+    of shape (dim_x, dim_y), are checked before any table is built.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -456,7 +460,7 @@ class AdiSolver:
         exponents = _correction_exponents(self.m, exponents, steps)
 
         starting_values = () if starting_values is None else starting_values
-        _check_starting_count(self.m, len(starting_values), steps)
+        _check_starting_values(self.m, starting_values, steps, (basis_x.dim, basis_y.dim))
 
         self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
         for j, val in enumerate(starting_values, start=1):
@@ -734,10 +738,10 @@ def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, sourc
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
     if ratio < 1:
         raise ValueError("ratio must be at least one")
+    if count == 0:
+        return []
     fine = AdiSolver(tp, basis_x, basis_y, tau / ratio, count * ratio, source_mode=source_mode)
     fine.march()
     return [fine.u[j * ratio].copy() for j in range(1, count + 1)]
@@ -850,7 +854,7 @@ def run(
     m = int(correction_terms) if steps else 0
     exponents = _correction_exponents(m, exponents, steps)  # before any march
     if starting_values is not None:
-        _check_starting_count(m, len(starting_values), steps)
+        _check_starting_values(m, starting_values, steps, (basis_x.dim, basis_y.dim))
     elif m:
         starting_values = bootstrap_starting_values(
             tp, basis_x, basis_y, tau, m, ratio=bootstrap_ratio, source_mode=source_mode

@@ -884,7 +884,9 @@ class TestRejectedBeforeMarch:
         argv = ["run"] + NONSMOOTH + ["--M", "0", "--m", "3", "--output", str(tmp_path)]
         assert main(argv) == 0
         capfd.readouterr()
-        assert read_kv(tmp_path / "diagnostics.txt")["M"] == "0"
+        diag = read_kv(tmp_path / "diagnostics.txt")
+        # a run of no steps applies no corrections, and says so
+        assert (diag["M"], diag["m"], diag["sigma"]) == ("0", "0", "")
 
     def test_custom_problem_built_once(self, tmp_path, capfd, monkeypatch):
         calls = []

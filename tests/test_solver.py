@@ -1172,8 +1172,9 @@ class TestBootstrap:
             bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, -1)
 
     def test_small_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, 2, ratio=0)
+        for count in (2, 0):  # also when no value is asked for
+            with pytest.raises(ValueError, match="ratio must be at least one"):
+                bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, count, ratio=0)
 
 
 BINARY_SIZES = [
@@ -1480,23 +1481,25 @@ class TestRun:
             run(problem, 8, steps, 1.0, correction_terms=m, exponents=exponents)
 
     @pytest.mark.parametrize(
-        "m,steps,count,message",
+        "m,steps,shapes,message",
         [
-            (3, 4, 6, "too many starting values: 6 for 4 steps"),
-            (0, 0, 1, "too many starting values: 1 for 0 steps"),
-            (3, 10, 1, "too few starting values: 1 for 3 correction terms"),
+            (3, 4, [(7, 7)] * 6, "too many starting values: 6 for 4 steps"),
+            (0, 0, [(7, 7)], "too many starting values: 1 for 0 steps"),
+            (3, 10, [(7, 7)], "too few starting values: 1 for 3 correction terms"),
+            (2, 10, [(7, 7), (9, 9)], "starting value 1 has shape (9, 9), expected (7, 7)"),
+            (0, 10, [(7,)], "starting value 0 has shape (7,), expected (7, 7)"),
         ],
-        ids=["corrected", "no-steps", "too-few"],
+        ids=["corrected", "no-steps", "too-few", "wrong-shape", "uncorrected-wrong-shape"],
     )
     def test_starting_value_count_checked_before_any_march(
-        self, monkeypatch, m, steps, count, message
+        self, monkeypatch, m, steps, shapes, message
     ):
         def no_march(*args, **kwargs):
             raise AssertionError("a march started")
 
         monkeypatch.setattr(AdiSolver, "__init__", no_march)
-        start = [np.zeros((7, 7))] * count
-        with pytest.raises(ValueError, match=message):
+        start = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(ValueError, match=re.escape(message)):
             run(
                 get_problem("compatible_nonsmooth"), 8, steps, 1.0,
                 correction_terms=m, exponents=(1.1, 1.2, 1.3)[:m], starting_values=start,
@@ -1518,6 +1521,15 @@ class TestRun:
     def test_uncorrected_run_records_no_exponents(self):
         res = run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, exponents=(1.1,))
         assert res.exponents == ()
+
+    def test_solver_checks_starting_value_shapes(self):
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        start = [np.zeros((7, 7)), np.zeros((7, 8))]
+        with pytest.raises(ValueError, match=re.escape("value 1 has shape (7, 8), expected (7, 7)")):
+            AdiSolver(tp, bx, by, 0.1, 10, correction_terms=2, exponents=(1.1, 1.2),
+                      starting_values=start)
 
     def test_zero_source_ignoring_time_across_blocks(self):
         res = run(quiet_tp(), 20, 200, 1.0)

@@ -10,6 +10,7 @@ from fracadi.weights import (
     apply_gl,
     binomial_weights,
     build_correction_set,
+    default_sigmas,
     history_quadratic_form,
     power_factor,
     rl_power,
@@ -298,6 +299,24 @@ class TestCorrectionSet:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             build_correction_set((0.5,), (1.1,), rows=1)
+
+    @pytest.mark.parametrize("rows", [7, 500])
+    def test_rows_do_not_depend_on_the_other_orders(self, rows):
+        # `fracadi weights --order b --sigma ...` builds a one-order set; it
+        # prints the rows a march with more orders loads only if no family
+        # is solved together with another
+        orders, sig = (0.9, 0.0, -0.1), default_sigmas(3)
+        shared = build_correction_set(orders, sig, rows)
+        for b in orders:
+            alone = build_correction_set((b,), sig, rows)
+            np.testing.assert_array_equal(alone.frac[b], shared.frac[b])
+            np.testing.assert_array_equal(alone.delta, shared.delta)
+            np.testing.assert_array_equal(alone.perturb, shared.perturb)
+
+    def test_invalid_order_rejected_before_any_solve(self):
+        # the exponents alone would raise StartingWeightError
+        with pytest.raises(ValueError, match=r"order must lie in \[-1, 1\], got 1.5"):
+            build_correction_set((0.5, 1.5), (1.1, 1.1 + 1e-13), 4)
 
 
 class TestExponentValidation:
