@@ -28,10 +28,18 @@ from .basis import (
     shen_stiffness_diagonal,
 )
 from .problems import get_problem, term_table
-from .solver import StepCoefficients, eigen_operators, project_time_series, run, source_table
+from .solver import (
+    BLOCK,
+    StepCoefficients,
+    eigen_operators,
+    project_time_series,
+    run,
+    source_table,
+)
 from .weights import (
     build_correction_set,
     default_sigmas,
+    far_exponentials,
     history_quadratic_form,
     rl_power,
     shifted_weights,
@@ -271,6 +279,26 @@ def sweep_kronecker_gap(rng, cases):
     return worst
 
 
+def far_kernel_deviation(orders, window, steps):
+    """Largest relative error of weights.far_exponentials on the lags window..steps.
+
+    The reference weights are the products of (i - 1 - b) / i over
+    i = 1..j, formed in extended precision; the sums of exponentials are
+    summed term by term at every lag.  No order may be 0 or 1, whose far
+    weights vanish.
+    """
+    rates, coefficients = far_exponentials(tuple(orders), window, steps)
+    lags = np.arange(window, steps + 1)
+    terms = np.exp(-np.outer(lags, rates))
+    i = np.arange(1, steps + 1, dtype=np.longdouble)
+    worst = 0.0
+    for b, c in zip(orders, coefficients):
+        exact = np.cumprod((i - 1 - np.longdouble(b)) / i)[window - 1 :]  # g_window..g_steps
+        approx = (terms * c).sum(axis=1)
+        worst = max(worst, float(np.max(np.abs(approx - exact) / np.abs(exact))))
+    return worst
+
+
 def weight_identity_residual(order, exponents, rows):
     """Defects of the three starting-weight identities, rows 0..rows-1.
 
@@ -372,6 +400,9 @@ def verify_checks():
             defects = weight_identity_residual(order, default_sigmas(m), 61)
             worst = max(worst, float(defects[[1, 5, 20, 60]].max()))
     yield "starting_weight_identities", worst <= 1e-12, worst
+
+    dev = far_kernel_deviation((0.99, 0.9, 0.5, -0.1, -0.5, -0.9), BLOCK, 4000)
+    yield "far_kernel_exponentials", dev <= 1e-13, dev
 
     rng = np.random.default_rng(7)
     worst = -math.inf

@@ -8,7 +8,10 @@ sweeps; the splitting perturbation and all memory sums live on the
 right-hand side.  The march runs in the joint eigenbasis of the 1-D mass
 and stiffness matrices (fast diagonalization), where every operator of
 the step, the sweeps included, is elementwise, so a panel of consecutive
-steps is solved at once, mode by mode.
+steps is solved at once, mode by mode.  The memory sums contract the last
+BLOCK levels directly and reach the older ones through a sum of decaying
+exponentials (weights.far_exponentials), carried as a state of a few
+dozen levels.
 """
 from __future__ import annotations
 
@@ -36,23 +39,27 @@ from .basis import (
     to_eigen,
 )
 from .problems import ProblemSpec, SeparableTerm, SpatialProfile, term_table
-from .weights import build_correction_set, check_exponents, power_factor, shifted_weights
+from .weights import (
+    build_correction_set,
+    check_exponents,
+    far_exponentials,
+    power_factor,
+    shifted_weights,
+)
 
-# Steps per block of the memory sum: the last < BLOCK levels are contracted
-# directly (near_product), the older ones reach a block's rows through the
-# far part, which one FFT push per block start accumulates in the rows of u
-# that the march has not solved yet (see AdiSolver._push).  At 256 and
-# N = 20 one step's direct contraction is one product below NEAR_PRODUCT;
-# panels of steps and larger grids split it into column slabs.
-BLOCK = 256
+# Levels of the near window of the memory sum: a panel starting at step k
+# contracts the levels k - BLOCK + 1..k directly (near_product), and the
+# older ones through a sum of exponentials (weights.far_exponentials), whose
+# state AdiSolver carries from panel to panel.  The march checks its newest
+# level once every BLOCK steps.
+BLOCK = 128
 # Steps per panel of the march: march() solves up to PANEL consecutive
 # steps together (assemble_rhs(k, n), then sweep_solve on the stack), so the
-# per-step Python and BLAS call overhead is paid once per panel.  A panel
-# never crosses a BLOCK boundary, so PANEL divides BLOCK.  The panel solve
-# costs about PANEL / 2 elementwise multiply-adds per step, and the panel's
-# temporaries grow with PANEL.  On 2 cores, paper_studies took the same CPU
-# time at 8 and 16 and 8 % more at 4; at 16 its peak RSS was 1.0 MB higher
-# than at 8 (the N = 64 study holds the largest panels).
+# per-step Python and BLAS call overhead is paid once per panel.  The panel
+# solve costs about PANEL / 2 elementwise multiply-adds per step, and the
+# panel's temporaries grow with PANEL.  On 2 cores, paper_studies took the
+# same CPU time at 8 and 16 and 8 % more at 4; at 16 its peak RSS was 1.0 MB
+# higher than at 8 (the N = 64 study holds the largest panels).
 PANEL = 8
 # Multiply-adds per product of the direct memory contraction.  OpenBLAS runs
 # a GEMM of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (default 4) of them
@@ -63,9 +70,9 @@ PANEL = 8
 # 51 ms with slabs (73 and 65 ms with one BLAS thread).  A slab reads at
 # most 1 MiB of history.
 NEAR_PRODUCT = 2**18
-# Columns per FFT chunk in causal_sum; it bounds the FFT temporaries.  At
-# 64 columns they added up to 11 MB of peak RSS to N = 20 marches of 4000
-# steps; 16 columns cost no measurable CPU time.
+# Columns per FFT chunk in causal_sum, the sampled source's GL integral; it
+# bounds the FFT temporaries.  At 64 columns they added up to 11 MB of peak
+# RSS to N = 20 marches of 4000 steps; 16 columns cost no measurable CPU time.
 FFT_COLUMNS = 16
 # How the reduced source I^beta f + g is formed: "analytic" integrates the
 # power-law terms of f in closed form, "sampled" applies the GL integral to
@@ -115,20 +122,24 @@ def causal_sum(kernel, hist, lo, hi, weights, out):
     return out
 
 
-def near_product(near, hist):
-    """near @ hist for (rows, L) and (L, cols) arrays.
+def near_product(near, hist, out=None):
+    """near @ hist for (rows, L) and (L, cols) arrays, or added into `out`.
 
     The columns are split into slabs of NEAR_PRODUCT // (rows * L), so
-    that no product exceeds NEAR_PRODUCT multiply-adds; a product that
-    fits in one slab is formed at once.
+    that no product exceeds NEAR_PRODUCT multiply-adds.  Without `out`
+    the slabs fill a new array; with it they are added into the
+    (rows, cols) array `out`, so that no temporary exceeds a slab.
+    Returns the result.
     """
     rows, (levels, cols) = len(near), hist.shape
-    if rows * levels * cols <= NEAR_PRODUCT:
-        return near @ hist
-    width = NEAR_PRODUCT // (rows * levels)
-    out = np.empty((rows, cols))
-    for c in range(0, cols, width):
-        out[:, c : c + width] = near @ hist[:, c : c + width]
+    width = NEAR_PRODUCT // max(rows * levels, 1)  # a source may have no profiles
+    if out is None:
+        out = np.empty((rows, cols))
+        for c in range(0, cols, width):
+            out[:, c : c + width] = near @ hist[:, c : c + width]
+    else:
+        for c in range(0, cols, width):
+            out[:, c : c + width] += near @ hist[:, c : c + width]
     return out
 
 
@@ -359,10 +370,8 @@ def _binary_size(nbytes):
 
 
 def _check_starting_values(m, values, steps, shape):
-    """Raise ValueError unless m <= len(values) <= steps, at most BLOCK, each of `shape`."""
+    """Raise ValueError unless m <= len(values) <= steps, each of `shape`."""
     count = len(values)
-    if count > BLOCK:  # the first push adds into u[BLOCK + 1]
-        raise ValueError(f"at most {BLOCK} starting values")
     if count > steps:
         raise ValueError(f"too many starting values: {count} for {steps} steps")
     if count < m:
@@ -408,8 +417,8 @@ class AdiSolver:
     (basis.level_norms), then maps the block back to the Shen basis in
     place.  So u after a march holds Shen coefficients; steps taken with
     step_once alone stay in eigen-coordinates and set no norms.  The
-    starting values, m <= count <= steps of them, at most BLOCK and each
-    of shape (dim_x, dim_y), are checked before any table is built.
+    starting values, m <= count <= steps of them and each of shape
+    (dim_x, dim_y), are checked before any table is built.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -421,16 +430,18 @@ class AdiSolver:
     and sweep_solve applies the inverse of the symbol, computed once at
     construction, along the panel.  step_once is the same path with n = 1.
 
-    Holds the source's time factors and profile projections, one memory
-    kernel per operator (mass and stiffness; the operators' diagonals
-    weight them into one memory sum), the inverse step symbol, in
-    corrected runs the starting-weight loads and the per-mode images of
-    the starting differences, and the full history u, its only array of
-    dim_x * dim_y values per level.  The far part of the memory sum needs
-    no array of its own: until step k is taken, u[k + 1] accumulates what
-    the levels before k's block give to step k (see _push).  The starting
-    values are fixed at construction: correction_load reads their images,
-    not u[1..m].
+    Holds the source's time factors and profile projections, the first
+    BLOCK + PANEL - 1 lags of one memory kernel per operator (mass and
+    stiffness; the operators' diagonals weight them into one memory sum),
+    the inverse step symbol, in corrected runs the starting-weight loads
+    and the per-mode images of the starting differences, and the full
+    history u, its only array of dim_x * dim_y values per level.  The
+    memory of the levels older than the near window of BLOCK levels is a
+    sum of exponentials (weights.far_exponentials): a state of one level
+    per rate, a few dozen in all, that the first step past the window
+    builds and every panel brings forward (_bring_far).  The starting
+    values are fixed at construction: correction_load reads their
+    images, not u[1..m].
     """
 
     def __init__(
@@ -477,36 +488,40 @@ class AdiSolver:
         # the memory orders, row 1 (stiffness) is the integral order -beta.
         # Both operators are per-mode products here, so the step needs only
         # the one memory sum weighted per column by their diagonals.
-        # Pair sums lam_j + lam_{j-1} need lam up to index steps + 1.  The
-        # starting weights fold the same way into load rows (mass,
-        # stiffness, cross); frac rows k and k-1 average the endpoint
-        # systems, and load row 0 is unused (stepping starts at k = m >= 1).
-        channels = (
+        # The near window reads the lags up to BLOCK + PANEL - 2 (its row
+        # t the lags t..t + BLOCK - 1), and pair sums lam_j + lam_{j+1} need
+        # lam one index further.  The starting weights fold the same way
+        # into load rows (mass, stiffness, cross); frac rows k and k-1
+        # average the endpoint systems, and load row 0 is unused (stepping
+        # starts at k = m >= 1).
+        self._channels = (
             [(b, 0.5 * a * self.tau ** (1.0 - b)) for b, a in zip(tp.betas, tp.coeffs)],
             [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
         )
-        kernel = np.zeros((2, steps + 1))
-        self._far_block = 0  # the last block start whose push is in u
+        lags = BLOCK + PANEL - 1
+        kernel = np.zeros((2, lags))
+        self._far = None  # the far state, built by the first step past the window
+        self._far_level = 0  # the step the far state was brought to
         self._loads = None
         if self.m:
             cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
             self._loads = np.zeros((3, steps, self.m))
             self._loads[0] = cs.delta
             self._loads[2] = self.coeffs.cross_coef * cs.perturb
-        for row, terms in enumerate(channels):
+        for row, terms in enumerate(self._channels):
             for b, scale in terms:
-                lam = shifted_weights(b, steps + 1)
+                lam = shifted_weights(b, lags)
                 kernel[row] += scale * (lam[1:] + lam[:-1])
                 if self._loads is not None:
                     frac = cs.frac[b]
                     self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
         # The near part of a panel reads, in its row t, the lags
-        # k + t - b0 down to t: a window of the reversed kernel (column
-        # steps - j holds lag j), which BLOCK - 1 trailing zeros let every
-        # window of BLOCK columns hold
+        # k + t - lo down to t: a window of the reversed kernel (column
+        # lags - 1 - j holds lag j), which BLOCK - 1 trailing zeros let
+        # every window of BLOCK columns hold
         self._kernel = kernel
-        reversed_kernel = np.zeros((2, steps + BLOCK))
-        reversed_kernel[:, : steps + 1] = kernel[:, ::-1]
+        reversed_kernel = np.zeros((2, lags + BLOCK - 1))
+        reversed_kernel[:, :lags] = kernel[:, ::-1]
         self._windows = sliding_window_view(reversed_kernel, BLOCK, axis=1)
         self._weights = np.stack([mass.ravel(), stiff.ravel()])
         self._inverse = self._symbol_inverse()
@@ -568,43 +583,37 @@ class AdiSolver:
         source 0.5 tau s[k+t] + 0.5 tau s[k+t+1], and on row 0 the explicit
         mass and splitting terms of u[k], all in eigen-coordinates.  The
         levels k+1..k+t, not yet known, enter through sweep_solve.  The
-        memory is the weighted sum of the mass and stiffness memories.  It
-        splits at b0 = k - k % BLOCK, which the rows may not pass: the
-        levels b0..k are contracted directly, as one near_product of the
-        (2 n, k + 1 - b0) Toeplitz window of the kernel (in column slabs
-        on large grids), and the far part of the older ones is read from
-        the unsolved rows u[k + 1 : k + 1 + n], where the pushes of the
-        block starts up to b0 left it (see _push).  The first call for a
-        block makes its push, so k must lie in the block of the last call
-        or the next one, and past the first block step k must not have
-        been taken yet; other calls raise ValueError.  Returns an (n, dim_x,
-        dim_y) stack.
+        memory is the weighted sum of the mass and stiffness memories.  The
+        levels lo..k of the near window, lo = max(k + 1 - BLOCK, 0), are
+        contracted directly, as one near_product of the (2 n, k + 1 - lo)
+        Toeplitz window of the kernel (in column slabs on large grids).
+        The older ones enter through the far state, brought forward to k
+        (_bring_far), as one near_product of its (2 n, Q) table.  A level
+        enters the far state when it leaves the window, so from then on
+        it must not change: once the state is at step k0, a call for a
+        step before k0 raises ValueError.  1 <= n <= PANEL.  Returns an
+        (n, dim_x, dim_y) stack.
         """
-        if not (0 <= k and 1 <= n and k + n <= self.steps):
+        if not (0 <= k and 1 <= n <= PANEL and k + n <= self.steps):
             raise ValueError("step index out of range")
-        b0 = k - k % BLOCK
-        if k + n > b0 + BLOCK:
-            raise ValueError("a panel of steps may not cross a BLOCK boundary")
-        if b0 == self._far_block + BLOCK:
-            self._push(b0)  # before the panel's own temporaries exist
-        elif b0 != self._far_block:
-            raise ValueError(
-                f"step {k} lies outside the block at {self._far_block} and the next one"
-            )
-        if b0 and k < self.count - 1:
-            raise ValueError(f"step {k} was taken: u[{k + 1}] no longer holds its far part")
-        levels = k + 1 - b0
-        # row t takes lags k + t - b0 .. t, the window that starts at the
-        # reversed kernel's column steps - (k - b0) - t
-        first = self.steps - (k - b0)
+        if k < self._far_level:
+            raise ValueError(f"step {k} lies before the far state, at step {self._far_level}")
+        lo = max(k + 1 - BLOCK, 0)
+        if lo:  # the levels before the window; before the panel's temporaries exist
+            self._bring_far(k)
+        levels = k + 1 - lo
+        # row t takes lags k + t - lo .. t, the window that starts at the
+        # reversed kernel's column lags - 1 - (k - lo) - t
+        first = self._kernel.shape[1] - 1 - (k - lo)
         windows = self._windows[:, first - n + 1 : first + 1, :levels]
         near = windows[:, ::-1].reshape(2 * n, levels)
-        mem = near_product(near, self.u[b0 : k + 1].reshape(levels, -1)).reshape(2, n, -1)
+        mem = near_product(near, self.u[lo : k + 1].reshape(levels, -1))
+        if lo:
+            near_product(self._far_rows[:, :n].reshape(2 * n, -1), self._far, out=mem)
+        mem = mem.reshape(2, n, -1)
         mem *= self._weights[:, None]
         memory, stiff = mem
         memory += stiff
-        if b0:  # the first block has no far part
-            memory += self.u[k + 1 : k + 1 + n].reshape(n, -1)
         shape = (n,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
         rhs[0] += self._explicit * self.u[k]
@@ -613,29 +622,54 @@ class AdiSolver:
         factors = self.source_factors
         pairs = half * factors[:, k : k + n] + half * factors[:, k + 1 : k + n + 1]
         profiles = self.source_profiles.reshape(len(factors), self.u[0].size)
-        rhs += near_product(pairs.T, profiles).reshape(shape)
+        near_product(pairs.T, profiles, out=rhs.reshape(n, -1))
         return rhs
 
-    def _push(self, b0):
-        """Add the far part that the block start b0 sends into u.
+    def _bring_far(self, k):
+        """Bring the far state forward to step k >= BLOCK.
 
-        With span = BLOCK times the largest power of two that divides
-        b0 / BLOCK, the levels b0 - span..b0-1 send their part of the
-        memory sum to the rows b0..b0+span-1 (up to the last step), added
-        into u[b0 + 1 : b0 + span + 1], the levels those steps will
-        overwrite.  Over the block starts this is the dyadic split of
-        Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985)
-        532): every level before b0 reaches every row of b0's block
-        exactly once, and each level is transformed once per power of two
-        up to steps / BLOCK.
+        The state at step k0 holds h_q = sum_{i <= k0 - BLOCK}
+        e^{-s_q (k0 - i)} u[i], one row per far rate s_q, so that row t of
+        a panel at k0 gets sum_q c[r, q] e^{-s_q t} h_q from kernel row r
+        (_far_rows).  The first call builds it (_build_far); every PANEL
+        levels that leave the window on the way to k then enter as one
+        near_product: h <- e^{-s g} h + the g levels, each weighted by its
+        lag.
         """
-        span = BLOCK * ((b0 // BLOCK) & -(b0 // BLOCK))
-        hi = min(b0 + span, self.steps)
-        causal_sum(
-            self._kernel, self.u[b0 - span : b0], span, span + hi - b0, self._weights,
-            self.u[b0 + 1 : hi + 1],
-        )
-        self._far_block = b0
+        if self._far is None:
+            self._build_far()
+        while self._far_level < k:
+            g = min(PANEL, k - self._far_level)
+            oldest = self._far_level + 1 - BLOCK  # the first level to leave
+            self._far *= self._decay[g - 1][:, None]
+            leaving = self.u[oldest : oldest + g].reshape(g, -1)
+            near_product(self._entry[:, PANEL - g :], leaving, out=self._far)
+            self._far_level += g
+
+    def _build_far(self):
+        """The far tables and a zero state at step BLOCK - 1, before any level has left.
+
+        weights.far_exponentials gives g_j(b) = sum_q w_q(b) e^{-s_q j} for
+        every order b of the kernel and j >= BLOCK - 2.  With lam_j =
+        (1 + b/2) g_j - (b/2) g_{j-1} and kernel column j = lam_{j+1} +
+        lam_j, the kernel row r at a lag j >= BLOCK is sum_q c[r, q]
+        e^{-s_q j}, c[r, q] = sum_b scale_b w_q(b) (1 + b/2 - (b/2) e^{s_q})
+        (1 + e^{-s_q}).  Tables: _far_rows[r, t, q] = c[r, q] e^{-s_q t},
+        _entry[q, PANEL - g + i] = e^{-s_q (BLOCK + g - 1 - i)} for the
+        i-th of g leaving levels, and _decay[g - 1, q] = e^{-s_q g}.
+        """
+        terms = [(r, b, scale) for r, channel in enumerate(self._channels) for b, scale in channel]
+        rates, w = far_exponentials(tuple(b for _, b, _ in terms), BLOCK, self.steps)
+        coef = np.zeros((2, len(rates)))
+        for (row, b, scale), w_b in zip(terms, w):
+            coef[row] += scale * w_b * (1.0 + b / 2.0 - (b / 2.0) * np.exp(rates))
+        coef *= 1.0 + np.exp(-rates)
+        t = np.arange(PANEL)
+        self._far_rows = coef[:, None, :] * np.exp(-np.outer(t, rates))
+        self._entry = np.exp(-np.outer(rates, BLOCK + PANEL - 1 - t))
+        self._decay = np.exp(-np.outer(t + 1, rates))
+        self._far = np.zeros((len(rates), self.u[0].size))
+        self._far_level = BLOCK - 1
 
     def correction_load(self, k, n):
         """Starting-weight additions to the right sides of steps k..k+n-1.
@@ -682,25 +716,24 @@ class AdiSolver:
         """Take one step: a panel of one."""
         self._advance(1)
 
-    # A non-finite level is reported by the check once per block, so the
-    # steps up to it raise no floating-point warnings
+    # A non-finite level is reported by the check once every BLOCK steps, so
+    # the steps up to it raise no floating-point warnings
     @np.errstate(over="ignore", invalid="ignore")
     def march(self):
         """Step to the last level in panels; then take norms and errors and map u back.
 
-        A panel is min(PANEL, b0 + BLOCK - k, steps - k) steps, so it ends
-        at the latest where its block does.  At the end of each block the
-        newest level must be finite; otherwise FloatingPointError names
-        the first level that is not.  The last pass sets norms and errors
-        one block of levels at a time, in eigen-coordinates, before it
-        maps the block to the Shen basis.
+        A panel is min(PANEL, steps - k) steps.  Where a panel reaches or
+        passes a multiple of BLOCK, and at the last step, its newest level
+        must be finite; otherwise FloatingPointError names the first level
+        that is not.  The last pass sets norms and errors one block of
+        levels at a time, in eigen-coordinates, before it maps the block to
+        the Shen basis.
         """
         while self.count <= self.steps:
             k = self.count - 1
-            end = min(k - k % BLOCK + BLOCK, self.steps)
-            self._advance(min(PANEL, end - k))
-            if self.count - 1 == end:
-                self._check_level(end)
+            self._advance(min(PANEL, self.steps - k))
+            if (self.count - 1) // BLOCK > k // BLOCK or self.count > self.steps:
+                self._check_level(self.count - 1)
         if self._eigen:
             bx, by = self.basis_x, self.basis_y
             levels = len(self.u)
@@ -809,8 +842,8 @@ def _check_memory(basis_x, basis_y, steps):
 
     u, steps + 1 levels of dim_x * dim_y doubles, is the only array of
     that size per level that AdiSolver holds: the source is a table of a
-    few time factors per level, and the far part of the memory sum
-    accumulates in the unsolved rows of u.
+    few time factors per level, and the far part of the memory sum is a
+    state of one level's size per exponential, a few dozen in all.
     """
     size = 8 * (steps + 1) * basis_x.dim * basis_y.dim
     limit = physical_memory()

@@ -916,8 +916,9 @@ class TestMainVerify:
     def test_all_checks_pass(self):
         code, out = run_command(["verify"])
         assert code == 0
-        assert out.count("PASS") == 11
+        assert out.count("PASS") == 12
         assert "PASS norms_vs_grid_sums" in out
+        assert "PASS far_kernel_exponentials" in out
         assert "FAIL" not in out
         assert "all checks passed" in out
 

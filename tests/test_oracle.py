@@ -12,6 +12,7 @@ from fracadi.oracle import (
     direct_caputo,
     direct_norm_gap,
     eigen_factor_residual,
+    far_kernel_deviation,
     gauss_rule_deviation,
     half_sum_coefficients,
     quadrature_matrix_check,
@@ -30,7 +31,7 @@ from fracadi.solver import (
     reduce_order,
     run,
 )
-from fracadi.weights import shifted_weights
+from fracadi.weights import far_exponentials, shifted_weights
 
 
 class TestDenseStepMatrix:
@@ -77,6 +78,18 @@ class TestEigenFactorResidual:
             vectors[:, 5] *= 1.0 + 1e-9
         monkeypatch.setattr("fracadi.oracle.eigen_factors", lambda dim: (lam, vectors))
         assert eigen_factor_residual(23) > 1e-11
+
+
+class TestFarKernelDeviation:
+    def test_perturbed_sum_fails(self, monkeypatch):
+        # the verify check's rates pass at 1e-13; a relative error of 1e-9
+        # in one order's coefficients must show far above that bound
+        orders = (0.5, -0.5)
+        assert far_kernel_deviation(orders, 128, 1000) <= 1e-13
+        rates, coefficients = far_exponentials(orders, 128, 1000)
+        wrong = coefficients * np.array([[1.0], [1.0 + 1e-9]])
+        monkeypatch.setattr("fracadi.oracle.far_exponentials", lambda *args: (rates, wrong))
+        assert far_kernel_deviation(orders, 128, 1000) > 1e-10
 
 
 class TestHalfSumCoefficients:

@@ -1,5 +1,6 @@
 """Order reduction, step assembly, corrected marching, run diagnostics."""
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -33,6 +34,7 @@ from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
     FFT_COLUMNS,
+    NEAR_PRODUCT,
     PANEL,
     AdiSolver,
     TransformedProblem,
@@ -46,7 +48,7 @@ from fracadi.solver import (
     run,
     step_coefficients,
 )
-from fracadi.weights import apply_gl, build_correction_set, shifted_weights
+from fracadi.weights import apply_gl, build_correction_set, far_exponentials, shifted_weights
 
 UNIT_SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
 
@@ -539,7 +541,7 @@ class TestAssembleRhs:
         # with u = 0 a panel's right sides are its trapezoidal sources alone;
         # they must match the source projected level by level from its grid
         # values (direct_source_grids), mapped to eigen-coordinates.  The
-        # call at BLOCK + 3 makes the push of the block at BLOCK, which adds 0
+        # call at BLOCK + 3 brings the far state forward, which adds 0
         tp = two_profile_problem()
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(7, tp.domain.y_interval)
@@ -580,47 +582,41 @@ class TestAssembleRhs:
     @pytest.mark.parametrize(
         "j,k,degree",
         [
+            # near lags, the last near lag 127 and the first far lag 128
+            # (BLOCK = 128), and far lags up to 1285
             pytest.param(j, k, 7, id=f"{j}-{k}")
             for j, k in [
-                (0, 0), (0, 6), (2, 6), (6, 6), (3, BLOCK + 5), (BLOCK - 1, BLOCK),
-                (0, 2 * BLOCK + 1), (3, 5 * BLOCK + 5), (4 * BLOCK + 7, 6 * BLOCK + 1),
-                (4 * BLOCK - 1, 4 * BLOCK), (5 * BLOCK - 1, 5 * BLOCK),
+                (0, 0), (0, 6), (2, 6), (6, 6), (3, 261), (255, 256), (0, 513),
+                (3, 1285), (1031, 1537), (1023, 1024), (1279, 1280), (573, 700),
+                (572, 700), (0, 128),
             ]
         ]
         + [
             # 39**2 columns: from 87 near levels on the product is split
             # into column slabs, the last one ragged
             pytest.param(j, k, 40, id=f"{j}-{k}-N40")
-            for j, k in [
-                (BLOCK + 150, BLOCK + 150), (4 * BLOCK + 100, 4 * BLOCK + 200),
-                (3, 2 * BLOCK + 200),
-            ]
+            for j, k in [(406, 406), (1124, 1224), (3, 712), (3, 131)]
         ],
     )
     def test_single_history_level(self, rng, j, k, degree):
         # one nonzero past value isolates the memory-sum coefficients,
         # which must match the endpoint-averaged reference weights summed
-        # over both memory orders and the integral order; j < k - k % BLOCK
-        # puts the level in the far part of the sum, which reaches step k
-        # through the pushes of the block starts up to k's, made here in
-        # march order.  A push adds into unsolved rows, so before each call
-        # levels 0..start are set back to the single level, as a march
-        # would have solved them.  The mapped rectangle has jx = 1 and
-        # jy = 2, so a misplaced jacobian factor shows.  The level is set
-        # in eigen-coordinates; the reference right side is formed with
-        # the Shen-basis matrices and mapped with E_x^T . E_y
+        # over both memory orders and the integral order; j <= k - BLOCK
+        # puts the level in the far part of the sum, which the far state
+        # brings forward to step k in one call.  The mapped rectangle has
+        # jx = 1 and jy = 2, so a misplaced jacobian factor shows.  The
+        # level is set in eigen-coordinates; the reference right side is
+        # formed with the Shen-basis matrices and mapped with E_x^T . E_y
         tp = quiet_tp()
-        steps, tau = 6 * BLOCK + 10, 0.1
+        steps, tau = 1546, 0.1
         for domain in (UNIT_SQUARE, Rectangle(0.0, 2.0, -1.0, 3.0)):
             bx = build_basis(degree, domain.x_interval)
             by = build_basis(degree, domain.y_interval)
             jx, jy = bx.jacobian, by.jacobian
             solver = AdiSolver(tp, bx, by, tau, steps)
             e = rng.standard_normal((bx.dim, by.dim))
-            for start in [*range(BLOCK, k + 1, BLOCK), k]:
-                solver.u[: start + 1] = 0.0
-                solver.u[j] = e
-                rhs = solver.assemble_rhs(start, 1)[0]
+            solver.u[j] = e
+            rhs = solver.assemble_rhs(k, 1)[0]
 
             u = from_eigen(e, bx, by)
             mass_e = jx * jy * (bx.mass @ u) @ by.mass
@@ -638,14 +634,16 @@ class TestAssembleRhs:
             want = bx.eigenvectors.T @ want @ by.eigenvectors
             np.testing.assert_allclose(rhs, want, rtol=1e-13, atol=1e-14)
 
-    @pytest.mark.parametrize("steps", [BLOCK, 4 * BLOCK + 1, 7 * BLOCK + 255])
+    @pytest.mark.parametrize("steps", [256, 1025, 2047, 40 * BLOCK])
     def test_march_matches_direct_memory_sum(self, steps):
         # one step at a time in eigen-coordinates, with the whole memory sum
         # contracted directly: sweep * v[k+1] = explicit * v[k]
         # - sum_{j<=k} Kw_{k-j} v[j] + tau/2 (s[k] + s[k+1]), Kw_l the
-        # kernel's column l weighted per mode.  It shares the solver's
-        # tables but none of its near, far or panel code, so a far part
-        # that misses or repeats a level shows at every row past BLOCK
+        # kernel's column l weighted per mode.  The kernel is formed here
+        # at every lag from the shifted weights; the test shares the
+        # solver's operator diagonals and source but none of its near, far
+        # or panel code, so a far part that misses or repeats a level, or
+        # a far kernel off by more than round-off, shows past BLOCK
         shape = SpatialProfile(values=lambda x, y: (x + 1.0) * y**2)
         unit = SpatialProfile(values=lambda x, y: np.ones(np.broadcast(x, y).shape))
         g = (
@@ -659,14 +657,21 @@ class TestAssembleRhs:
         bx = build_basis(6, domain.x_interval)
         by = build_basis(6, domain.y_interval)
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps)
-        kernel, weights = solver._kernel, solver._weights
+        tau = solver.tau
+        kernel = np.zeros((2, steps + 1))
+        for b, a in zip(tp.betas, tp.coeffs):
+            lam = shifted_weights(b, steps + 1)
+            kernel[0] += 0.5 * a * tau ** (1.0 - b) * (lam[1:] + lam[:-1])
+        lam = shifted_weights(-tp.beta, steps + 1)
+        kernel[1] = 0.5 * tp.mu * tau ** (1.0 + tp.beta) * (lam[1:] + lam[:-1])
+        weights = solver._weights
         explicit, sweep = solver._explicit.ravel(), solver._sweep.ravel()
         profiles = solver.source_profiles.reshape(len(solver.source_factors), -1)
         source = solver.source_factors.T @ profiles
         v = np.zeros_like(source)
         for k in range(steps):
             memory = ((kernel[:, k::-1] @ v[: k + 1]) * weights).sum(axis=0)
-            rhs = explicit * v[k] - memory + 0.5 * solver.tau * (source[k] + source[k + 1])
+            rhs = explicit * v[k] - memory + 0.5 * tau * (source[k] + source[k + 1])
             v[k + 1] = rhs / sweep
         want = from_eigen(v.reshape(solver.u.shape), bx, by)
         got = solver.march()
@@ -762,10 +767,9 @@ class TestStepVersusDense:
     def test_adi_step_reproduces_march(self):
         # steps taken with step_once stay in eigen-coordinates, which
         # assemble_rhs and sweep_solve work in (march() would map u back).
-        # Each k is checked in march order, before step k is taken, while
-        # u[k + 1] still holds its far part: BLOCK + 3 reads the push of
-        # the block at BLOCK, 5 BLOCK + 3 those of 4 BLOCK and 5 BLOCK, and
-        # 6 BLOCK + 3 those of 4 BLOCK and 6 BLOCK
+        # Each k is checked in march order, before step k is taken; from
+        # BLOCK + 3 on the far state is at k already when step_once asks
+        # for it again
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
@@ -778,21 +782,20 @@ class TestStepVersusDense:
             np.testing.assert_array_equal(step, solver.u[k + 1 : k + 2])
 
     def test_out_of_order_call_rejected(self):
-        # the far part of a block is in u only from its push on, and only
-        # until its steps overwrite it
+        # a level enters the far state when it leaves the near window, so
+        # once the state is at a step, an earlier step is rejected; before
+        # the first step past the window there is no state to pass
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, 4 * BLOCK)
-        with pytest.raises(ValueError, match="outside the block at 0"):
-            solver.assemble_rhs(2 * BLOCK, 1)
-        for _ in range(BLOCK + 6):
+        solver.assemble_rhs(5, 1)
+        solver.assemble_rhs(3, 1)
+        for _ in range(BLOCK + 6):  # the last one, step BLOCK + 5, brings the state there
             solver.step_once()
-        with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
-            solver.assemble_rhs(5, 1)
-        with pytest.raises(ValueError, match=f"outside the block at {BLOCK}"):
-            solver.assemble_rhs(3 * BLOCK, 1)
-        with pytest.raises(ValueError, match=f"step {BLOCK + 4} was taken"):
+        with pytest.raises(ValueError, match=f"step {BLOCK + 4} lies before the far state, at step {BLOCK + 5}"):
             solver.assemble_rhs(BLOCK + 4, 1)
-        solver.assemble_rhs(BLOCK + 6, 1)
-
+        with pytest.raises(ValueError, match="step 5 lies before the far state"):
+            solver.assemble_rhs(5, 1)
+        solver.assemble_rhs(BLOCK + 5, 1)
+        solver.assemble_rhs(3 * BLOCK, 1)
 
     def test_march_maps_back_once(self):
         # march() finishes steps begun with step_once and maps u back to
@@ -812,62 +815,94 @@ class TestStepVersusDense:
 
 
 class TestFarPartSchedule:
-    def test_pushes_reach_every_row_once(self, monkeypatch):
-        # the block start b0 sends the span = BLOCK 2^v levels before it
-        # (2^v the largest power of two dividing b0 / BLOCK) to its rows
-        # b0..b0+span-1, added into the unsolved rows from u[b0 + 1] on;
-        # over the march every level j < r - r % BLOCK reaches row r
-        # exactly once.  The last two pushes are cut at the last step
+    def test_far_state_over_a_gap_matches_panel_steps(self, rng):
+        # the far state at step k holds h_q = sum_{i <= k - BLOCK}
+        # e^{-s_q (k - i)} u[i] over the far rates s_q; one call over a gap
+        # of 4 BLOCK + 5 steps, calls in ragged panels, and the sum formed
+        # here agree, and so do the right sides they give
+        tp = quiet_tp()
+        bx = build_basis(6, (-1.0, 1.0))
+        by = build_basis(5, (0.0, 2.0))
+        steps, k = 6 * BLOCK, 5 * BLOCK + 5
+        levels = rng.standard_normal((steps + 1, bx.dim, by.dim))
+        jump = AdiSolver(tp, bx, by, 0.01, steps)
+        jump.u[:] = levels
+        jump.assemble_rhs(BLOCK, 1)
+        got = jump.assemble_rhs(k, PANEL)
+        panels = AdiSolver(tp, bx, by, 0.01, steps)
+        panels.u[:] = levels
+        step, gaps = BLOCK, itertools.cycle([1, PANEL, 3, PANEL, 5])
+        while step < k:
+            panels.assemble_rhs(step, 1)
+            step += next(gaps)
+        want = panels.assemble_rhs(k, PANEL)
+
+        rates, _ = far_exponentials(tuple(tp.betas) + (-tp.beta,), BLOCK, steps)
+        old = levels[: k - BLOCK + 1].reshape(k - BLOCK + 1, -1)
+        direct = np.exp(-np.outer(rates, k - np.arange(k - BLOCK + 1))) @ old
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(jump._far - direct)) <= 1e-13 * scale
+        assert np.max(np.abs(panels._far - direct)) <= 1e-13 * scale
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_far_products_stay_below_near_product(self, monkeypatch):
+        # every product with a far table, the levels entering the state
+        # and the far rows of a panel, goes through near_product, so none
+        # exceeds NEAR_PRODUCT multiply-adds; at N = 40 (1521 columns) both
+        # are split into column slabs
+        shapes = []
+
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                shapes.append((self.shape[0],) + other.shape)
+                return np.asarray(self) @ other
+
+        build = AdiSolver._build_far
+
+        def recording_build(solver):
+            build(solver)
+            solver._entry = solver._entry.view(Recording)
+            solver._far_rows = solver._far_rows.view(Recording)
+
+        monkeypatch.setattr(AdiSolver, "_build_far", recording_build)
         tp = reduce_order(get_problem("compatible_smooth"))
-        bx = build_basis(6, tp.domain.x_interval)
-        by = build_basis(6, tp.domain.y_interval)
-        steps = 7 * BLOCK + 255
-        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
-        calls = []
-
-        def level_of(a):
-            return (a.ctypes.data - solver.u.ctypes.data) // solver.u[0].nbytes
-
-        def recording(kernel, hist, lo, hi, weights, out):
-            calls.append((level_of(hist), len(hist), lo, hi, level_of(out)))
-            return causal_sum(kernel, hist, lo, hi, weights, out)
-
-        monkeypatch.setattr(solver_module, "causal_sum", recording)
+        bx = build_basis(40, tp.domain.x_interval)
+        by = build_basis(40, tp.domain.y_interval)
+        steps = 2 * BLOCK + 37
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps)
         solver.march()
-        reach = np.zeros((steps, steps), dtype=np.int8)  # [row, level]
-        starts = []
-        for start, n, lo, hi, dest in calls:
-            b0 = start + n
-            span = BLOCK * ((b0 // BLOCK) & -(b0 // BLOCK))
-            assert (n, lo, hi) == (span, span, span + min(b0 + span, steps) - b0)
-            assert dest == b0 + 1
-            reach[b0 : b0 + hi - lo, start:b0] += 1
-            starts.append(b0)
-        assert starts == list(range(BLOCK, steps, BLOCK))
-        for r in range(steps):
-            far = r - r % BLOCK
-            assert (reach[r, :far] == 1).all() and not reach[r, far:].any()
+        rates = len(solver._far)
+        entering = [s for s in shapes if s[0] == rates]
+        rows = [s for s in shapes if s[0] != rates]
+        # every level up to the state's step less BLOCK entered it once
+        entered = solver._far_level - BLOCK + 1
+        assert sum(inner * cols for _, inner, cols in entering) == entered * bx.dim * by.dim
+        assert {inner for _, inner, _ in rows} == {rates}
+        for n, inner, cols in shapes:
+            assert n * inner * cols <= NEAR_PRODUCT
 
     def test_far_part_needs_no_array_beyond_u(self):
-        # the march holds the panel's temporaries and the FFT temporaries
-        # of one column chunk (at most four doubles per transform row and
-        # column; the largest push, span 2048 from level 2048, transforms
-        # about 12 BLOCK rows) at a time; a far-part cache of 4 BLOCK
-        # levels, or a push that added through a full-span temporary,
-        # would exceed the budget
+        # besides u the march holds the panel's temporaries, the far state,
+        # one level per far rate (at most 64 here), and in its last pass a
+        # few level blocks; a far part that kept 4 BLOCK levels of its own,
+        # or a table of one far value per rate and level, would exceed the
+        # budget.  The rates are built beforehand, as another march of this
+        # size would have left them
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(16, tp.domain.x_interval)
         by = build_basis(16, tp.domain.y_interval)
         steps = 12 * BLOCK + 10
+        far_exponentials(tuple(tp.betas) + (-tp.beta,), BLOCK, steps)
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="analytic")
         level = 8 * bx.dim * by.dim
-        budget = BLOCK * level + 4 * 8 * FFT_COLUMNS * 12 * BLOCK
+        budget = (64 + 8 * PANEL) * level + 6 * 8 * LEVEL_BLOCK_VALUES
         tracemalloc.start()
         try:
             solver.march()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(solver._far) <= 64
         assert peak <= budget
 
 
@@ -880,10 +915,11 @@ def stepwise(solver):
 
 PANEL_CASES = [
     pytest.param("compatible_smooth", 8, 5, 1.0, 0, id="M-below-panel"),
-    # from k = 3 the panels are ragged where the first block ends
+    # from k = 3 the panels straddle the multiples of BLOCK
     pytest.param("compatible_nonsmooth", 8, BLOCK + 40, 1.0, 3, id="m3-unaligned"),
-    # pushes of span BLOCK, 2 BLOCK and 4 BLOCK, the last ones cut at the end
-    pytest.param("compatible_smooth", 8, 6 * BLOCK + 10, 1.0, 0, id="dyadic-pushes"),
+    # the far state carries five windows' levels; single steps bring it
+    # forward one level at a time, panels PANEL levels
+    pytest.param("compatible_smooth", 8, 6 * BLOCK + 10, 1.0, 0, id="far-state"),
     # 39**2 columns: the panel's near product is split into column slabs
     pytest.param("compatible_smooth", 40, 60, 1.0, 0, id="N40"),
     pytest.param("compatible_smooth", 8, 20, 40.0, 0, id="tau2"),
@@ -942,9 +978,12 @@ class TestPanels:
         # a panel of one step is divided by the sweep operator
         np.testing.assert_array_equal(solver.sweep_solve(rhs[:1]), rhs[:1] / sweep)
 
-    @pytest.mark.parametrize("m,steps", [(0, 2 * BLOCK + 37), (3, BLOCK + 40)])
+    @pytest.mark.parametrize("m,steps", [(0, 549), (3, 296)])
     def test_panels_cover_the_march_within_blocks(self, m, steps):
-        assert BLOCK % PANEL == 0
+        # the panels take every step once, in order, min(PANEL, steps - k)
+        # at a time, and within every block of BLOCK steps the march checks
+        # one level: the newest of the panel that reaches or passes the
+        # block's end, and the last one
         tp = reduce_order(get_problem("compatible_nonsmooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
@@ -953,38 +992,46 @@ class TestPanels:
             start = [np.zeros((bx.dim, by.dim))] * m
             kwargs = dict(correction_terms=m, exponents=(1.1, 1.2, 1.3), starting_values=start)
         solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, **kwargs)
-        calls = []
-        assemble = solver.assemble_rhs
+        calls, checks = [], []
+        assemble, check = solver.assemble_rhs, solver._check_level
 
         def recording(k, n):
             calls.append((k, n))
             return assemble(k, n)
 
+        def recording_check(n):
+            checks.append(n)
+            return check(n)
+
         solver.assemble_rhs = recording
+        solver._check_level = recording_check
         solver.march()
         assert calls[0][0] == m
         for (k, n), (after, _) in zip(calls, calls[1:] + [(steps, None)]):
             assert k + n == after  # every step exactly once, in order
-            block_end = k - k % BLOCK + BLOCK
-            assert n == min(PANEL, block_end - k, steps - k)
-            assert (k + n - 1) // BLOCK == k // BLOCK
+            assert n == min(PANEL, steps - k)
+        ends = [k + n for k, n in calls if (k + n) // BLOCK > k // BLOCK]
+        assert checks == ends + [steps] * (ends[-1] != steps)
+        assert [c // BLOCK for c in checks[:-1]] == list(range(1, steps // BLOCK + 1))
 
-    def test_panel_may_not_cross_a_block(self):
+    def test_panel_holds_at_most_PANEL_steps(self):
+        # the far rows and the inverse symbol are tabled for PANEL steps
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, BLOCK + 8)
-        with pytest.raises(ValueError, match="BLOCK"):
-            solver.assemble_rhs(BLOCK - 2, 4)
+        solver.assemble_rhs(BLOCK - 2, PANEL)
         with pytest.raises(ValueError, match="index"):
-            solver.assemble_rhs(BLOCK + 4, 5)
+            solver.assemble_rhs(0, PANEL + 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("level", [100, BLOCK + 10])
+    @pytest.mark.parametrize("level", [100, 266])
     def test_non_finite_level_stops_the_march_at_its_block_end(self, level):
-        # the newest level is checked once per block; the message names the
-        # first level that is not finite, and no warning is raised on the way
+        # the newest level is checked once every BLOCK steps and at the
+        # last one; the message names the first level that is not finite,
+        # and no warning is raised on the way
+        assert BLOCK % PANEL == 0  # so the checks fall at multiples of BLOCK
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
-        tau, steps = 0.01, BLOCK + 50
+        tau, steps = 0.01, 306
         solver = AdiSolver(tp, bx, by, tau, steps)
         solver.source_factors[:, level] = np.inf
         message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
@@ -1229,11 +1276,15 @@ class TestSolverValidation:
                 correction_terms=2, exponents=(1.1, 1.2),
             )
 
-    def test_starting_values_end_within_the_first_block(self):
-        # the push of the block at BLOCK adds into u[BLOCK + 1] on
-        start = [np.zeros((self.bx.dim, self.by.dim))] * (BLOCK + 1)
-        with pytest.raises(ValueError, match=f"at most {BLOCK} starting values"):
-            AdiSolver(quiet_tp(), self.bx, self.by, 0.01, 2 * BLOCK, starting_values=start)
+    def test_starting_values_may_outnumber_the_window(self):
+        # starting values are levels like any other: the far state takes
+        # them in as they leave the near window
+        tp = reduce_order(get_problem("compatible_smooth"))
+        steps, count = BLOCK + 20, BLOCK + 5
+        whole = AdiSolver(tp, self.bx, self.by, 0.01, steps).march()
+        start = list(whole[1 : count + 1])
+        rest = AdiSolver(tp, self.bx, self.by, 0.01, steps, starting_values=start).march()
+        assert np.max(np.abs(rest - whole)) <= 1e-13 * max_level_norm(whole)
 
     @pytest.fixture
     def no_tables(self, monkeypatch):

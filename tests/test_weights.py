@@ -11,6 +11,7 @@ from fracadi.weights import (
     binomial_weights,
     build_correction_set,
     default_sigmas,
+    far_exponentials,
     history_quadratic_form,
     power_factor,
     rl_power,
@@ -110,6 +111,53 @@ class TestShiftedWeights:
         with pytest.raises(ValueError):
             lam[0] = 7.0
         assert len(lam) == 5
+
+
+FAR_ORDERS = (0.99, 0.9, 0.5, -0.1, -0.5, -0.9)
+
+
+def far_sums(rates, coefficients, lags):
+    """sum_q coefficients[:, q] e^{-rates[q] j} at every lag j, one row per order."""
+    return coefficients @ np.exp(-np.outer(rates, lags))
+
+
+class TestFarExponentials:
+    @pytest.mark.parametrize("window,steps", [(128, 300), (128, 4000), (64, 2000)])
+    def test_matches_binomial_weights_on_every_far_lag(self, window, steps):
+        rates, coefficients = far_exponentials(FAR_ORDERS, window, steps)
+        lags = np.arange(window - 2, steps + 1)
+        for b, got in zip(FAR_ORDERS, far_sums(rates, coefficients, lags)):
+            want = binomial_weights(b, steps)[window - 2 :]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        # a few dozen decaying exponentials, and no cancellation to speak of
+        assert len(rates) <= 64 and np.all(rates >= 0.0)
+        worst = np.max(far_sums(rates, np.abs(coefficients), lags) / np.abs(
+            [binomial_weights(b, steps)[window - 2 :] for b in FAR_ORDERS]))
+        assert worst <= 20.0
+
+    def test_exact_orders(self):
+        # sin(pi b) = 0: orders 0 and 1 have no weight past j = 1, and -1
+        # has g_j = 1 at every lag
+        rates, coefficients = far_exponentials((0.0, 1.0, -1.0, 0.5), 128, 1000)
+        sums = far_sums(rates, coefficients, np.arange(126, 1001))
+        assert not coefficients[:2].any()
+        np.testing.assert_allclose(sums[2], 1.0, rtol=1e-13)
+        want = binomial_weights(0.5, 1000)[126:]
+        assert np.max(np.abs(sums[3] - want) / np.abs(want)) <= 1e-13
+
+    def test_rates_shared_and_tables_memoised(self):
+        # the rates depend on the window and the step count alone, so all
+        # orders share them; both tables are read-only and memoised
+        rates, coefficients = far_exponentials((0.5, -0.1), 128, 700)
+        assert far_exponentials((-0.9,), 128, 700)[0] is rates
+        assert far_exponentials((0.5, -0.1), 128, 700)[1] is coefficients
+        assert not rates.flags.writeable and not coefficients.flags.writeable
+        one = far_exponentials((-0.1,), 128, 700)[1]
+        np.testing.assert_allclose(one[0], coefficients[1], rtol=0, atol=1e-15 * np.abs(one).max())
+
+    def test_order_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            far_exponentials((1.5,), 128, 700)
 
 
 class TestApplyGl:
