@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import (
     ModalField2D,
@@ -70,10 +69,6 @@ PANEL = 8
 # 51 ms with slabs (73 and 65 ms with one BLAS thread).  A slab reads at
 # most 1 MiB of history.
 NEAR_PRODUCT = 2**18
-# Columns per FFT chunk in causal_sum, the sampled source's GL integral; it
-# bounds the FFT temporaries.  At 64 columns they added up to 11 MB of peak
-# RSS to N = 20 marches of 4000 steps; 16 columns cost no measurable CPU time.
-FFT_COLUMNS = 16
 # How the reduced source I^beta f + g is formed: "analytic" integrates the
 # power-law terms of f in closed form, "sampled" applies the GL integral to
 # their time factors; "auto" is analytic.
@@ -91,35 +86,6 @@ def _fast_length(n):
             p35 *= 3
         p5 *= 5
     return best
-
-
-def causal_sum(kernel, hist, lo, hi, weights, out):
-    """Add rows lo..hi-1 of sum_r weights[r] * sum_j kernel[r, t - j] hist[j] into out.
-
-    kernel is (rows, length), hist (n, ...) and weights broadcasts to
-    (rows, cols), one weight per kernel row and column of a level (cols
-    entries of hist[0]).  The sum has shape (hi - lo,) + hist.shape[1:] and equals
-    the direct sum to round-off.  It is computed by real FFTs along time on
-    chunks of FFT_COLUMNS columns (numpy's pocketfft on a 5-smooth length,
-    one thread, no BLAS); the rows are combined in frequency, so each chunk
-    takes one inverse FFT.
-    It is added into the C-contiguous `out` one column chunk at a time,
-    so no full-size temporary is formed; `out` is returned.
-    """
-    n = len(hist)
-    first = max(lo - n + 1, 0)  # smallest lag the requested rows use
-    # a circular length of hi - lo + n - 1 leaves rows lo..hi-1 unaliased
-    size = _fast_length(hi - lo + n - 1)
-    kernel_hat = np.fft.rfft(kernel[:, first:hi], size, axis=1).T
-    cols = hist.reshape(n, -1)
-    weights = np.broadcast_to(weights, (len(kernel), cols.shape[1]))
-    dest = out.reshape(hi - lo, -1)
-    for c in range(0, cols.shape[1], FFT_COLUMNS):
-        chunk = slice(c, c + FFT_COLUMNS)
-        spectrum = np.fft.rfft(cols[:, chunk], size, axis=0)
-        spectrum *= kernel_hat @ weights[:, chunk]
-        dest[:, chunk] += np.fft.irfft(spectrum, size, axis=0)[lo - first : hi - first]
-    return out
 
 
 def near_product(near, hist, out=None):
@@ -292,7 +258,8 @@ def source_table(tp, tau, steps, mode="auto"):
     phi_p of the terms; table is (P, steps + 1).  The analytic mode
     integrates each term of f in closed form (one Gamma ratio) after g's
     terms; the sampled mode applies the shifted GL rule of order -beta to
-    f's time factors (the integral is linear in time) and adds g's.
+    f's time factors (the integral is linear in time), as one real-FFT
+    convolution along time, and adds g's.
     """
     n_levels = steps + 1
     times = tau * np.arange(n_levels)
@@ -304,12 +271,15 @@ def source_table(tp, tau, steps, mode="auto"):
         )
         return term_table(tp.g + integrated, times)
     forcing, columns = term_table(tp.f, times)
-    lam = shifted_weights(-tp.beta, steps)[None]
-    integral = causal_sum(lam, columns.T, 0, n_levels, 1.0, np.zeros(columns.T.shape))
+    # the GL sum is a causal convolution along time; a circular one of at
+    # least 2 steps + 1 points leaves its first steps + 1 levels unaliased
+    size = _fast_length(2 * n_levels - 1)
+    lam_hat = np.fft.rfft(shifted_weights(-tp.beta, steps), size)
+    integral = np.fft.irfft(np.fft.rfft(columns, size) * lam_hat, size)[:, :n_levels]
     velocity, rows = term_table(tp.g, times)
     profiles = forcing + tuple(p for p in velocity if p not in forcing)
     table = np.zeros((len(profiles), n_levels))
-    table[: len(forcing)] = tau**tp.beta * integral.T
+    table[: len(forcing)] = tau**tp.beta * integral
     table[[profiles.index(p) for p in velocity]] += rows
     return profiles, table
 
@@ -432,7 +402,9 @@ class AdiSolver:
 
     Holds the source's time factors and profile projections, the first
     BLOCK + PANEL - 1 lags of one memory kernel per operator (mass and
-    stiffness; the operators' diagonals weight them into one memory sum),
+    stiffness; the operators' diagonals weight them into one memory sum)
+    as one constant (2, PANEL, BLOCK) near table, whose row t holds the
+    lags t..t + BLOCK - 1 that row t of a panel applies to the near window,
     the inverse step symbol, in corrected runs the starting-weight loads
     and the per-mode images of the starting differences, and the full
     history u, its only array of dim_x * dim_y values per level.  The
@@ -515,16 +487,12 @@ class AdiSolver:
                 if self._loads is not None:
                     frac = cs.frac[b]
                     self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
-        # The near part of a panel reads, in its row t, the lags
-        # k + t - lo down to t: a window of the reversed kernel (column
-        # lags - 1 - j holds lag j), which BLOCK - 1 trailing zeros let
-        # every window of BLOCK columns hold
-        self._kernel = kernel
-        reversed_kernel = np.zeros((2, lags + BLOCK - 1))
-        reversed_kernel[:, :lags] = kernel[:, ::-1]
-        self._windows = sliding_window_view(reversed_kernel, BLOCK, axis=1)
+        # _near[r, t, i] is lag t + BLOCK - 1 - i of kernel row r: row t of a
+        # panel reads the lags of its near levels, oldest first, at its end
+        t, i = np.ogrid[:PANEL, :BLOCK]
+        self._near = kernel[:, t + BLOCK - 1 - i]
         self._weights = np.stack([mass.ravel(), stiff.ravel()])
-        self._inverse = self._symbol_inverse()
+        self._inverse = self._symbol_inverse(kernel)
         if self._loads is not None:
             self._images = self._starting_images((mass, stiff, cross))
 
@@ -541,9 +509,10 @@ class AdiSolver:
         images = np.stack([-op * diffs for op in operators])
         return images.reshape(3 * self.m, -1)
 
-    def _symbol_inverse(self):
+    def _symbol_inverse(self, kernel):
         """(min(PANEL, steps), dim_x, dim_y) inverse b of each mode's step symbol.
 
+        kernel holds the memory kernel's rows (mass, stiffness) by lag.
         With a the symbol of the class docstring, b_0 = 1 / a_0 and
         b_l = -b_0 * sum_{i=1..l} a_i b_{l-i}, so that the panel's levels
         are u[k+1+t] = sum_{s<=t} b_{t-s} R_s for the known parts R_s.
@@ -551,7 +520,7 @@ class AdiSolver:
         size = min(PANEL, self.steps)
         symbol = np.empty((size,) + self._sweep.shape)
         symbol[0] = self._sweep
-        symbol[1:] = (self._kernel[:, : size - 1].T @ self._weights).reshape(symbol[1:].shape)
+        symbol[1:] = (kernel[:, : size - 1].T @ self._weights).reshape(symbol[1:].shape)
         symbol[1:2] -= self._explicit
         inverse = np.empty_like(symbol)
         inverse[0] = 1.0 / symbol[0]
@@ -585,8 +554,9 @@ class AdiSolver:
         levels k+1..k+t, not yet known, enter through sweep_solve.  The
         memory is the weighted sum of the mass and stiffness memories.  The
         levels lo..k of the near window, lo = max(k + 1 - BLOCK, 0), are
-        contracted directly, as one near_product of the (2 n, k + 1 - lo)
-        Toeplitz window of the kernel (in column slabs on large grids).
+        contracted directly, as one near_product of the last k + 1 - lo
+        columns of the near table's first n rows (in column slabs on large
+        grids).
         The older ones enter through the far state, brought forward to k
         (_bring_far), as one near_product of its (2 n, Q) table.  A level
         enters the far state when it leaves the window, so from then on
@@ -602,11 +572,7 @@ class AdiSolver:
         if lo:  # the levels before the window; before the panel's temporaries exist
             self._bring_far(k)
         levels = k + 1 - lo
-        # row t takes lags k + t - lo .. t, the window that starts at the
-        # reversed kernel's column lags - 1 - (k - lo) - t
-        first = self._kernel.shape[1] - 1 - (k - lo)
-        windows = self._windows[:, first - n + 1 : first + 1, :levels]
-        near = windows[:, ::-1].reshape(2 * n, levels)
+        near = self._near[:, :n, BLOCK - levels :].reshape(2 * n, levels)
         mem = near_product(near, self.u[lo : k + 1].reshape(levels, -1))
         if lo:
             near_product(self._far_rows[:, :n].reshape(2 * n, -1), self._far, out=mem)
@@ -775,6 +741,7 @@ def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, sourc
         raise ValueError("ratio must be at least one")
     if count == 0:
         return []
+    tp = replace(tp, exact=())  # no caller reads the fine march's errors
     fine = AdiSolver(tp, basis_x, basis_y, tau / ratio, count * ratio, source_mode=source_mode)
     fine.march()
     return [fine.u[j * ratio].copy() for j in range(1, count + 1)]

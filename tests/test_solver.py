@@ -33,19 +33,18 @@ from fracadi import basis as basis_module
 from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
-    FFT_COLUMNS,
     NEAR_PRODUCT,
     PANEL,
     AdiSolver,
     TransformedProblem,
     _fast_length,
     bootstrap_starting_values,
-    causal_sum,
     eigen_operators,
     near_product,
     project_time_series,
     reduce_order,
     run,
+    source_table,
     step_coefficients,
 )
 from fracadi.weights import apply_gl, build_correction_set, far_exponentials, shifted_weights
@@ -525,6 +524,24 @@ class TestProjectTimeSeries:
         with pytest.raises(ValueError, match="source mode"):
             project_time_series(self.tp, self.bx, self.by, 0.25, 4, mode="grid")
 
+    @pytest.mark.parametrize("steps", [1, 7, 2000])
+    def test_sampled_table_matches_direct_convolution(self, steps):
+        # the FFT convolution against the GL sum of every level, written as
+        # a direct convolution of the weights with each forcing column
+        tp = two_profile_problem()
+        tau = 1.0 / steps
+        times = tau * np.arange(steps + 1)
+        profiles, table = source_table(tp, tau, steps, "sampled")
+        assert profiles == (LOBE, HUMP)
+        lam = shifted_weights(-tp.beta, steps)
+        want = np.zeros_like(table)
+        for term in tp.f:
+            direct = np.convolve(lam, term.coefficient * times**term.exponent)[: steps + 1]
+            want[profiles.index(term.profile)] += tau**tp.beta * direct
+        for term in tp.g:
+            want[profiles.index(term.profile)] += term.coefficient * times**term.exponent
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
 
 class TestAssembleRhs:
     def test_source_trapezoid_alone(self):
@@ -706,31 +723,6 @@ class TestNearProduct:
         for rows, inner, cols in shapes:
             assert inner == levels
             assert rows * inner * cols <= 2**18
-
-
-class TestCausalSum:
-    @pytest.mark.parametrize(
-        "lo,hi,prefilled",
-        [(0, 40, False), (25, 40, False), (17, 23, False), (30, 60, False), (0, 30, True)],
-    )
-    def test_matches_convolve(self, rng, lo, hi, prefilled):
-        # several full column chunks and a ragged one; each row's
-        # convolution is weighted per column, the rows are summed, and the
-        # sum is added into out (a prefilled out keeps what it held)
-        n, shape = 30, (4 * FFT_COLUMNS + 9,)
-        rows = 1 if prefilled else 2
-        kernel = rng.standard_normal((rows, 70))  # longer than every hi
-        hist = rng.standard_normal((n,) + shape)
-        weights = rng.uniform(0.5, 2.0, (rows,) + shape)
-        out = rng.standard_normal((hi - lo,) + shape) if prefilled else np.zeros((hi - lo,) + shape)
-        want = out.copy()
-        for r in range(rows):
-            for c in range(shape[0]):
-                want[:, c] += weights[r, c] * np.convolve(kernel[r], hist[:, c])[lo:hi]
-        scale = np.max(np.abs(kernel)) * np.max(np.abs(hist))
-        got = causal_sum(kernel, hist, lo, hi, weights, out)
-        assert got is out
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_fast_length_is_the_smallest_5_smooth_length():
@@ -1213,6 +1205,17 @@ class TestBootstrap:
         d1 = max(np.max(np.abs(a - b)) for a, b in zip(vals[100], vals[200]))
         d2 = max(np.max(np.abs(a - b)) for a, b in zip(vals[200], vals[400]))
         assert 2.0 <= d1 / d2 <= 3.0
+
+    def test_fine_march_takes_no_errors(self, monkeypatch):
+        # no caller reads the fine march's errors, so it never forms the
+        # exact solution's factors, though tp has an exact solution
+        assert self.tp.exact
+
+        def refuse(*args):
+            raise AssertionError("the bootstrap formed the exact solution's factors")
+
+        monkeypatch.setattr(solver_module, "_exact_factors", refuse)
+        assert len(bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, 3, ratio=4)) == 3
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
