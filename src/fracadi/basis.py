@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .problems import SpatialProfile, profile_sum
 
@@ -33,25 +32,6 @@ def legendre_table(nmax, x):
     for n in range(1, nmax):
         table[n + 1] = ((2 * n + 1) * x * table[n] - n * table[n - 1]) / (n + 1)
     return table
-
-
-def legendre_deriv_table(nmax, x):
-    """Values of L_0'..L_nmax' at x, via (1-x^2) L_n' = n (L_{n-1} - x L_n)."""
-    x = np.asarray(x, dtype=float)
-    table = legendre_table(nmax, x)
-    out = np.empty_like(table)
-    out[0] = 0.0
-    one_minus = 1.0 - x * x
-    safe = np.where(one_minus == 0.0, 1.0, one_minus)
-    for n in range(1, nmax + 1):
-        out[n] = n * (table[n - 1] - x * table[n]) / safe
-    if np.any(one_minus == 0.0):
-        # endpoint values L_n'(+-1) = (+-1)^{n-1} n (n+1) / 2
-        for n in range(1, nmax + 1):
-            endpoint = n * (n + 1) / 2.0
-            out[n] = np.where(x == 1.0, endpoint, out[n])
-            out[n] = np.where(x == -1.0, endpoint * (-1.0) ** (n - 1), out[n])
-    return out
 
 
 def gauss_legendre(n):
@@ -253,8 +233,8 @@ def eigen_mass(basis_x, basis_y):
 # Values per block temporary in the blocked evaluators: a stack of time
 # levels is processed LEVEL_BLOCK_VALUES // (values per level) levels at a
 # time, at least one.  The constant bounds the temporaries of march()'s
-# norm and back-map pass, of the solver's finiteness check (_check_level)
-# and of l2_norm to a few arrays of 2**14 doubles (128 kB) each, whatever
+# norm and back-map pass and of the solver's finiteness check
+# (_check_level) to a few arrays of 2**14 doubles (128 kB) each, whatever
 # the step count, while a block still holds enough levels (45 at N = 20,
 # whose levels hold 19 x 19 coefficients) to amortise the per-block
 # Python overhead.
@@ -375,21 +355,6 @@ def l2_error(field, exact):
     return float(level_norms(v, bx, by, np.ones((1, 1)), factors)[0])
 
 
-def l2_norm(coeffs, basis_x, basis_y):
-    """L2 norm of a modal coefficient matrix (level_norms of its eigen-coordinates).
-
-    For a (levels, dim_x, dim_y) stack it returns the array of the
-    levels' norms, computed in blocks of levels (see level_blocks).
-    """
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim == 2:
-        return float(l2_norm(coeffs[None], basis_x, basis_y)[0])
-    out = np.empty(len(coeffs))
-    for b, e in level_blocks(len(coeffs), coeffs.shape[1] * coeffs.shape[2]):
-        out[b:e] = level_norms(to_eigen(coeffs[b:e], basis_x, basis_y), basis_x, basis_y)
-    return out
-
-
 def stack_norms(squared, *stacks):
     """Square roots of squared(*stacks), one per level (axis 0 of every stack).
 
@@ -413,33 +378,18 @@ def stack_norms(squared, *stacks):
 class ShenSystemSolver:
     """Factored solver for (a * mass + b * stiffness) in one direction.
 
-    Even and odd basis indices never couple, so the system splits into
-    two symmetric positive definite tridiagonal problems; both are
-    Cholesky-factored in banded form once and reused for every solve.
-    The stepper divides in eigen-coordinates instead; this banded solve is
-    the reference its sweeps are tested against.
+    The matrix is symmetric positive definite; it is Cholesky-factored
+    once and the factor is reused for every solve.  The stepper divides
+    in eigen-coordinates instead; this solve is the reference its sweeps
+    are tested against.
     """
 
     def __init__(self, basis, mass_coef, stiff_coef):
         if mass_coef <= 0.0 or stiff_coef < 0.0:
             raise ValueError("need mass_coef > 0 and stiff_coef >= 0")
-        dim = basis.dim
         matrix = mass_coef * basis.mass + stiff_coef * basis.stiffness
-        self._parts = []
-        for start in (0, 1):
-            idx = np.arange(start, dim, 2)
-            sub = matrix[np.ix_(idx, idx)]
-            n = len(idx)
-            banded = np.zeros((2, n))
-            banded[1] = np.diag(sub)
-            if n > 1:
-                banded[0, 1:] = np.diag(sub, 1)
-            self._parts.append((idx, cholesky_banded(banded, lower=False)))
+        self._factor = scipy.linalg.cho_factor(matrix)
 
     def solve(self, rhs):
         """Solve along axis 0 of rhs (vector or matrix)."""
-        rhs = np.asarray(rhs, dtype=float)
-        out = np.empty_like(rhs)
-        for idx, factor in self._parts:
-            out[idx] = cho_solve_banded((factor, False), rhs[idx])
-        return out
+        return scipy.linalg.cho_solve(self._factor, np.asarray(rhs, dtype=float))

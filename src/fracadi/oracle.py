@@ -3,8 +3,8 @@
 Everything here is deliberately structured differently from the code it
 validates: dense pivoted LU instead of the eigen-coordinate sweeps,
 direct endpoint-averaged weight sums instead of telescoped pair sums,
-library quadrature instead of the closed Gamma forms, an external
-Gauss-Legendre rule for the matrix entries, and sums over the Gauss grid
+library quadrature instead of the closed Gamma forms, numpy's Legendre
+series and Gauss rule for the matrix entries, and sums over the Gauss grid
 instead of the eigen-coordinate norms.  verify_checks() is the
 battery that `fracadi verify` prints.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, leggauss, legvander
 from scipy.linalg import lu_factor, lu_solve
 
 from .basis import (
@@ -22,8 +22,6 @@ from .basis import (
     from_eigen,
     gauss_legendre,
     grid_values,
-    legendre_deriv_table,
-    legendre_table,
     shen_mass_matrix,
     shen_stiffness_diagonal,
 )
@@ -209,12 +207,15 @@ def direct_caputo(order, t, exponent=None, derivative=None):
 def quadrature_matrix_check(basis):
     """Max deviation of the closed-form matrices from brute quadrature.
 
-    Uses numpy's Gauss-Legendre rule at twice the degree, so both the
-    rule and the matrix entries are independently derived.
+    Uses numpy's Legendre series and Gauss rule at twice the degree:
+    L_0..L_N from legvander and their derivatives from legder, so
+    neither the rule, the basis values nor the matrix entries come from
+    the recurrences of basis.
     """
-    nodes, weights = leggauss(2 * basis.degree)
-    table = legendre_table(basis.degree, nodes)
-    deriv = legendre_deriv_table(basis.degree, nodes)
+    n = basis.degree
+    nodes, weights = leggauss(2 * n)
+    table = legvander(nodes, n).T
+    deriv = (legvander(nodes, n - 1) @ legder(np.eye(n + 1))).T
     phi = table[: basis.dim] - table[2 : basis.dim + 2]
     dphi = deriv[: basis.dim] - deriv[2 : basis.dim + 2]
     mass_dev = np.max(np.abs((phi * weights) @ phi.T - basis.mass))

@@ -226,15 +226,12 @@ def _gaussian_bump():
     return SpatialProfile(values=values, laplacian=laplacian)
 
 
-def _sine_product(kx=1.0, ky=1.0, factor=np.pi):
-    fx = factor * kx
-    fy = factor * ky
-
+def _sine_product(factor=np.pi):
     def values(x, y):
-        return np.sin(fx * x) * np.sin(fy * y)
+        return np.sin(factor * x) * np.sin(factor * y)
 
     def laplacian(x, y):
-        return -(fx**2 + fy**2) * np.sin(fx * x) * np.sin(fy * y)
+        return -2.0 * factor**2 * np.sin(factor * x) * np.sin(factor * y)
 
     return SpatialProfile(values=values, laplacian=laplacian)
 

@@ -449,8 +449,8 @@ class AdiSolver:
         for j, val in enumerate(starting_values, start=1):
             self.u[j] = to_eigen(val, basis_x, basis_y)
         self.count = 1 + len(starting_values)
-        self._eigen = True  # u holds eigen-coordinates until march() ends
-        self.norms = self.errors = None  # set by march()
+        # set by march(), which maps u back to the Shen basis at the same time
+        self.norms = self.errors = None
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
         self._explicit = mass + self.coeffs.cross_coef * cross
@@ -700,20 +700,20 @@ class AdiSolver:
             self._advance(min(PANEL, self.steps - k))
             if (self.count - 1) // BLOCK > k // BLOCK or self.count > self.steps:
                 self._check_level(self.count - 1)
-        if self._eigen:
+        if self.norms is None:
             bx, by = self.basis_x, self.basis_y
             levels = len(self.u)
-            self.norms = np.empty(levels)
+            norms, errors = np.empty(levels), None
             if self.tp.exact:
                 table, factors = _exact_factors(self.tp, bx, by, self.tau * np.arange(levels))
-                self.errors = np.empty(levels)
+                errors = np.empty(levels)
             for b, e in level_blocks(levels, bx.dim * by.dim):
                 v = self.u[b:e]
-                self.norms[b:e] = level_norms(v, bx, by)
-                if self.errors is not None:
-                    self.errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
+                norms[b:e] = level_norms(v, bx, by)
+                if errors is not None:
+                    errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
                 self.u[b:e] = from_eigen(v, bx, by)
-            self._eigen = False
+            self.norms, self.errors = norms, errors
         return self.u
 
     def _check_level(self, n):

@@ -14,8 +14,6 @@ from fracadi.basis import (
     grid_factor,
     grid_values,
     l2_error,
-    l2_norm,
-    legendre_deriv_table,
     legendre_table,
     level_norms,
     projection_factors,
@@ -46,13 +44,6 @@ class TestLegendre:
         np.testing.assert_allclose(table[:, 0], 1.0, atol=0.0)
         signs = (-1.0) ** np.arange(65)
         np.testing.assert_allclose(table[:, 1], signs, atol=0.0)
-
-    def test_derivative_table_against_difference(self):
-        x = np.linspace(-0.9, 0.9, 7)
-        h = 1e-6
-        deriv = legendre_deriv_table(8, x)
-        fd = (legendre_table(8, x + h) - legendre_table(8, x - h)) / (2.0 * h)
-        np.testing.assert_allclose(deriv, fd, atol=1e-7)
 
 
 class TestGaussLegendre:
@@ -220,7 +211,7 @@ class TestL2:
         coeffs = rng.standard_normal((bx.dim, by.dim))
         field = ModalField2D(coeffs, bx, by)
         err = l2_error(field, lambda x, y: np.zeros(np.broadcast(x, y).shape))
-        assert l2_norm(coeffs, bx, by) == pytest.approx(err, rel=1e-12)
+        assert level_norms(to_eigen(coeffs, bx, by)[None], bx, by)[0] == pytest.approx(err, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_errors_of_huge_finite_fields_stay_finite(self, unit_bases, rng):
@@ -238,7 +229,8 @@ class TestL2:
         huge = level_norms(1e170 * v, bx, by, 1e170 * table, factors)
         assert np.all(plain > 1.0)
         np.testing.assert_allclose(huge, 1e170 * plain, rtol=1e-12)
-        np.testing.assert_allclose(l2_norm(1e170 * coeffs, bx, by), 1e170 * l2_norm(coeffs, bx, by), rtol=1e-12)
+        scaled = level_norms(to_eigen(1e170 * coeffs, bx, by), bx, by)
+        np.testing.assert_allclose(scaled, 1e170 * level_norms(v, bx, by), rtol=1e-12)
         r = factors[1]
         np.testing.assert_allclose(factor_norms(1e170 * table, r), 1e170 * factor_norms(table, r), rtol=1e-12)
 
@@ -278,7 +270,8 @@ class TestNormIdentity:
         bx, by = mapped_bases
         stack = rng.standard_normal((40, bx.dim, by.dim)) * np.logspace(-3.0, 3.0, 40)[:, None, None]
         mass = bx.jacobian * by.jacobian * np.einsum("nij,ik,nkl,jl->n", stack, bx.mass, stack, by.mass)
-        np.testing.assert_allclose(l2_norm(stack, bx, by), np.sqrt(mass), rtol=1e-14, atol=0.0)
+        got = level_norms(to_eigen(stack, bx, by), bx, by)
+        np.testing.assert_allclose(got, np.sqrt(mass), rtol=1e-14, atol=0.0)
 
     def test_grid_factor_gives_grid_norms(self, mapped_bases, rng):
         bx, by = mapped_bases

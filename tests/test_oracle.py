@@ -1,10 +1,11 @@
 """Reference-path checks: dense solves, unsplit march, direct Caputo."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracadi.basis import build_basis, eigen_factors, l2_norm
+from fracadi.basis import build_basis, eigen_factors, level_norms, to_eigen
 from fracadi.oracle import (
     UnsplitReference,
     dense_kronecker_solve,
@@ -144,7 +145,7 @@ class TestUnsplitReference:
             split.march()
             plain = UnsplitReference(tp, bx, by, 1.0 / steps, steps)
             plain.march()
-            gaps.append(float(np.max(l2_norm(split.u - plain.u, bx, by))))
+            gaps.append(float(np.max(level_norms(to_eigen(split.u - plain.u, bx, by), bx, by))))
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert np.all(np.abs(orders - (2.0 + 2.0 * beta)) <= 0.1), orders
 
@@ -238,6 +239,14 @@ class TestMatrixChecks:
     @pytest.mark.parametrize("degree,bound", [(8, 1e-12), (16, 5e-12), (24, 1e-11)])
     def test_closed_forms_match_quadrature(self, degree, bound):
         assert quadrature_matrix_check(build_basis(degree, (-1.0, 1.0))) <= bound
+
+    def test_perturbed_closed_form_fails(self):
+        # one mass entry off by 1e-10 must show far above verify's 1e-11
+        # bound (the unperturbed N = 16 check reads about 5e-13)
+        basis = build_basis(16, (-1.0, 1.0))
+        mass = basis.mass.copy()
+        mass[0, 2] += 1e-10
+        assert quadrature_matrix_check(dataclasses.replace(basis, mass=mass)) > 1e-11
 
     @pytest.mark.parametrize("n", [8, 24, 64])
     def test_gauss_rule_matches_library(self, n):

@@ -18,7 +18,8 @@ from fracadi.basis import (
     build_basis,
     from_eigen,
     l2_error,
-    l2_norm,
+    level_norms,
+    to_eigen,
 )
 from fracadi.oracle import half_sum_coefficients
 from fracadi.problems import (
@@ -1429,10 +1430,11 @@ class TestRun:
         spec = get_problem("compatible_nonsmooth")
         res = run(spec, degree, steps, 1.0)
         tol = 1e-13 * np.max(res.norms)
+        bx, by = res.basis_x, res.basis_y
         for n, t in enumerate(res.times):
             want = l2_error(res.field(n), lambda x, y: spec.exact(x, y, t) - spec.g1.values(x, y))
             assert res.errors[n] == pytest.approx(want, rel=1e-12, abs=tol)
-            want = l2_norm(res.coeffs[n], res.basis_x, res.basis_y)
+            want = level_norms(to_eigen(res.coeffs[n : n + 1], bx, by), bx, by)[0]
             assert res.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
