@@ -32,7 +32,7 @@ from .problems import (
     boundary_mismatch,
     get_problem,
 )
-from .solver import SOURCE_MODES, reduce_order, run, step_coefficients
+from .solver import BOOTSTRAP_RATIO, SOURCE_MODES, reduce_order, run, step_coefficients
 from .weights import (
     MAX_CORRECTION_TERMS,
     StartingWeightError,
@@ -69,7 +69,7 @@ class RunConfig:
     T: float = 1.0
     m: int = 0
     sigma: tuple = None
-    bootstrap_ratio: int = 100
+    bootstrap_ratio: int = BOOTSTRAP_RATIO
     study_param: str = "tau"
     levels: tuple = None
     source_mode: str = "auto"
@@ -424,12 +424,12 @@ def write_lines(path, lines):
             handle.write(line + "\n")
 
 
-def snapshot_lines(result, points=SNAPSHOT_POINTS):
+def snapshot_lines(result):
     """Uniform-grid 'x y value' triplets of u = u_reduced + lifted g1."""
     domain = result.tp.domain
-    xs = np.linspace(domain.ax, domain.bx, points)
-    ys = np.linspace(domain.ay, domain.by, points)
-    values = np.zeros((points, points))
+    xs = np.linspace(domain.ax, domain.bx, SNAPSHOT_POINTS)
+    ys = np.linspace(domain.ay, domain.by, SNAPSHOT_POINTS)
+    values = np.zeros((SNAPSHOT_POINTS, SNAPSHOT_POINTS))
     # basis functions vanish identically on the boundary rows/columns
     values[1:-1, 1:-1] = evaluate_field(result.field(-1), xs[1:-1], ys[1:-1])
     if result.tp.lift is not None:
@@ -628,7 +628,7 @@ def _add_common(sub):
         "--bootstrap-ratio",
         dest="bootstrap_ratio",
         type=int,
-        help="fine/coarse step ratio for starting values (default 100)",
+        help=f"fine/coarse step ratio for starting values (default {BOOTSTRAP_RATIO})",
     )
     sub.add_argument(
         "--source-mode",

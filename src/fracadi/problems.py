@@ -16,6 +16,9 @@ import numpy as np
 
 from .weights import power_factor
 
+# Points per edge at which boundary_mismatch samples the exact solution.
+BOUNDARY_SAMPLES = 201
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -198,13 +201,13 @@ def pde_residual(problem, x, y, t):
     return res
 
 
-def boundary_mismatch(problem, t, samples=201):
+def boundary_mismatch(problem, t):
     """Largest |exact| on the four edges at time t (Dirichlet defect)."""
     if not problem.has_exact:
         return 0.0
     d = problem.domain
-    xs = np.linspace(d.ax, d.bx, samples)
-    ys = np.linspace(d.ay, d.by, samples)
+    xs = np.linspace(d.ax, d.bx, BOUNDARY_SAMPLES)
+    ys = np.linspace(d.ay, d.by, BOUNDARY_SAMPLES)
     worst = 0.0
     for edge in (
         (xs, np.full_like(xs, d.ay)),
@@ -236,6 +239,67 @@ def _sine_product(factor=np.pi):
     return SpatialProfile(values=values, laplacian=laplacian)
 
 
+def _smooth(name, domain, profile, laplacian_term):
+    """u = t^3 * profile with the orders of Example 6.1.
+
+    The forcing is the three Caputo terms of t^3, then laplacian_term,
+    the member's own -mu Laplacian(u) term.
+    """
+    g = math.gamma(4.0)
+    forcing = (
+        SeparableTerm(g / math.gamma(2.5), 1.5, profile),
+        SeparableTerm(3.0, 2.0, profile),
+        SeparableTerm(g / math.gamma(3.6), 2.6, profile),
+        laplacian_term,
+    )
+    return ProblemSpec(
+        name=name,
+        alpha=1.5,
+        alphas=(1.0, 0.4),
+        coeffs=(1.0, 1.0),
+        mu=2.0,
+        domain=domain,
+        forcing_terms=forcing,
+        exact_terms=(SeparableTerm(1.0, 3.0, profile),),
+    )
+
+
+def _nonsmooth(name, domain, factor):
+    """u = (sum_{k=1}^{6} t^{1+0.1k}/(k+1) + 2) sin(factor x) sin(factor y).
+
+    The orders are Example 6.2's; Laplacian(profile) = -2 factor^2 profile.
+    """
+    profile = _sine_product(factor)
+    alpha, alphas, coeffs, mu = 1.1, (1.0, 0.1), (1.0, 1.0), 2.0
+    lap_factor = -2.0 * factor**2
+    exact = [SeparableTerm(1.0 / (k + 1.0), 1.0 + 0.1 * k, profile) for k in range(1, 7)]
+    exact.append(SeparableTerm(2.0, 0.0, profile))
+    forcing = []
+    for term in exact:  # the constant has no Caputo derivative
+        for order, a in zip((alpha,) + alphas, (1.0,) + coeffs):
+            fact = caputo_power_factor(order, term.exponent)
+            if fact is not None:
+                forcing.append(SeparableTerm(a * term.coefficient * fact[0], fact[1], profile))
+    # -mu * Laplacian(u): every exact term contributes, including the constant
+    for k in range(1, 7):
+        forcing.append(SeparableTerm(-mu * lap_factor / (k + 1.0), 1.0 + 0.1 * k, profile))
+    forcing.append(SeparableTerm(-mu * lap_factor * 2.0, 0.0, profile))
+    return ProblemSpec(
+        name=name,
+        alpha=alpha,
+        alphas=alphas,
+        coeffs=coeffs,
+        mu=mu,
+        domain=domain,
+        forcing_terms=tuple(forcing),
+        exact_terms=tuple(exact),
+        g1=SpatialProfile(
+            values=lambda x, y: 2.0 * np.sin(factor * x) * np.sin(factor * y),
+            laplacian=lambda x, y: lap_factor * 2.0 * np.sin(factor * x) * np.sin(factor * y),
+        ),
+    )
+
+
 def example_6_1():
     """Smooth manufactured solution t^3 exp(-(x^2+y^2)).
 
@@ -243,58 +307,10 @@ def example_6_1():
     so the Dirichlet solver only reproduces it qualitatively; the
     mismatch is reported, not hidden.
     """
-    bump = _gaussian_bump()
-    g = math.gamma(4.0)
-    forcing = (
-        SeparableTerm(g / math.gamma(2.5), 1.5, bump),
-        SeparableTerm(3.0, 2.0, bump),
-        SeparableTerm(g / math.gamma(3.6), 2.6, bump),
-        SeparableTerm(
-            2.0,
-            3.0,
-            SpatialProfile(
-                values=lambda x, y: (4.0 - 4.0 * (x**2 + y**2)) * np.exp(-(x**2 + y**2)),
-                laplacian=None,
-            ),
-        ),
-    )
-    return ProblemSpec(
-        name="example_6_1",
-        alpha=1.5,
-        alphas=(1.0, 0.4),
-        coeffs=(1.0, 1.0),
-        mu=2.0,
-        domain=Rectangle(-2.0, 1.0, -1.0, 2.0),
-        forcing_terms=forcing,
-        exact_terms=(SeparableTerm(1.0, 3.0, bump),),
-    )
-
-
-def _nonsmooth_terms(profile):
-    terms = [SeparableTerm(1.0 / (k + 1.0), 1.0 + 0.1 * k, profile) for k in range(1, 7)]
-    terms.append(SeparableTerm(2.0, 0.0, profile))
-    return tuple(terms)
-
-
-def _nonsmooth_forcing(profile, alpha, alphas, coeffs, mu, lap_factor):
-    """Forcing for u = (sum_k t^{1+0.1k}/(k+1) + 2) * profile.
-
-    lap_factor is the constant with Laplacian(profile) = lap_factor * profile.
-    """
-    terms = []
-    for k in range(1, 7):
-        c = 1.0 / (k + 1.0)
-        gamma = 1.0 + 0.1 * k
-        for order, a in zip((alpha,) + tuple(alphas), (1.0,) + tuple(coeffs)):
-            fact = caputo_power_factor(order, gamma)
-            if fact is None:
-                continue
-            terms.append(SeparableTerm(a * c * fact[0], fact[1], profile))
-    # -mu * Laplacian(u): every exact term contributes, including the constant
-    for k in range(1, 7):
-        terms.append(SeparableTerm(-mu * lap_factor / (k + 1.0), 1.0 + 0.1 * k, profile))
-    terms.append(SeparableTerm(-mu * lap_factor * 2.0, 0.0, profile))
-    return tuple(terms)
+    # -mu Laplacian(u) = 2 t^3 (4 - 4 r^2) exp(-r^2), on a profile of its own
+    lap = SpatialProfile(lambda x, y: (4.0 - 4.0 * (x**2 + y**2)) * np.exp(-(x**2 + y**2)))
+    domain = Rectangle(-2.0, 1.0, -1.0, 2.0)
+    return _smooth("example_6_1", domain, _gaussian_bump(), SeparableTerm(2.0, 3.0, lap))
 
 
 def example_6_2():
@@ -304,22 +320,7 @@ def example_6_2():
     (-2, 1) x (-1, 2); sin x sin y does not vanish on that boundary, so
     this is registered for qualitative runs only.
     """
-    profile = _sine_product(factor=1.0)
-    alpha, alphas, coeffs, mu = 1.1, (1.0, 0.1), (1.0, 1.0), 2.0
-    return ProblemSpec(
-        name="example_6_2",
-        alpha=alpha,
-        alphas=alphas,
-        coeffs=coeffs,
-        mu=mu,
-        domain=Rectangle(-2.0, 1.0, -1.0, 2.0),
-        forcing_terms=_nonsmooth_forcing(profile, alpha, alphas, coeffs, mu, -2.0),
-        exact_terms=_nonsmooth_terms(profile),
-        g1=SpatialProfile(
-            values=lambda x, y: 2.0 * np.sin(x) * np.sin(y),
-            laplacian=lambda x, y: -4.0 * np.sin(x) * np.sin(y),
-        ),
-    )
+    return _nonsmooth("example_6_2", Rectangle(-2.0, 1.0, -1.0, 2.0), 1.0)
 
 
 def compatible_smooth():
@@ -330,24 +331,8 @@ def compatible_smooth():
     meaningful.
     """
     profile = _sine_product()
-    mu = 2.0
-    g = math.gamma(4.0)
-    forcing = (
-        SeparableTerm(g / math.gamma(2.5), 1.5, profile),
-        SeparableTerm(3.0, 2.0, profile),
-        SeparableTerm(g / math.gamma(3.6), 2.6, profile),
-        SeparableTerm(2.0 * mu * np.pi**2, 3.0, profile),
-    )
-    return ProblemSpec(
-        name="compatible_smooth",
-        alpha=1.5,
-        alphas=(1.0, 0.4),
-        coeffs=(1.0, 1.0),
-        mu=mu,
-        domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
-        forcing_terms=forcing,
-        exact_terms=(SeparableTerm(1.0, 3.0, profile),),
-    )
+    lap = SeparableTerm(2.0 * 2.0 * np.pi**2, 3.0, profile)  # -mu Laplacian(u), mu = 2
+    return _smooth("compatible_smooth", Rectangle(-1.0, 1.0, -1.0, 1.0), profile, lap)
 
 
 def compatible_nonsmooth():
@@ -358,22 +343,7 @@ def compatible_nonsmooth():
     leading power caps the uncorrected scheme near first order and is
     what the starting corrections are for.
     """
-    profile = _sine_product()
-    alpha, alphas, coeffs, mu = 1.1, (1.0, 0.1), (1.0, 1.0), 2.0
-    return ProblemSpec(
-        name="compatible_nonsmooth",
-        alpha=alpha,
-        alphas=alphas,
-        coeffs=coeffs,
-        mu=mu,
-        domain=Rectangle(-1.0, 1.0, -1.0, 1.0),
-        forcing_terms=_nonsmooth_forcing(profile, alpha, alphas, coeffs, mu, -2.0 * np.pi**2),
-        exact_terms=_nonsmooth_terms(profile),
-        g1=SpatialProfile(
-            values=lambda x, y: 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
-            laplacian=lambda x, y: -2.0 * np.pi**2 * 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
-        ),
-    )
+    return _nonsmooth("compatible_nonsmooth", Rectangle(-1.0, 1.0, -1.0, 1.0), np.pi)
 
 
 _REGISTRY = {

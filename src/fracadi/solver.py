@@ -73,19 +73,8 @@ NEAR_PRODUCT = 2**18
 # power-law terms of f in closed form, "sampled" applies the GL integral to
 # their time factors; "auto" is analytic.
 SOURCE_MODES = ("auto", "analytic", "sampled")
-
-
-def _fast_length(n):
-    """The smallest 2^a 3^b 5^c >= n: an FFT length pocketfft splits into small factors."""
-    best = 1 << (n - 1).bit_length()  # the smallest 2^a >= n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:  # p35 = 3^b 5^c; try the smallest p35 * 2^a >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+# Fine steps per coarse step of the march that bootstraps corrected runs.
+BOOTSTRAP_RATIO = 100
 
 
 def near_product(near, hist, out=None):
@@ -272,8 +261,9 @@ def source_table(tp, tau, steps, mode="auto"):
         return term_table(tp.g + integrated, times)
     forcing, columns = term_table(tp.f, times)
     # the GL sum is a causal convolution along time; a circular one of at
-    # least 2 steps + 1 points leaves its first steps + 1 levels unaliased
-    size = _fast_length(2 * n_levels - 1)
+    # least 2 steps + 1 points leaves its first steps + 1 levels unaliased;
+    # the length is the smallest power of two that is that long
+    size = 1 << (2 * steps).bit_length()
     lam_hat = np.fft.rfft(shifted_weights(-tp.beta, steps), size)
     integral = np.fft.irfft(np.fft.rfft(columns, size) * lam_hat, size)[:, :n_levels]
     velocity, rows = term_table(tp.g, times)
@@ -729,7 +719,9 @@ class AdiSolver:
             _check_finite("solution", sup, self.tau, self.steps, first=b)
 
 
-def bootstrap_starting_values(tp, basis_x, basis_y, tau, count, ratio=100, source_mode="auto"):
+def bootstrap_starting_values(
+    tp, basis_x, basis_y, tau, count, ratio=BOOTSTRAP_RATIO, source_mode="auto"
+):
     """First `count` coarse-grid values from a fine uncorrected run.
 
     Integrates from 0 to count * tau with step tau / ratio and returns
@@ -828,7 +820,7 @@ def run(
     final_time,
     correction_terms=0,
     exponents=None,
-    bootstrap_ratio=100,
+    bootstrap_ratio=BOOTSTRAP_RATIO,
     source_mode="auto",
     starting_values=None,
 ):

@@ -233,6 +233,19 @@ class TestRegistry:
         assert spec.name == name
         assert spec.has_exact
 
+    @pytest.mark.parametrize(
+        "printed, compatible",
+        [("example_6_1", "compatible_smooth"), ("example_6_2", "compatible_nonsmooth")],
+    )
+    def test_family_members_differ_only_in_domain_and_profiles(self, printed, compatible):
+        # the printed example and its compatible variant share orders,
+        # coefficients, mu, time dependence and whether u(0) is set
+        a, b = get_problem(printed), get_problem(compatible)
+        assert (a.alpha, a.alphas, a.coeffs, a.mu) == (b.alpha, b.alphas, b.coeffs, b.mu)
+        powers = [sorted((t.exponent, t.coefficient) for t in s.exact_terms) for s in (a, b)]
+        assert powers[0] == powers[1]
+        assert (a.g1 is None) == (b.g1 is None)
+
 
 class TestCompatibleSmooth:
     def test_orders_and_coefficients(self):

@@ -38,7 +38,6 @@ from fracadi.solver import (
     PANEL,
     AdiSolver,
     TransformedProblem,
-    _fast_length,
     bootstrap_starting_values,
     eigen_operators,
     near_product,
@@ -525,10 +524,11 @@ class TestProjectTimeSeries:
         with pytest.raises(ValueError, match="source mode"):
             project_time_series(self.tp, self.bx, self.by, 0.25, 4, mode="grid")
 
-    @pytest.mark.parametrize("steps", [1, 7, 2000])
+    @pytest.mark.parametrize("steps", [1, 7, 512, 2000])
     def test_sampled_table_matches_direct_convolution(self, steps):
         # the FFT convolution against the GL sum of every level, written as
-        # a direct convolution of the weights with each forcing column
+        # a direct convolution of the weights with each forcing column; at
+        # 512 steps the 2 steps + 1 = 1025 points are one past a power of two
         tp = two_profile_problem()
         tau = 1.0 / steps
         times = tau * np.arange(steps + 1)
@@ -724,21 +724,6 @@ class TestNearProduct:
         for rows, inner, cols in shapes:
             assert inner == levels
             assert rows * inner * cols <= 2**18
-
-
-def test_fast_length_is_the_smallest_5_smooth_length():
-    def smooth(k):
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        return k == 1
-
-    want, nxt = {}, None
-    for k in range(5000, 0, -1):  # 5000 = 2^3 5^4 is 5-smooth
-        if smooth(k):
-            nxt = k
-        want[k] = nxt
-    assert all(_fast_length(n) == want[n] for n in range(1, 5001))
 
 
 class TestStepVersusDense:
