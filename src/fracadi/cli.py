@@ -431,7 +431,7 @@ def snapshot_lines(result):
     ys = np.linspace(domain.ay, domain.by, SNAPSHOT_POINTS)
     values = np.zeros((SNAPSHOT_POINTS, SNAPSHOT_POINTS))
     # basis functions vanish identically on the boundary rows/columns
-    values[1:-1, 1:-1] = evaluate_field(result.field(-1), xs[1:-1], ys[1:-1])
+    values[1:-1, 1:-1] = evaluate_field(result.field(), xs[1:-1], ys[1:-1])
     if result.tp.lift is not None:
         values = values + result.tp.lift.values(xs[:, None], ys[None, :])
     lines = []

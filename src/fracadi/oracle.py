@@ -28,10 +28,12 @@ from .basis import (
 from .problems import get_problem, term_table
 from .solver import (
     BLOCK,
+    AdiSolver,
     StepCoefficients,
+    bootstrap_starting_values,
     eigen_operators,
     project_time_series,
-    run,
+    reduce_order,
     source_table,
 )
 from .weights import (
@@ -359,26 +361,51 @@ def grid_norms(table, grid, basis_x, basis_y, coeffs=None):
     return np.sqrt(np.sum(weights * vals**2, axis=(1, 2)))
 
 
-def direct_norm_gap(result):
-    """Largest gap of a RunResult's norms from grid_norms, the direct path.
+def direct_norm_gap(solver):
+    """Largest gap of a marched AdiSolver's norms from grid_norms, the direct path.
 
-    Compares the half-source norms (relative to the largest of them),
-    and the norms and errors (relative to max ||u^n||), each recomputed
-    from the run's coefficients, source table and exact terms.
+    The solver keeps every level (keep = range(steps + 1)).  Compares the
+    half-source norms (relative to the largest of them), and the norms
+    and errors (relative to max ||u^n||), each recomputed from the kept
+    levels, the source table and the exact terms.
     """
-    tp, bx, by, coeffs = result.tp, result.basis_x, result.basis_y, result.coeffs
-    profiles, table = source_table(tp, result.tau, len(coeffs) - 1, result.source_mode)
+    if not np.array_equal(solver.keep, np.arange(solver.steps + 1)):
+        raise ValueError("the solver must keep every level")
+    tp, bx, by, coeffs = solver.tp, solver.basis_x, solver.basis_y, solver.march()
+    profiles, table = source_table(tp, solver.tau, solver.steps, solver.source_mode)
     half = grid_norms(0.5 * table[:, :-1] + 0.5 * table[:, 1:], grid_values(profiles, bx, by), bx, by)
     norms = grid_norms(np.zeros((0, len(coeffs))), grid_values((), bx, by), bx, by, coeffs)
     gaps = [
-        np.max(np.abs(result.half_source_norms - half)) / np.max(half),
-        np.max(np.abs(result.norms - norms)) / np.max(norms),
+        np.max(np.abs(solver.half_source_norms - half)) / np.max(half),
+        np.max(np.abs(solver.norms - norms)) / np.max(norms),
     ]
     if tp.exact:
-        profiles, table = term_table(tp.exact, result.times)
+        profiles, table = term_table(tp.exact, solver.tau * np.arange(len(coeffs)))
         errors = grid_norms(table, grid_values(profiles, bx, by), bx, by, coeffs)
-        gaps.append(np.max(np.abs(result.errors - errors)) / np.max(norms))
+        gaps.append(np.max(np.abs(solver.errors - errors)) / np.max(norms))
     return max(float(gap) for gap in gaps)
+
+
+def marched_every_level(name, degree, steps, m=0, source_mode="auto"):
+    """An AdiSolver of problem `name` up to T = 1, marched keeping every level.
+
+    Its m starting values come from bootstrap_starting_values and its
+    exponents from default_sigmas, as run() takes them.
+    """
+    tp = reduce_order(get_problem(name))
+    bx = build_basis(degree, tp.domain.x_interval)
+    by = build_basis(degree, tp.domain.y_interval)
+    tau = 1.0 / steps
+    solver = AdiSolver(
+        tp, bx, by, tau, steps,
+        correction_terms=m,
+        exponents=default_sigmas(m),
+        starting_values=bootstrap_starting_values(tp, bx, by, tau, m, source_mode=source_mode),
+        source_mode=source_mode,
+        keep=range(steps + 1),
+    )
+    solver.march()
+    return solver
 
 
 def verify_checks():
@@ -414,12 +441,9 @@ def verify_checks():
             worst = max(worst, -qf / float(v @ v))
     yield "memory_quadratic_form", worst <= 1e-12, worst
 
-    # a corrected sampled run, and one at N = 4 (fig3's first level),
+    # a corrected sampled march, and one at N = 4 (fig3's first level),
     # whose error is mostly the part of the exact solution off the basis
-    corrected = run(
-        get_problem("compatible_nonsmooth"), 12, 64, 1.0,
-        correction_terms=3, exponents=default_sigmas(3), source_mode="sampled",
-    )
-    coarse = run(get_problem("compatible_smooth"), 4, 2000, 1.0)
+    corrected = marched_every_level("compatible_nonsmooth", 12, 64, m=3, source_mode="sampled")
+    coarse = marched_every_level("compatible_smooth", 4, 2000)
     gap = max(direct_norm_gap(corrected), direct_norm_gap(coarse))
     yield "norms_vs_grid_sums", gap <= 1e-13, gap

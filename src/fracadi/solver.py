@@ -11,14 +11,18 @@ the step, the sweeps included, is elementwise, so a panel of consecutive
 steps is solved at once, mode by mode.  The memory sums contract the last
 BLOCK levels directly and reach the older ones through a sum of decaying
 exponentials (weights.far_exponentials), carried as a state of a few
-dozen levels.
+dozen levels.  So the march holds a fixed number of levels, whatever the
+step count: a history buffer of the near window and the panel, whose
+norms and errors it takes as the levels leave the buffer.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .basis import (
 )
 from .problems import ProblemSpec, SeparableTerm, SpatialProfile, term_table
 from .weights import (
+    FAR_LAGS,
     build_correction_set,
     check_exponents,
     far_exponentials,
@@ -60,6 +65,12 @@ BLOCK = 128
 # same CPU time at 8 and 16 and 8 % more at 4; at 16 its peak RSS was 1.0 MB
 # higher than at 8 (the N = 64 study holds the largest panels).
 PANEL = 8
+# Levels of the history buffer AdiSolver.u.  A march needs the near window
+# of the step it takes and the levels of its panel, at most BLOCK + PANEL;
+# twice that lets it move the window to the front of the buffer only once
+# every BLOCK + PANEL steps or so, by a copy whose source and target do not
+# overlap.
+HISTORY = 2 * BLOCK + 2 * PANEL
 # Multiply-adds per product of the direct memory contraction.  OpenBLAS runs
 # a GEMM of at most 65536 x GEMM_MULTITHREAD_THRESHOLD (default 4) of them
 # on the calling thread; a larger one wakes a second thread, whose spin-wait
@@ -366,19 +377,26 @@ class AdiSolver:
 
     The march runs in the eigen-coordinates v = E_x^{-1} u E_y^{-T} of
     basis.eigen_factors, where the mass, stiffness, splitting and sweep
-    operators act elementwise (eigen_operators).  While a march runs,
-    u, the source profiles, assemble_rhs, correction_load and sweep_solve
-    all work in eigen-coordinates.  Starting values are given in the Shen
-    basis and mapped in with E^T S, the Shen-basis source projections of
-    project_time_series with E_x^T . E_y.  march() ends with one pass
-    over u, block by block (see basis.level_blocks): it takes each
-    level's L2 norm (`norms`) and, where tp has an exact solution, its
-    error (`errors`; None without one) in eigen-coordinates
-    (basis.level_norms), then maps the block back to the Shen basis in
-    place.  So u after a march holds Shen coefficients; steps taken with
-    step_once alone stay in eigen-coordinates and set no norms.  The
-    starting values, m <= count <= steps of them and each of shape
-    (dim_x, dim_y), are checked before any table is built.
+    operators act elementwise (eigen_operators).  u, the source profiles,
+    assemble_rhs, correction_load and sweep_solve all work in
+    eigen-coordinates.  Starting values are given in the Shen basis and
+    mapped in with E^T S, the Shen-basis source projections of
+    project_time_series with E_x^T . E_y.  The starting values, m <=
+    count <= steps of them and each of shape (dim_x, dim_y), and `keep`,
+    the levels in 0..steps that march() returns (the last one by
+    default), are checked before any table is built.
+
+    u is a history buffer, not the trajectory: it holds the levels _base,
+    _base + 1, ..., up to HISTORY of them (more only for as many starting
+    values), whatever the step count.  When a panel's new levels would
+    not fit, the levels before the near window of its first step leave
+    the buffer (the far state has taken them in), and the window moves to
+    its front.  Each level gives, as it leaves or at the end of march(),
+    its L2 norm (`norms`) and, where tp has an exact solution, its error
+    (`errors`; None without one), taken in eigen-coordinates one level
+    block at a time (basis.level_blocks, basis.level_norms); a kept level
+    is mapped to the Shen basis.  norms and errors are set when march()
+    ends.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -396,8 +414,9 @@ class AdiSolver:
     as one constant (2, PANEL, BLOCK) near table, whose row t holds the
     lags t..t + BLOCK - 1 that row t of a panel applies to the near window,
     the inverse step symbol, in corrected runs the starting-weight loads
-    and the per-mode images of the starting differences, and the full
-    history u, its only array of dim_x * dim_y values per level.  The
+    and the per-mode images of the starting differences, the exact
+    solution's time factors, the norms and errors by level, the buffer u
+    and the kept levels.  The
     memory of the levels older than the near window of BLOCK levels is a
     sum of exponentials (weights.far_exponentials): a state of one level
     per rate, a few dozen in all, that the first step past the window
@@ -417,11 +436,11 @@ class AdiSolver:
         exponents=None,
         starting_values=None,
         source_mode="auto",
+        keep=None,
     ):
         if steps < 1:
             raise ValueError("need at least one step")
         source_mode = _resolve_source_mode(source_mode)
-        _check_memory(basis_x, basis_y, steps)
         self.tp = tp
         self.basis_x = basis_x
         self.basis_y = basis_y
@@ -434,12 +453,22 @@ class AdiSolver:
 
         starting_values = () if starting_values is None else starting_values
         _check_starting_values(self.m, starting_values, steps, (basis_x.dim, basis_y.dim))
+        self.keep = np.array([operator.index(j) for j in ((steps,) if keep is None else keep)], int)
+        if not ((0 <= self.keep) & (self.keep <= steps)).all():
+            raise ValueError(f"kept levels must lie in 0..{steps}")
+        self.count = 1 + len(starting_values)
+        rows = min(steps + 1, max(HISTORY, self.count + PANEL))  # the starting values and a panel
+        _check_memory(tp, basis_x, basis_y, steps, self.m, rows + len(self.keep))
 
-        self.u = np.zeros((steps + 1, basis_x.dim, basis_y.dim))
+        shape = (basis_x.dim, basis_y.dim)
+        self.u = np.zeros((rows,) + shape)
+        self._base = 0  # the level in row 0 of u
         for j, val in enumerate(starting_values, start=1):
             self.u[j] = to_eigen(val, basis_x, basis_y)
-        self.count = 1 + len(starting_values)
-        # set by march(), which maps u back to the Shen basis at the same time
+        self._kept = np.empty((len(self.keep),) + shape)
+        self._norms = np.empty(steps + 1)
+        self._errors = np.empty(steps + 1) if tp.exact else None
+        # set once march() has taken every level's norm and error
         self.norms = self.errors = None
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
@@ -487,6 +516,15 @@ class AdiSolver:
             self._images = self._starting_images((mass, stiff, cross))
 
         self._prepare_source(source_mode)
+
+    @cached_property
+    def _exact(self):
+        """(table, factors) of tp's exact solution at every level (_exact_factors).
+
+        Built when the first levels give their errors, so as part of the march.
+        """
+        times = self.tau * np.arange(self.steps + 1)
+        return _exact_factors(self.tp, self.basis_x, self.basis_y, times)
 
     def _starting_images(self, operators):
         """(3 m, dim_x * dim_y) images of the starting differences u[j] - u[0].
@@ -551,19 +589,24 @@ class AdiSolver:
         (_bring_far), as one near_product of its (2 n, Q) table.  A level
         enters the far state when it leaves the window, so from then on
         it must not change: once the state is at step k0, a call for a
-        step before k0 raises ValueError.  1 <= n <= PANEL.  Returns an
+        step before k0 raises ValueError, and so does one for a step whose
+        level lies past the buffer u.  1 <= n <= PANEL.  Returns an
         (n, dim_x, dim_y) stack.
         """
         if not (0 <= k and 1 <= n <= PANEL and k + n <= self.steps):
             raise ValueError("step index out of range")
         if k < self._far_level:
             raise ValueError(f"step {k} lies before the far state, at step {self._far_level}")
+        base = self._base
+        if k - base >= len(self.u):
+            end = base + len(self.u) - 1
+            raise ValueError(f"step {k} lies past the history, which ends at level {end}")
         lo = max(k + 1 - BLOCK, 0)
         if lo:  # the levels before the window; before the panel's temporaries exist
             self._bring_far(k)
         levels = k + 1 - lo
         near = self._near[:, :n, BLOCK - levels :].reshape(2 * n, levels)
-        mem = near_product(near, self.u[lo : k + 1].reshape(levels, -1))
+        mem = near_product(near, self.u[lo - base : k + 1 - base].reshape(levels, -1))
         if lo:
             near_product(self._far_rows[:, :n].reshape(2 * n, -1), self._far, out=mem)
         mem = mem.reshape(2, n, -1)
@@ -572,7 +615,7 @@ class AdiSolver:
         memory += stiff
         shape = (n,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
-        rhs[0] += self._explicit * self.u[k]
+        rhs[0] += self._explicit * self.u[k - base]
         # halving before adding keeps the mean of two finite levels finite
         half = 0.5 * self.tau
         factors = self.source_factors
@@ -598,7 +641,8 @@ class AdiSolver:
             g = min(PANEL, k - self._far_level)
             oldest = self._far_level + 1 - BLOCK  # the first level to leave
             self._far *= self._decay[g - 1][:, None]
-            leaving = self.u[oldest : oldest + g].reshape(g, -1)
+            row = oldest - self._base
+            leaving = self.u[row : row + g].reshape(g, -1)
             near_product(self._entry[:, PANEL - g :], leaving, out=self._far)
             self._far_level += g
 
@@ -660,13 +704,53 @@ class AdiSolver:
         return out
 
     def _advance(self, n):
-        """Take the n steps from level count - 1 on as one panel."""
+        """Take the n steps from level count - 1 on as one panel.
+
+        Where the new levels would not fit in u, the levels before the near
+        window of step count - 1, which the far state has taken in by then,
+        leave it first (_drop).
+        """
         k = self.count - 1
         rhs = self.assemble_rhs(k, n)
         if self._loads is not None:
             rhs += self.correction_load(k, n)
-        self.sweep_solve(rhs, out=self.u[k + 1 : k + 1 + n])
+        if k + n - self._base >= len(self.u):
+            self._drop(k + 1 - BLOCK)
+        row = k + 1 - self._base
+        self.sweep_solve(rhs, out=self.u[row : row + n])
         self.count += n
+
+    def _drop(self, stop):
+        """Take the levels before `stop` out of u and move the others to its front.
+
+        The levels leaving give their norms, errors and kept levels first
+        (_take).  The ones that move, stop..count - 1, are at most BLOCK
+        levels; a drop happens only where a panel would pass the end of u,
+        which then holds at least HISTORY levels, so they move by more than
+        BLOCK rows, and the copy's source and target do not overlap.
+        """
+        self._take(self._base, stop)
+        rows = self.count - stop
+        self.u[:rows] = self.u[stop - self._base : self.count - self._base]
+        self._base = stop
+
+    def _take(self, first, stop):
+        """Norms, errors and kept levels of the levels first..stop - 1, all in u.
+
+        The norms and errors are taken in eigen-coordinates, one level
+        block at a time; basis.level_norms sums each level on its own, so
+        they do not depend on where the blocks fall.
+        """
+        bx, by = self.basis_x, self.basis_y
+        for b, e in level_blocks(stop - first, self.u[0].size):
+            b, e = first + b, first + e
+            v = self.u[b - self._base : e - self._base]
+            self._norms[b:e] = level_norms(v, bx, by)
+            if self._errors is not None:
+                table, factors = self._exact
+                self._errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
+        kept = np.flatnonzero((first <= self.keep) & (self.keep < stop))
+        self._kept[kept] = from_eigen(self.u[self.keep[kept] - self._base], bx, by)
 
     def step_once(self):
         """Take one step: a panel of one."""
@@ -676,14 +760,15 @@ class AdiSolver:
     # the steps up to it raise no floating-point warnings
     @np.errstate(over="ignore", invalid="ignore")
     def march(self):
-        """Step to the last level in panels; then take norms and errors and map u back.
+        """Step to the last level in panels; return the kept levels in the Shen basis.
 
         A panel is min(PANEL, steps - k) steps.  Where a panel reaches or
         passes a multiple of BLOCK, and at the last step, its newest level
         must be finite; otherwise FloatingPointError names the first level
-        that is not.  The last pass sets norms and errors one block of
-        levels at a time, in eigen-coordinates, before it maps the block to
-        the Shen basis.
+        that is not.  The levels still in u then give their norms, errors
+        and kept levels (_take), and norms and errors are set.  Returns the
+        (len(keep), dim_x, dim_y) kept levels, in the order of `keep`; a
+        second call returns them again.
         """
         while self.count <= self.steps:
             k = self.count - 1
@@ -691,32 +776,25 @@ class AdiSolver:
             if (self.count - 1) // BLOCK > k // BLOCK or self.count > self.steps:
                 self._check_level(self.count - 1)
         if self.norms is None:
-            bx, by = self.basis_x, self.basis_y
-            levels = len(self.u)
-            norms, errors = np.empty(levels), None
-            if self.tp.exact:
-                table, factors = _exact_factors(self.tp, bx, by, self.tau * np.arange(levels))
-                errors = np.empty(levels)
-            for b, e in level_blocks(levels, bx.dim * by.dim):
-                v = self.u[b:e]
-                norms[b:e] = level_norms(v, bx, by)
-                if errors is not None:
-                    errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
-                self.u[b:e] = from_eigen(v, bx, by)
-            self.norms, self.errors = norms, errors
-        return self.u
+            self._take(self._base, self.count)
+            self.norms, self.errors = self._norms, self._errors
+        return self._kept
 
     def _check_level(self, n):
         """Raise FloatingPointError if level n is not finite.
 
         The message names the first level of 0..n that is not, by the
-        largest magnitude of its coefficients.
+        largest magnitude of its coefficients.  A level that is not finite
+        makes every later one so, through the memory sums, so the levels
+        that left u before the last check, whose newest level was finite,
+        are finite; the search starts at the first level in u.
         """
-        if np.isfinite(self.u[n]).all():
+        base = self._base
+        if np.isfinite(self.u[n - base]).all():
             return
-        for b, e in level_blocks(n + 1, self.u[0].size):
+        for b, e in level_blocks(n + 1 - base, self.u[0].size):
             sup = np.abs(self.u[b:e]).max(axis=(1, 2))
-            _check_finite("solution", sup, self.tau, self.steps, first=b)
+            _check_finite("solution", sup, self.tau, self.steps, first=base + b)
 
 
 def bootstrap_starting_values(
@@ -734,16 +812,21 @@ def bootstrap_starting_values(
     if count == 0:
         return []
     tp = replace(tp, exact=())  # no caller reads the fine march's errors
-    fine = AdiSolver(tp, basis_x, basis_y, tau / ratio, count * ratio, source_mode=source_mode)
-    fine.march()
-    return [fine.u[j * ratio].copy() for j in range(1, count + 1)]
+    fine = AdiSolver(
+        tp, basis_x, basis_y, tau / ratio, count * ratio,
+        source_mode=source_mode, keep=range(ratio, count * ratio + 1, ratio),
+    )
+    return list(fine.march())
 
 
 @dataclass
 class RunResult:
-    """Trajectory and diagnostics of one march.
+    """Final level, per-level norms and errors, and diagnostics of one march.
 
-    times, error_final and error_max are read from tau, coeffs and
+    coeffs holds the Shen coefficients of the last level alone, the
+    level that AdiSolver.march() keeps by default; norms, errors and
+    half_source_norms hold one value per level (per step for the last).
+    times, error_final and error_max are read from tau, norms and
     errors; the last two are None without an exact solution.  wall_time
     covers the bootstrap, the set-up and the march, which takes the
     norms and errors.
@@ -753,7 +836,7 @@ class RunResult:
     basis_x: SpectralBasis1D
     basis_y: SpectralBasis1D
     tau: float  # 0.0 for a run of no steps
-    coeffs: np.ndarray  # (steps + 1, dim_x, dim_y)
+    coeffs: np.ndarray  # (1, dim_x, dim_y), the last level
     norms: np.ndarray
     half_source_norms: np.ndarray
     stability_ratio: float
@@ -765,7 +848,7 @@ class RunResult:
 
     @property
     def times(self):
-        return self.tau * np.arange(len(self.coeffs))
+        return self.tau * np.arange(len(self.norms))
 
     @property
     def error_final(self):
@@ -775,8 +858,9 @@ class RunResult:
     def error_max(self):
         return None if self.errors is None else float(np.max(self.errors))
 
-    def field(self, n=-1):
-        return ModalField2D(self.coeffs[n], self.basis_x, self.basis_y)
+    def field(self):
+        """The last level as a ModalField2D."""
+        return ModalField2D(self.coeffs[-1], self.basis_x, self.basis_y)
 
 
 def _check_finite(what, norms, tau, steps, first=None):
@@ -796,19 +880,22 @@ def _check_finite(what, norms, tau, steps, first=None):
         )
 
 
-def _check_memory(basis_x, basis_y, steps):
-    """Raise MemoryError if the history u would exceed physical memory.
+def _check_memory(tp, basis_x, basis_y, steps, m, levels):
+    """Raise MemoryError if a march of tp would hold more than physical memory.
 
-    u, steps + 1 levels of dim_x * dim_y doubles, is the only array of
-    that size per level that AdiSolver holds: the source is a table of a
-    few time factors per level, and the far part of the memory sum is a
-    state of one level's size per exponential, a few dozen in all.
+    AdiSolver holds `levels` arrays of dim_x * dim_y doubles (its buffer
+    u and the kept levels) and a far state of at most FAR_LAGS more (the
+    rank bound of its compression); and per level a few doubles: the
+    source table (at most one row per term of f and g), the exact
+    solution's table (at most one per term), the norms, errors and
+    half-source norms, and 3 m starting-weight loads.
     """
-    size = 8 * (steps + 1) * basis_x.dim * basis_y.dim
+    per_level = len(tp.f) + len(tp.g) + len(tp.exact) + 3 + 3 * m
+    size = 8 * ((levels + FAR_LAGS) * basis_x.dim * basis_y.dim + (steps + 1) * per_level)
     limit = physical_memory()
     if size > limit:
         raise MemoryError(
-            f"{steps} steps need {_binary_size(size)} of history, more than the "
+            f"{steps} steps need {_binary_size(size)} of memory, more than the "
             f"{_binary_size(limit)} of physical memory"
         )
 

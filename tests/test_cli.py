@@ -717,10 +717,11 @@ class TestMainExitCodes:
             assert float(huge["stability_ratio"]) == pytest.approx(float(unit["stability_ratio"]), rel=1e-12)
 
     def test_memory_guard_names_the_size(self, tmp_path, capfd, monkeypatch):
-        # with 1 MiB of "physical memory" the 1001 levels of 15 x 15
-        # coefficients in u (1.72 MiB) do not fit; nothing that large is
-        # allocated
-        monkeypatch.setattr("fracadi.solver.physical_memory", lambda: 2**20)
+        # with 512 KiB of "physical memory" the march's 878 KiB do not fit:
+        # 473 levels of 15 x 15 coefficients (the 272-level history buffer,
+        # the final level and at most 200 far-state levels) and six doubles
+        # per step; nothing that large is allocated
+        monkeypatch.setattr("fracadi.solver.physical_memory", lambda: 2**19)
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         outdir = tmp_path / "out"
         code = main([
@@ -729,15 +730,16 @@ class TestMainExitCodes:
         assert code == 1
         err = capfd.readouterr().err
         assert err.splitlines() == [
-            "config error: 1000 steps need 1.72 MiB of history, "
-            "more than the 1.00 MiB of physical memory"
+            "config error: 1000 steps need 878 KiB of memory, "
+            "more than the 512 KiB of physical memory"
         ]
         assert "Traceback" not in err
         assert not outdir.exists()
 
     def test_history_too_large_for_memory(self, tmp_path, capfd):
-        # the (M + 1) * 15**2 history needs 1.6 PiB, beyond any machine's
-        # memory, so the solver refuses it before allocating
+        # six doubles per step (three source rows, the norms, errors and
+        # half-source norms) need 43.7 TiB, beyond any machine's memory, so
+        # the solver refuses it before allocating
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
         outdir = tmp_path / "out"
         code = main([
@@ -746,7 +748,7 @@ class TestMainExitCodes:
         assert code == 1
         err = capfd.readouterr().err
         assert err.startswith("config error: ")
-        assert "1.60 PiB" in err
+        assert "43.7 TiB" in err
         assert "Traceback" not in err
         assert not outdir.exists()
 

@@ -16,6 +16,7 @@ from fracadi.oracle import (
     far_kernel_deviation,
     gauss_rule_deviation,
     half_sum_coefficients,
+    marched_every_level,
     quadrature_matrix_check,
 )
 from fracadi.problems import (
@@ -30,7 +31,6 @@ from fracadi.solver import (
     StepCoefficients,
     TransformedProblem,
     reduce_order,
-    run,
 )
 from fracadi.weights import far_exponentials, shifted_weights
 
@@ -113,11 +113,9 @@ class TestUnsplitReference:
         gaps = {}
         for steps in (20, 40):
             tau = 1.0 / steps
-            split = AdiSolver(tp, bx, by, tau, steps)
-            split.march()
-            plain = UnsplitReference(tp, bx, by, tau, steps)
-            plain.march()
-            gaps[steps] = np.max(np.abs(split.u[-1] - plain.u[-1]))
+            split = AdiSolver(tp, bx, by, tau, steps).march()
+            plain = UnsplitReference(tp, bx, by, tau, steps).march()
+            gaps[steps] = np.max(np.abs(split[-1] - plain[-1]))
         assert gaps[20] > 0.0
         assert 4.0 <= gaps[20] / gaps[40] <= 16.0
 
@@ -141,11 +139,9 @@ class TestUnsplitReference:
         by = build_basis(12, tp.domain.y_interval)
         gaps = []
         for steps in (20, 40, 80, 160):
-            split = AdiSolver(tp, bx, by, 1.0 / steps, steps)
-            split.march()
-            plain = UnsplitReference(tp, bx, by, 1.0 / steps, steps)
-            plain.march()
-            gaps.append(float(np.max(level_norms(to_eigen(split.u - plain.u, bx, by), bx, by))))
+            split = AdiSolver(tp, bx, by, 1.0 / steps, steps, keep=range(steps + 1)).march()
+            plain = UnsplitReference(tp, bx, by, 1.0 / steps, steps).march()
+            gaps.append(float(np.max(level_norms(to_eigen(split - plain, bx, by), bx, by))))
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert np.all(np.abs(orders - (2.0 + 2.0 * beta)) <= 0.1), orders
 
@@ -164,11 +160,9 @@ class TestUnsplitReference:
         )
         bx = build_basis(6, (-1.0, 1.0))
         by = build_basis(6, (-1.0, 1.0))
-        split = AdiSolver(tp, bx, by, 1.0 / 16.0, 16)
-        split.march()
-        plain = UnsplitReference(tp, bx, by, 1.0 / 16.0, 16)
-        plain.march()
-        assert np.max(np.abs(split.u - plain.u)) <= 1e-12
+        split = AdiSolver(tp, bx, by, 1.0 / 16.0, 16, keep=range(17)).march()
+        plain = UnsplitReference(tp, bx, by, 1.0 / 16.0, 16).march()
+        assert np.max(np.abs(split - plain)) <= 1e-12
 
     def test_energy_bound_holds_for_unsplit_march(self):
         tp = reduce_order(get_problem("compatible_smooth"))
@@ -255,14 +249,21 @@ class TestMatrixChecks:
 
 class TestDirectNormGap:
     def test_run_matches_grid_sums(self):
-        res = run(get_problem("compatible_nonsmooth"), 8, 30, 1.0, source_mode="sampled")
-        assert direct_norm_gap(res) <= 1e-13
+        solver = marched_every_level("compatible_nonsmooth", 8, 30, source_mode="sampled")
+        assert direct_norm_gap(solver) <= 1e-13
 
     @pytest.mark.parametrize("name", ["half_source_norms", "norms", "errors"])
     def test_perturbed_norms_fail(self, name):
         # a shift of one level by 1e-10 of the gap's scale must show far
         # above the 1e-13 bound
-        res = run(get_problem("compatible_nonsmooth"), 8, 30, 1.0)
-        scale = res.half_source_norms if name == "half_source_norms" else res.norms
-        getattr(res, name)[7] += 1e-10 * np.max(scale)
-        assert direct_norm_gap(res) > 1e-12
+        solver = marched_every_level("compatible_nonsmooth", 8, 30)
+        scale = solver.half_source_norms if name == "half_source_norms" else solver.norms
+        getattr(solver, name)[7] += 1e-10 * np.max(scale)
+        assert direct_norm_gap(solver) > 1e-12
+
+    def test_needs_every_level(self):
+        tp = reduce_order(get_problem("compatible_smooth"))
+        solver = AdiSolver(tp, build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.1, 5)
+        solver.march()
+        with pytest.raises(ValueError, match="every level"):
+            direct_norm_gap(solver)

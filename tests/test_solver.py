@@ -14,6 +14,7 @@ from scipy.linalg import solve_triangular
 from conftest import project_field, project_source
 from fracadi.basis import (
     LEVEL_BLOCK_VALUES,
+    ModalField2D,
     ShenSystemSolver,
     build_basis,
     from_eigen,
@@ -59,6 +60,19 @@ WeakTerm = namedtuple("WeakTerm", "coefficient exponent profile")
 def max_level_norm(u):
     """max_n ||u[n]||, the Frobenius norm of each level's coefficients."""
     return float(np.max(np.linalg.norm(u.reshape(len(u), -1), axis=1)))
+
+
+def step_through(solver, levels):
+    """Put the eigen-coordinate `levels` in solver as its levels 0, 1, ...
+
+    Level 0 is set in place, and every later one by step_once, whose
+    level is then overwritten; so the far state takes the levels in,
+    and the history buffer drops them, as in a march.
+    """
+    solver.u[0] = levels[0]
+    for level in levels[1:]:
+        solver.step_once()
+        solver.u[solver.count - 1 - solver._base] = level
 
 
 def quiet_tp(beta=0.5, betas=(0.5, -0.1), coeffs=(0.7, 1.3), mu=2.0):
@@ -578,22 +592,21 @@ class TestAssembleRhs:
     def test_solver_holds_no_per_level_array_beyond_u(self):
         # the source is a (profiles, steps + 1) table of time factors and one
         # projection per profile; the solver keeps at most a few dozen doubles
-        # per level besides u (kernel tables, factors), and while it is built
-        # a few level-block temporaries.  A per-level array of projected
+        # per level besides u (kernel tables, factors, the exact solution's
+        # table, norms and errors), and while it is built a few level-block
+        # temporaries.  A per-level array of projected
         # sources (8 * 2001 * 19**2 bytes, 5.8 MB) or of sampled forcing
         # grids (12.5 MB) exceeds both budgets
         tp = reduce_order(get_problem("compatible_nonsmooth"))
         bx = build_basis(20, tp.domain.x_interval)
         by = build_basis(20, tp.domain.y_interval)
         steps = 2000
-        level = 8 * bx.dim * by.dim
         tracemalloc.start()
         try:
             solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, source_mode="sampled")
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert solver.u.nbytes == (steps + 1) * level
         assert held <= solver.u.nbytes + 32 * 8 * (steps + 1)
         assert peak <= solver.u.nbytes + 32 * 8 * (steps + 1) + 8 * 8 * LEVEL_BLOCK_VALUES
 
@@ -621,9 +634,10 @@ class TestAssembleRhs:
         # which must match the endpoint-averaged reference weights summed
         # over both memory orders and the integral order; j <= k - BLOCK
         # puts the level in the far part of the sum, which the far state
-        # brings forward to step k in one call.  The mapped rectangle has
-        # jx = 1 and jy = 2, so a misplaced jacobian factor shows.  The
-        # level is set in eigen-coordinates; the reference right side is
+        # takes it into as it leaves the near window.  The mapped rectangle
+        # has jx = 1 and jy = 2, so a misplaced jacobian factor shows.  The
+        # level is set in eigen-coordinates, and the levels up to k are
+        # stepped through, the others zero; the reference right side is
         # formed with the Shen-basis matrices and mapped with E_x^T . E_y
         tp = quiet_tp()
         steps, tau = 1546, 0.1
@@ -633,7 +647,9 @@ class TestAssembleRhs:
             jx, jy = bx.jacobian, by.jacobian
             solver = AdiSolver(tp, bx, by, tau, steps)
             e = rng.standard_normal((bx.dim, by.dim))
-            solver.u[j] = e
+            levels = np.zeros((k + 1, bx.dim, by.dim))
+            levels[j] = e
+            step_through(solver, levels)
             rhs = solver.assemble_rhs(k, 1)[0]
 
             u = from_eigen(e, bx, by)
@@ -674,7 +690,7 @@ class TestAssembleRhs:
         tp = dataclasses.replace(tp, domain=domain)
         bx = build_basis(6, domain.x_interval)
         by = build_basis(6, domain.y_interval)
-        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps)
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, keep=range(steps + 1))
         tau = solver.tau
         kernel = np.zeros((2, steps + 1))
         for b, a in zip(tp.betas, tp.coeffs):
@@ -691,7 +707,7 @@ class TestAssembleRhs:
             memory = ((kernel[:, k::-1] @ v[: k + 1]) * weights).sum(axis=0)
             rhs = explicit * v[k] - memory + 0.5 * tau * (source[k] + source[k + 1])
             v[k + 1] = rhs / sweep
-        want = from_eigen(v.reshape(solver.u.shape), bx, by)
+        want = from_eigen(v.reshape(steps + 1, bx.dim, by.dim), bx, by)
         got = solver.march()
         assert np.max(np.abs(got - want)) <= 1e-13 * max_level_norm(want)
 
@@ -743,8 +759,8 @@ class TestStepVersusDense:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_adi_step_reproduces_march(self):
-        # steps taken with step_once stay in eigen-coordinates, which
-        # assemble_rhs and sweep_solve work in (march() would map u back).
+        # the history buffer u is in eigen-coordinates, which assemble_rhs
+        # and sweep_solve work in; level k + 1 is in its row k + 1 - _base.
         # Each k is checked in march order, before step k is taken; from
         # BLOCK + 3 on the far state is at k already when step_once asks
         # for it again
@@ -757,12 +773,14 @@ class TestStepVersusDense:
                 solver.step_once()
             step = solver.sweep_solve(solver.assemble_rhs(k, 1))
             solver.step_once()
-            np.testing.assert_array_equal(step, solver.u[k + 1 : k + 2])
+            row = k + 1 - solver._base
+            np.testing.assert_array_equal(step, solver.u[row : row + 1])
 
     def test_out_of_order_call_rejected(self):
         # a level enters the far state when it leaves the near window, so
         # once the state is at a step, an earlier step is rejected; before
-        # the first step past the window there is no state to pass
+        # the first step past the window there is no state to pass.  A step
+        # whose level lies past the history buffer is rejected too
         solver = AdiSolver(quiet_tp(), build_basis(6, (-1, 1)), build_basis(6, (-1, 1)), 0.01, 4 * BLOCK)
         solver.assemble_rhs(5, 1)
         solver.assemble_rhs(3, 1)
@@ -773,18 +791,22 @@ class TestStepVersusDense:
         with pytest.raises(ValueError, match="step 5 lies before the far state"):
             solver.assemble_rhs(5, 1)
         solver.assemble_rhs(BLOCK + 5, 1)
-        solver.assemble_rhs(3 * BLOCK, 1)
+        solver.assemble_rhs(2 * BLOCK, 1)
+        end = 2 * BLOCK + 2 * PANEL - 1
+        with pytest.raises(ValueError, match=f"step {end + 1} lies past the history, which ends at level {end}"):
+            solver.assemble_rhs(end + 1, 1)
 
     def test_march_maps_back_once(self):
-        # march() finishes steps begun with step_once and maps u back to
-        # the Shen basis; a second call has no step left and maps nothing.
-        # The two step partitions group the steps into different panels,
-        # so they agree to the panel equivalence bound, not bit for bit
+        # march() finishes steps begun with step_once and maps the kept
+        # levels to the Shen basis; a second call has no step left and
+        # returns the same levels.  The two step partitions group the steps
+        # into different panels, so they agree to the panel equivalence
+        # bound, not bit for bit
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(8, tp.domain.x_interval)
         by = build_basis(8, tp.domain.y_interval)
-        whole = AdiSolver(tp, bx, by, 0.1, 10).march().copy()
-        solver = AdiSolver(tp, bx, by, 0.1, 10)
+        whole = AdiSolver(tp, bx, by, 0.1, 10, keep=range(11)).march().copy()
+        solver = AdiSolver(tp, bx, by, 0.1, 10, keep=range(11))
         for _ in range(4):
             solver.step_once()
         first = solver.march().copy()
@@ -796,19 +818,20 @@ class TestFarPartSchedule:
     def test_far_state_over_a_gap_matches_panel_steps(self, rng):
         # the far state at step k holds h_q = sum_{i <= k - BLOCK}
         # e^{-s_q (k - i)} u[i] over the far rates s_q; one call over a gap
-        # of 4 BLOCK + 5 steps, calls in ragged panels, and the sum formed
-        # here agree, and so do the right sides they give
+        # of BLOCK + 5 steps, calls in ragged panels, and the sum formed
+        # here agree, and so do the right sides they give.  The levels up
+        # to k fill the history buffer from its front
         tp = quiet_tp()
         bx = build_basis(6, (-1.0, 1.0))
         by = build_basis(5, (0.0, 2.0))
-        steps, k = 6 * BLOCK, 5 * BLOCK + 5
-        levels = rng.standard_normal((steps + 1, bx.dim, by.dim))
+        steps, k = 6 * BLOCK, 2 * BLOCK + 5
+        levels = rng.standard_normal((k + 1, bx.dim, by.dim))
         jump = AdiSolver(tp, bx, by, 0.01, steps)
-        jump.u[:] = levels
+        jump.u[: k + 1] = levels
         jump.assemble_rhs(BLOCK, 1)
         got = jump.assemble_rhs(k, PANEL)
         panels = AdiSolver(tp, bx, by, 0.01, steps)
-        panels.u[:] = levels
+        panels.u[: k + 1] = levels
         step, gaps = BLOCK, itertools.cycle([1, PANEL, 3, PANEL, 5])
         while step < k:
             panels.assemble_rhs(step, 1)
@@ -884,8 +907,84 @@ class TestFarPartSchedule:
         assert peak <= budget
 
 
+class TestHistoryBuffer:
+    def test_buffer_does_not_grow_with_steps(self):
+        # u holds 2 BLOCK + 2 PANEL levels however long the march, and a
+        # whole march allocates less than a few dozen doubles per level
+        # besides it (the far state, the panel's and the level blocks'
+        # temporaries, the final level).  The rates are built beforehand,
+        # as another march of this size would have left them
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(20, tp.domain.x_interval)
+        by = build_basis(20, tp.domain.y_interval)
+        level = 8 * bx.dim * by.dim
+        sizes = {steps: AdiSolver(tp, bx, by, 1.0 / steps, steps).u.nbytes for steps in (2000, 16000)}
+        assert sizes[2000] == sizes[16000] <= (2 * BLOCK + 2 * PANEL) * level
+        steps = 4000
+        far_exponentials(tuple(tp.betas) + (-tp.beta,), BLOCK, steps)
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps)
+        tracemalloc.start()
+        try:
+            solver.march()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= solver.u.nbytes + 64 * 8 * (steps + 1)
+
+    def test_streaming_equals_the_whole_history(self, monkeypatch):
+        # a corrected march across several buffer shifts (steps not a
+        # multiple of PANEL) gives the same bits as one whose buffer holds
+        # every level, kept or not; so does the bootstrap's fine march
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        steps, tau = 3 * BLOCK + 5, 1.0 / (3 * BLOCK + 5)
+        start = bootstrap_starting_values(tp, bx, by, tau, 3, ratio=50)
+        kwargs = dict(correction_terms=3, exponents=(1.1, 1.2, 1.3), starting_values=start)
+        streamed = AdiSolver(tp, bx, by, tau, steps, **kwargs)
+        final = streamed.march()
+        assert streamed._base > 0
+        monkeypatch.setattr(solver_module, "HISTORY", steps + 1)
+        whole = AdiSolver(tp, bx, by, tau, steps, keep=range(steps + 1), **kwargs)
+        levels = whole.march()
+        assert len(whole.u) == steps + 1 and whole._base == 0
+        np.testing.assert_array_equal(streamed.norms, whole.norms)
+        np.testing.assert_array_equal(streamed.errors, whole.errors)
+        np.testing.assert_array_equal(final, levels[-1:])
+        fine = AdiSolver(dataclasses.replace(tp, exact=()), bx, by, tau / 50, 150, keep=range(151)).march()
+        np.testing.assert_array_equal(np.array(start), fine[50::50])
+
+    def test_keep_picks_levels_in_its_order(self):
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        steps = 2 * BLOCK + 40
+        every = AdiSolver(tp, bx, by, 0.01, steps, keep=range(steps + 1)).march()
+        picked = AdiSolver(tp, bx, by, 0.01, steps, keep=[steps, 3, 200, 3]).march()
+        np.testing.assert_array_equal(picked, every[[steps, 3, 200, 3]])
+        for keep in ([steps + 1], [-1]):
+            with pytest.raises(ValueError, match=f"kept levels must lie in 0..{steps}"):
+                AdiSolver(tp, bx, by, 0.01, steps, keep=keep)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_level_found_after_shifts(self):
+        # a source that overflows at a level past 2 BLOCK, after the buffer
+        # has dropped its oldest levels, is named by the check that follows
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        tau, steps, level = 0.01, 5 * BLOCK + 3, 3 * BLOCK + 7
+        solver = AdiSolver(tp, bx, by, tau, steps)
+        solver.source_factors[:, level] = np.inf
+        message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            solver.march()
+        assert solver.count - 1 == 4 * BLOCK
+        assert 0 < solver._base <= level
+
+
 def stepwise(solver):
-    """Drive solver with step_once alone, then map u back with march()."""
+    """Drive solver with step_once alone, then return march()'s kept levels."""
     while solver.count <= solver.steps:
         solver.step_once()
     return solver.march()
@@ -917,6 +1016,7 @@ class TestPanels:
                 correction_terms=m, exponents=(1.1, 1.2, 1.3)[:m],
                 starting_values=bootstrap_starting_values(tp, bx, by, tau, m, ratio=10),
             )
+        kwargs["keep"] = range(steps + 1)
         panels = AdiSolver(tp, bx, by, tau, steps, **kwargs).march()
         single = stepwise(AdiSolver(tp, bx, by, tau, steps, **kwargs))
         assert np.max(np.abs(panels - single)) <= 1e-13 * max_level_norm(single)
@@ -1041,27 +1141,26 @@ class TestCorrectedMarch:
         base[0, 0] = 4.0 / 9.0
         starting = [wfun((j + 1) * tau) * base for j in range(m)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            solver = AdiSolver(
+            levels = AdiSolver(
                 tp, bx, by, tau, steps,
                 correction_terms=m, exponents=sigmas, starting_values=starting,
-            )
-            solver.march()
+                keep=range(steps + 1),
+            ).march()
         scale = max(abs(wfun((n + 1) * tau)) for n in range(steps))
         for n in range(steps + 1):
             np.testing.assert_allclose(
-                solver.u[n], wfun(n * tau) * base, atol=1e-12 * max(scale, 1.0)
+                levels[n], wfun(n * tau) * base, atol=1e-12 * max(scale, 1.0)
             )
 
     def test_uncorrected_march_misses_weak_powers(self):
         tp, wfun = power_shape_problem((1.1,), (1.3,))
         bx = build_basis(6, (-1.0, 1.0))
         by = build_basis(6, (-1.0, 1.0))
-        solver = AdiSolver(tp, bx, by, 1.0 / 16.0, 12)
-        solver.march()
+        levels = AdiSolver(tp, bx, by, 1.0 / 16.0, 12, keep=range(13)).march()
         base = np.zeros((bx.dim, by.dim))
         base[0, 0] = 4.0 / 9.0
         dev = max(
-            np.max(np.abs(solver.u[n] - wfun(n / 16.0) * base)) for n in range(13)
+            np.max(np.abs(levels[n] - wfun(n / 16.0) * base)) for n in range(13)
         )
         assert dev > 1e-9
 
@@ -1164,12 +1263,11 @@ class TestBootstrap:
         assert bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, 0) == []
 
     def test_ratio_one_is_plain_march(self):
-        plain = AdiSolver(self.tp, self.bx, self.by, 0.1, 3)
-        plain.march()
+        plain = AdiSolver(self.tp, self.bx, self.by, 0.1, 3, keep=range(4)).march()
         boot = bootstrap_starting_values(self.tp, self.bx, self.by, 0.1, 3, ratio=1)
         assert len(boot) == 3
         for j in range(3):
-            np.testing.assert_array_equal(boot[j], plain.u[j + 1])
+            np.testing.assert_array_equal(boot[j], plain[j + 1])
 
     def test_refinement_gap_second_order_on_smooth_data(self):
         tp = reduce_order(get_problem("compatible_smooth"))
@@ -1267,13 +1365,16 @@ class TestSolverValidation:
 
     def test_starting_values_may_outnumber_the_window(self):
         # starting values are levels like any other: the far state takes
-        # them in as they leave the near window
+        # them in as they leave the near window, and more of them than the
+        # history buffer's 2 BLOCK + 2 PANEL levels widen it to hold them
         tp = reduce_order(get_problem("compatible_smooth"))
-        steps, count = BLOCK + 20, BLOCK + 5
-        whole = AdiSolver(tp, self.bx, self.by, 0.01, steps).march()
-        start = list(whole[1 : count + 1])
-        rest = AdiSolver(tp, self.bx, self.by, 0.01, steps, starting_values=start).march()
-        assert np.max(np.abs(rest - whole)) <= 1e-13 * max_level_norm(whole)
+        for count in (BLOCK + 5, 2 * BLOCK + 2 * PANEL + 5):
+            steps = count + 15
+            every = range(steps + 1)
+            whole = AdiSolver(tp, self.bx, self.by, 0.01, steps, keep=every).march()
+            start = list(whole[1 : count + 1])
+            rest = AdiSolver(tp, self.bx, self.by, 0.01, steps, starting_values=start, keep=every).march()
+            assert np.max(np.abs(rest - whole)) <= 1e-13 * max_level_norm(whole)
 
     @pytest.fixture
     def no_tables(self, monkeypatch):
@@ -1381,9 +1482,12 @@ class TestRun:
         assert 0.0 < res.stability_ratio <= 1.0
 
     def test_symmetric_problem_gives_symmetric_fields(self):
-        res = run(get_problem("compatible_smooth"), 8, 16, 1.0)
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(8, tp.domain.x_interval)
+        by = build_basis(8, tp.domain.y_interval)
+        levels = AdiSolver(tp, bx, by, 1.0 / 16, 16, keep=range(17)).march()
         for n in range(17):
-            np.testing.assert_allclose(res.coeffs[n], res.coeffs[n].T, atol=1e-12)
+            np.testing.assert_allclose(levels[n], levels[n].T, atol=1e-12)
 
     def test_self_convergence_second_order(self):
         finals = {
@@ -1413,14 +1517,18 @@ class TestRun:
         degree = 20
         steps = 2 * (LEVEL_BLOCK_VALUES // (degree - 1) ** 2) + 7
         spec = get_problem("compatible_nonsmooth")
-        res = run(spec, degree, steps, 1.0)
-        tol = 1e-13 * np.max(res.norms)
-        bx, by = res.basis_x, res.basis_y
-        for n, t in enumerate(res.times):
-            want = l2_error(res.field(n), lambda x, y: spec.exact(x, y, t) - spec.g1.values(x, y))
-            assert res.errors[n] == pytest.approx(want, rel=1e-12, abs=tol)
-            want = level_norms(to_eigen(res.coeffs[n : n + 1], bx, by), bx, by)[0]
-            assert res.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
+        tp = reduce_order(spec)
+        bx = build_basis(degree, tp.domain.x_interval)
+        by = build_basis(degree, tp.domain.y_interval)
+        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, keep=range(steps + 1))
+        levels = solver.march()
+        tol = 1e-13 * np.max(solver.norms)
+        for n, level in enumerate(levels):
+            t = n * solver.tau
+            want = l2_error(ModalField2D(level, bx, by), lambda x, y: spec.exact(x, y, t) - spec.g1.values(x, y))
+            assert solver.errors[n] == pytest.approx(want, rel=1e-12, abs=tol)
+            want = level_norms(to_eigen(levels[n : n + 1], bx, by), bx, by)[0]
+            assert solver.norms[n] == pytest.approx(want, rel=1e-13, abs=tol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_problem_scales_norms_and_errors(self):
@@ -1555,9 +1663,10 @@ class TestRun:
         by = build_basis(8, tp.domain.y_interval)
         start = [np.zeros((bx.dim, by.dim))] * 2
         res = run(spec, 8, 10, 1.0, starting_values=start)
-        want = AdiSolver(tp, bx, by, 0.1, 10, starting_values=start).march()
-        np.testing.assert_array_equal(res.coeffs, want)
-        assert not res.coeffs[:3].any() and res.coeffs[3].any()
+        want = AdiSolver(tp, bx, by, 0.1, 10, starting_values=start, keep=range(11))
+        np.testing.assert_array_equal(res.coeffs, want.march()[-1:])
+        np.testing.assert_array_equal(res.norms, want.norms)
+        assert not res.norms[:3].any() and res.norms[3] > 0.0
 
     def test_uncorrected_run_records_no_exponents(self):
         res = run(get_problem("compatible_nonsmooth"), 8, 10, 1.0, exponents=(1.1,))
@@ -1580,7 +1689,7 @@ class TestRun:
 
     def test_field_accessor_matches_exact(self):
         res = run(get_problem("compatible_smooth"), 12, 32, 1.0)
-        err = l2_error(res.field(-1), lambda x, y: evaluate_terms(res.tp.exact, x, y, 1.0))
+        err = l2_error(res.field(), lambda x, y: evaluate_terms(res.tp.exact, x, y, 1.0))
         assert err == pytest.approx(res.error_final, rel=1e-10)
 
     def test_exact_projection_seed_matches_conftest_helper(self):

@@ -51,3 +51,42 @@ def test_march_items_bind_to_run(tiny):
             assert args["source_mode"] in SOURCE_MODES, (name, item["label"])
             marches += 1
     assert marches
+
+
+def test_march_hooks_read_the_solver_and_result(monkeypatch):
+    # tracing._before_march reads the solver's history buffer u (3-D shape
+    # and bytes), count, steps and tp.betas; MarchLog wraps march() as
+    # march(solver) and reads the result's coeffs, norms and errors
+    import fracadi
+    import fracadi.cli  # noqa: F401  (_replace_everywhere rewrites every module)
+    from fracadi.basis import build_basis
+    from fracadi.problems import get_problem
+    from fracadi.solver import AdiSolver, reduce_order
+
+    hooks = load_source("tracing")
+    tp = reduce_order(get_problem("compatible_smooth"))
+    bx = build_basis(6, tp.domain.x_interval)
+    by = build_basis(6, tp.domain.y_interval)
+    solver = AdiSolver(tp, bx, by, 0.1, 10)
+    tracer = hooks["Tracer"]()
+    hooks["_before_march"](tracer, (solver,), {})
+    assert tracer.counters["history_mb"] == solver.u.nbytes / 1e6
+    assert tracer.counters["history_bytes"] == (10 * 11 // 2) * (len(tp.betas) + 1) * 5 * 5 * 8
+
+    original_run = fracadi.solver.run
+    # setattr of the unchanged method makes monkeypatch put it back after
+    # MarchLog.install replaces it
+    monkeypatch.setattr(AdiSolver, "march", AdiSolver.march)
+    log = hooks["MarchLog"]()
+    log.install(fracadi)
+    try:
+        log.label = "tiny"
+        result = fracadi.run(get_problem("compatible_smooth"), 6, 10, 1.0)
+    finally:
+        hooks["_replace_everywhere"](fracadi, fracadi.solver.run, original_run)
+    assert fracadi.run is original_run
+    (rec,) = log.records
+    assert (rec["label"], rec["N"], rec["M"], rec["m"]) == ("tiny", 6, 10, 0)
+    assert rec["finite"] and rec["norm_final"] == float(result.norms[-1])
+    assert rec["error_final"] == result.error_final
+    assert 0.0 <= rec["t_setup"] <= rec["t_run"]
