@@ -232,9 +232,9 @@ def eigen_mass(basis_x, basis_y):
 
 # Values per block temporary in the blocked evaluators: a stack of time
 # levels is processed LEVEL_BLOCK_VALUES // (values per level) levels at a
-# time, at least one.  The constant bounds the temporaries of march()'s
-# norm and back-map pass and of the solver's finiteness check
-# (_check_level) to a few arrays of 2**14 doubles (128 kB) each, whatever
+# time, at least one.  The constant bounds the temporaries of the solver's
+# norm, error and back-map pass (AdiSolver._take, which is also its
+# finiteness check) to a few arrays of 2**14 doubles (128 kB) each, whatever
 # the step count, while a block still holds enough levels (45 at N = 20,
 # whose levels hold 19 x 19 coefficients) to amortise the per-block
 # Python overhead.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -489,16 +490,6 @@ def _execute(cfg, problem, steps, degree):
     )
 
 
-def _level_errors(cfg, problem, steps, degree):
-    """(error_final, error_max) of one study level.
-
-    The RunResult dies on return, so a study holds one level's trajectory
-    at a time, the array that the solver's memory guard checks.
-    """
-    result = _execute(cfg, problem, steps, degree)
-    return result.error_final, result.error_max
-
-
 def _ensure_outdir(path):
     outdir = Path(path)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -541,9 +532,11 @@ def cmd_study(args):
 
     _note_large_step(max(cfg.T / steps for _, steps in jobs))
     # one level at a time: the marches are memory-bound, so running levels
-    # concurrently only added CPU time and peak memory
+    # concurrently only added CPU time and peak memory; each RunResult dies
+    # once its two errors are read
+    errors = operator.attrgetter("error_final", "error_max")
     l2_errors, max_errors = zip(
-        *(_level_errors(cfg, problem, steps, degree) for degree, steps in jobs)
+        *(errors(_execute(cfg, problem, steps, degree)) for degree, steps in jobs)
     )
 
     table = RateTable(

@@ -40,7 +40,6 @@ from .weights import (
     build_correction_set,
     default_sigmas,
     far_exponentials,
-    history_quadratic_form,
     rl_power,
     shifted_weights,
 )
@@ -344,6 +343,20 @@ def weight_identity_residual(order, exponents, rows):
         half = ld(0.5) * ld(s) * (grid[1:-1] ** ld(s - 1.0) + grid[2:] ** ld(s - 1.0))
         worst[1:] = np.maximum(worst[1:], np.abs(diff[1:] + w_delta @ jp - half))
     return worst.astype(float)
+
+
+def history_quadratic_form(order, values):
+    """sum_n (sum_{j<=n} lam_j v_{n-j}) v_n for v = values.
+
+    The sign of this form is what the energy stability argument rests
+    on; it is nonnegative for every order in [-1, 1].
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    lam = shifted_weights(order, len(v) - 1)
+    partial = np.convolve(lam, v)[: len(v)]
+    return float(partial @ v)
 
 
 def grid_norms(table, grid, basis_x, basis_y, coeffs=None):

@@ -178,29 +178,6 @@ class ProblemSpec:
         return bool(self.exact_terms)
 
 
-def pde_residual(problem, x, y, t):
-    """Pointwise residual of the exact solution in the strong equation.
-
-    Needs exact_terms with Laplacians; Caputo derivatives of each power
-    term come from the Gamma-function formula.
-    """
-    if not problem.has_exact:
-        raise ValueError("residual needs an exact solution")
-    res = -problem.f(x, y, t)
-    for term in problem.exact_terms:
-        if term.profile.laplacian is None:
-            raise ValueError("every exact term needs a Laplacian for the residual")
-        res = res - problem.mu * term.coefficient * t**term.exponent * term.profile.laplacian(x, y)
-        for order, coef in zip(
-            (problem.alpha,) + tuple(problem.alphas), (1.0,) + tuple(problem.coeffs)
-        ):
-            fact = caputo_power_factor(order, term.exponent)
-            if fact is None:
-                continue
-            res = res + coef * term.coefficient * fact[0] * t ** fact[1] * term.profile.values(x, y)
-    return res
-
-
 def boundary_mismatch(problem, t):
     """Largest |exact| on the four edges at time t (Dirichlet defect)."""
     if not problem.has_exact:

@@ -54,8 +54,7 @@ from .weights import (
 # Levels of the near window of the memory sum: a panel starting at step k
 # contracts the levels k - BLOCK + 1..k directly (near_product), and the
 # older ones through a sum of exponentials (weights.far_exponentials), whose
-# state AdiSolver carries from panel to panel.  The march checks its newest
-# level once every BLOCK steps.
+# state AdiSolver carries from panel to panel.
 BLOCK = 128
 # Steps per panel of the march: march() solves up to PANEL consecutive
 # steps together (assemble_rhs(k, n), then sweep_solve on the stack), so the
@@ -395,8 +394,10 @@ class AdiSolver:
     its L2 norm (`norms`) and, where tp has an exact solution, its error
     (`errors`; None without one), taken in eigen-coordinates one level
     block at a time (basis.level_blocks, basis.level_norms); a kept level
-    is mapped to the Shen basis.  norms and errors are set when march()
-    ends.
+    is mapped to the Shen basis.  A level whose norm is not finite stops
+    the march there, whichever path took its steps (march() or
+    step_once), with FloatingPointError naming the first such level.
+    norms and errors are set when march() ends.
 
     Every operator being elementwise, each mode obeys a scalar recurrence
     sum_l a_l u[k+1-l] = (source, loads) with one lower-triangular
@@ -739,7 +740,13 @@ class AdiSolver:
 
         The norms and errors are taken in eigen-coordinates, one level
         block at a time; basis.level_norms sums each level on its own, so
-        they do not depend on where the blocks fall.
+        they do not depend on where the blocks fall.  Every level leaves u
+        through here once, so this is the march's finiteness check: a
+        non-finite level never has a finite norm, and a finite one always
+        does unless the norm itself passes the float range, since
+        basis.stack_norms rescales by a power of two before squaring.
+        FloatingPointError names the first level of first..stop - 1 whose
+        norm is not finite.
         """
         bx, by = self.basis_x, self.basis_y
         for b, e in level_blocks(stop - first, self.u[0].size):
@@ -751,50 +758,31 @@ class AdiSolver:
                 self._errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
         kept = np.flatnonzero((first <= self.keep) & (self.keep < stop))
         self._kept[kept] = from_eigen(self.u[self.keep[kept] - self._base], bx, by)
+        _check_finite("solution", self._norms[first:stop], self.tau, self.steps, first=first)
 
+    # A non-finite level is reported when it leaves u or at the last step
+    # (_take), so the steps up to then raise no floating-point warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def step_once(self):
         """Take one step: a panel of one."""
         self._advance(1)
 
-    # A non-finite level is reported by the check once every BLOCK steps, so
-    # the steps up to it raise no floating-point warnings
     @np.errstate(over="ignore", invalid="ignore")
     def march(self):
         """Step to the last level in panels; return the kept levels in the Shen basis.
 
-        A panel is min(PANEL, steps - k) steps.  Where a panel reaches or
-        passes a multiple of BLOCK, and at the last step, its newest level
-        must be finite; otherwise FloatingPointError names the first level
-        that is not.  The levels still in u then give their norms, errors
-        and kept levels (_take), and norms and errors are set.  Returns the
-        (len(keep), dim_x, dim_y) kept levels, in the order of `keep`; a
-        second call returns them again.
+        A panel is min(PANEL, steps - k) steps.  The levels still in u then
+        give their norms, errors and kept levels (_take, which raises
+        FloatingPointError at the first non-finite level), and norms and
+        errors are set.  Returns the (len(keep), dim_x, dim_y) kept levels,
+        in the order of `keep`; a second call returns them again.
         """
         while self.count <= self.steps:
-            k = self.count - 1
-            self._advance(min(PANEL, self.steps - k))
-            if (self.count - 1) // BLOCK > k // BLOCK or self.count > self.steps:
-                self._check_level(self.count - 1)
+            self._advance(min(PANEL, self.steps + 1 - self.count))
         if self.norms is None:
             self._take(self._base, self.count)
             self.norms, self.errors = self._norms, self._errors
         return self._kept
-
-    def _check_level(self, n):
-        """Raise FloatingPointError if level n is not finite.
-
-        The message names the first level of 0..n that is not, by the
-        largest magnitude of its coefficients.  A level that is not finite
-        makes every later one so, through the memory sums, so the levels
-        that left u before the last check, whose newest level was finite,
-        are finite; the search starts at the first level in u.
-        """
-        base = self._base
-        if np.isfinite(self.u[n - base]).all():
-            return
-        for b, e in level_blocks(n + 1 - base, self.u[0].size):
-            sup = np.abs(self.u[b:e]).max(axis=(1, 2))
-            _check_finite("solution", sup, self.tau, self.steps, first=base + b)
 
 
 def bootstrap_starting_values(
@@ -964,7 +952,6 @@ def run(
 
     # the stability bound sums every half-source norm, marched or not
     _check_finite("source", half_norms, tau, steps)
-    _check_finite("solution", norms, tau, steps)
 
     # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
     # cumsum accumulates in sequence, as a running Python sum would.  Both

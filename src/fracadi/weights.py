@@ -241,20 +241,6 @@ def apply_gl(order, step, history):
     return step ** (-order) * acc
 
 
-def history_quadratic_form(order, values):
-    """sum_n (sum_{j<=n} lam_j v_{n-j}) v_n for v = values.
-
-    The sign of this form is what the energy stability argument rests
-    on; it is nonnegative for every order in [-1, 1].
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    lam = shifted_weights(order, len(v) - 1)
-    partial = np.convolve(lam, v)[: len(v)]
-    return float(partial @ v)
-
-
 def power_factor(order, exponent):
     """Gamma(exponent + 1) / Gamma(exponent + 1 - order), for exponent > -1.
 

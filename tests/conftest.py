@@ -1,9 +1,9 @@
-"""Shared fixtures: seeded RNG and modal projection helpers."""
+"""Shared fixtures: seeded RNG, modal projection helpers and the strong residual."""
 import numpy as np
 import pytest
 
 from fracadi.basis import build_basis
-from fracadi.problems import evaluate_terms
+from fracadi.problems import caputo_power_factor, evaluate_terms
 
 
 @pytest.fixture
@@ -37,6 +37,29 @@ def exact_starting_values(tp, basis_x, basis_y, tau, count):
         project_field(lambda x, y, t=j * tau: evaluate_terms(tp.exact, x, y, t), basis_x, basis_y)
         for j in range(1, count + 1)
     ]
+
+
+def pde_residual(problem, x, y, t):
+    """Pointwise residual of the exact solution in the strong equation.
+
+    Needs exact_terms with Laplacians; Caputo derivatives of each power
+    term come from the Gamma-function formula.
+    """
+    if not problem.has_exact:
+        raise ValueError("residual needs an exact solution")
+    res = -problem.f(x, y, t)
+    for term in problem.exact_terms:
+        if term.profile.laplacian is None:
+            raise ValueError("every exact term needs a Laplacian for the residual")
+        res = res - problem.mu * term.coefficient * t**term.exponent * term.profile.laplacian(x, y)
+        for order, coef in zip(
+            (problem.alpha,) + tuple(problem.alphas), (1.0,) + tuple(problem.coeffs)
+        ):
+            fact = caputo_power_factor(order, term.exponent)
+            if fact is None:
+                continue
+            res = res + coef * term.coefficient * fact[0] * t ** fact[1] * term.profile.values(x, y)
+    return res
 
 
 @pytest.fixture

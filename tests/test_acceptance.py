@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 
-from conftest import exact_starting_values
+from conftest import exact_starting_values, pde_residual
 from fracadi.basis import build_basis, from_eigen
 from fracadi.cli import convergence_rates
 from fracadi.oracle import (
     dense_kronecker_solve,
+    history_quadratic_form,
     quadrature_matrix_check,
     sweep_kronecker_gap,
     weight_identity_residual,
@@ -24,10 +25,9 @@ from fracadi.problems import (
     SeparableTerm,
     SpatialProfile,
     get_problem,
-    pde_residual,
 )
 from fracadi.solver import AdiSolver, TransformedProblem, reduce_order, run
-from fracadi.weights import apply_gl, default_sigmas, history_quadratic_form
+from fracadi.weights import apply_gl, default_sigmas
 
 TEMPORAL_LEVELS = (10, 20, 40, 80, 160, 320)
 

@@ -662,7 +662,7 @@ class TestMainExitCodes:
         self, tmp_path, capfd, monkeypatch
     ):
         # a source factor made infinite after the source check passed
-        # reaches the march; the block-end check stops it
+        # reaches the march; the check at its last step stops it
         prepare = AdiSolver._prepare_source
 
         def poisoned(solver, mode):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pde_residual
 from fracadi.problems import (
     PROBLEM_IDS,
     ProblemSpec,
@@ -15,7 +16,6 @@ from fracadi.problems import (
     caputo_power_factor,
     evaluate_terms,
     get_problem,
-    pde_residual,
 )
 from fracadi.solver import reduce_order
 

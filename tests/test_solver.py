@@ -35,6 +35,7 @@ from fracadi import basis as basis_module
 from fracadi import solver as solver_module
 from fracadi.solver import (
     BLOCK,
+    HISTORY,
     NEAR_PRODUCT,
     PANEL,
     AdiSolver,
@@ -969,7 +970,8 @@ class TestHistoryBuffer:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_level_found_after_shifts(self):
         # a source that overflows at a level past 2 BLOCK, after the buffer
-        # has dropped its oldest levels, is named by the check that follows
+        # has dropped its oldest levels twice, is named by the third drop,
+        # before the step from level 552, which takes levels 281..424 out
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
@@ -979,7 +981,8 @@ class TestHistoryBuffer:
         message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             solver.march()
-        assert solver.count - 1 == 4 * BLOCK
+        assert solver.count - 1 == 552
+        assert solver.count - 1 - level < HISTORY
         assert 0 < solver._base <= level
 
 
@@ -1059,9 +1062,10 @@ class TestPanels:
     @pytest.mark.parametrize("m,steps", [(0, 549), (3, 296)])
     def test_panels_cover_the_march_within_blocks(self, m, steps):
         # the panels take every step once, in order, min(PANEL, steps - k)
-        # at a time, and within every block of BLOCK steps the march checks
-        # one level: the newest of the panel that reaches or passes the
-        # block's end, and the last one
+        # at a time; driven by panels or by step_once, the levels leave
+        # through _take in contiguous blocks that cover 0..steps once, each
+        # at a drop (the levels before the near window of the step about
+        # to be taken, within HISTORY steps of the oldest) or at the end
         tp = reduce_order(get_problem("compatible_nonsmooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
@@ -1069,28 +1073,35 @@ class TestPanels:
         if m:
             start = [np.zeros((bx.dim, by.dim))] * m
             kwargs = dict(correction_terms=m, exponents=(1.1, 1.2, 1.3), starting_values=start)
-        solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, **kwargs)
-        calls, checks = [], []
-        assemble, check = solver.assemble_rhs, solver._check_level
+        for drive in (AdiSolver.march, stepwise):
+            solver = AdiSolver(tp, bx, by, 1.0 / steps, steps, **kwargs)
+            calls, takes = [], []
+            assemble, take = solver.assemble_rhs, solver._take
 
-        def recording(k, n):
-            calls.append((k, n))
-            return assemble(k, n)
+            def recording(k, n):
+                calls.append((k, n))
+                return assemble(k, n)
 
-        def recording_check(n):
-            checks.append(n)
-            return check(n)
+            def recording_take(first, stop):
+                takes.append((first, stop, solver.count - 1))
+                return take(first, stop)
 
-        solver.assemble_rhs = recording
-        solver._check_level = recording_check
-        solver.march()
-        assert calls[0][0] == m
-        for (k, n), (after, _) in zip(calls, calls[1:] + [(steps, None)]):
-            assert k + n == after  # every step exactly once, in order
-            assert n == min(PANEL, steps - k)
-        ends = [k + n for k, n in calls if (k + n) // BLOCK > k // BLOCK]
-        assert checks == ends + [steps] * (ends[-1] != steps)
-        assert [c // BLOCK for c in checks[:-1]] == list(range(1, steps // BLOCK + 1))
+            solver.assemble_rhs = recording
+            solver._take = recording_take
+            drive(solver)
+            panel = PANEL if drive is AdiSolver.march else 1
+            assert calls[0][0] == m
+            for (k, n), (after, _) in zip(calls, calls[1:] + [(steps, None)]):
+                assert k + n == after  # every step exactly once, in order
+                assert n == min(panel, steps - k)
+            assert [first for first, _, _ in takes] == [0] + [stop for _, stop, _ in takes[:-1]]
+            *drops, (_, stop, k) = takes
+            assert (stop, k) == (steps + 1, steps)
+            assert drops
+            for first, stop, k in drops:
+                assert first < stop == k + 1 - BLOCK
+                assert k + min(panel, steps - k) - first >= len(solver.u)  # it would not fit
+                assert k - first < HISTORY
 
     def test_panel_holds_at_most_PANEL_steps(self):
         # the far rows and the inverse symbol are tabled for PANEL steps
@@ -1100,12 +1111,21 @@ class TestPanels:
             solver.assemble_rhs(0, PANEL + 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("level", [100, 266])
-    def test_non_finite_level_stops_the_march_at_its_block_end(self, level):
-        # the newest level is checked once every BLOCK steps and at the
-        # last one; the message names the first level that is not finite,
-        # and no warning is raised on the way
-        assert BLOCK % PANEL == 0  # so the checks fall at multiples of BLOCK
+    @pytest.mark.parametrize(
+        "level,stop",
+        [
+            # the first drop, before the step from level 264, takes levels
+            # 0..136 out of the buffer
+            pytest.param(100, 264, id="100"),
+            # no later drop comes before the last step
+            pytest.param(266, 306, id="266"),
+        ],
+    )
+    def test_non_finite_level_stops_the_march_at_its_block_end(self, level, stop):
+        # each level is checked as it leaves the buffer, in the block of
+        # levels that leave together, or at the last step; the message
+        # names the first level that is not finite, and no warning is
+        # raised on the way
         tp = reduce_order(get_problem("compatible_smooth"))
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
@@ -1115,7 +1135,23 @@ class TestPanels:
         message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             solver.march()
-        assert solver.count - 1 == min(level - level % BLOCK + BLOCK, steps)
+        assert solver.count - 1 == stop
+        assert solver.count - 1 - level < HISTORY
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_level_stops_a_stepwise_march(self):
+        # step_once takes no norms, but the levels it makes leave through
+        # the same check, here at the end of march(), with no warning on
+        # the way
+        tp = reduce_order(get_problem("compatible_smooth"))
+        bx = build_basis(6, tp.domain.x_interval)
+        by = build_basis(6, tp.domain.y_interval)
+        solver = AdiSolver(tp, bx, by, 0.01, 40)
+        solver.source_factors[:, 20] = np.inf
+        message = "non-finite solution norm at time level 20 of 40 (t = 0.2)"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            stepwise(solver)
+        assert solver.norms is None
 
 
 EXACTNESS_CASES = [
@@ -1424,6 +1460,18 @@ class TestSolverValidation:
             start = [np.zeros((self.bx.dim, self.by.dim))]
             with pytest.raises(FloatingPointError, match=r"level 7 of 10 \(t = 0.7\)"):
                 AdiSolver(tp, self.bx, self.by, 0.1, 10, starting_values=start)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_starting_value_is_named(self):
+        # a starting value is level 1, checked as it leaves the march like
+        # any marched level; corrected or not, it is the first bad level
+        tp = reduce_order(get_problem("compatible_nonsmooth"))
+        bad = [np.full((self.bx.dim, self.by.dim), np.nan)]
+        message = re.escape("non-finite solution norm at time level 1 of 20 (t = 0.05)")
+        with pytest.raises(FloatingPointError, match=message):
+            AdiSolver(tp, self.bx, self.by, 0.05, 20, starting_values=bad).march()
+        with pytest.raises(FloatingPointError, match=message):
+            run(tp, 6, 20, 1.0, correction_terms=1, exponents=(1.1,), starting_values=bad)
 
 
 class TestRun:

@@ -2,6 +2,7 @@
 import importlib
 import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -90,3 +91,35 @@ def test_march_hooks_read_the_solver_and_result(monkeypatch):
     assert rec["finite"] and rec["norm_final"] == float(result.norms[-1])
     assert rec["error_final"] == result.error_final
     assert 0.0 <= rec["t_setup"] <= rec["t_run"]
+
+
+def test_tracer_spans_a_run(monkeypatch):
+    # Tracer.install wraps every LAYER_TARGETS name; a run past the near
+    # window gives spans for the march and its layers, and putting each
+    # wrapper's __wrapped__ back restores every module and the CLI's
+    # dispatch table
+    import fracadi
+    import fracadi.cli  # noqa: F401  (_replace_everywhere rewrites every module)
+    from fracadi.problems import get_problem
+
+    hooks = load_source("tracing")
+    spaces = [fracadi.__dict__, fracadi.cli._COMMANDS]
+    spaces += [sys.modules[f"fracadi.{m}"].__dict__ for m in hooks["_MODULES"]]
+    before = [dict(space) for space in spaces]
+    methods = [t for t in hooks["LAYER_TARGETS"] if "." in t[2]]
+    for _, module_name, attr in methods:
+        cls_name, meth = attr.split(".")
+        cls = getattr(sys.modules[f"fracadi.{module_name}"], cls_name)
+        monkeypatch.setattr(cls, meth, getattr(cls, meth))  # put back on teardown
+    tracer = hooks["Tracer"]()
+    tracer.install(fracadi)
+    try:
+        fracadi.run(get_problem("compatible_smooth"), 6, 140, 1.0)
+    finally:
+        for _, module_name, attr in hooks["LAYER_TARGETS"]:
+            if "." not in attr:
+                wrapper = getattr(sys.modules[f"fracadi.{module_name}"], attr)
+                hooks["_replace_everywhere"](fracadi, wrapper, wrapper.__wrapped__)
+    names = {span[3] for span in tracer.spans}
+    assert {"solver.march", "solver.rhs", "solver.sweep", "basis.build"} <= names
+    assert [dict(space) for space in spaces] == before

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracadi.oracle import history_quadratic_form
 from fracadi.weights import (
     MAX_CORRECTION_TERMS,
     StartingWeightError,
@@ -12,7 +13,6 @@ from fracadi.weights import (
     build_correction_set,
     default_sigmas,
     far_exponentials,
-    history_quadratic_form,
     power_factor,
     rl_power,
     shifted_weights,
