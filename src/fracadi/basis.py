@@ -3,7 +3,8 @@
 One-dimensional pieces: Legendre evaluation, Gauss-Legendre rules, and
 the Dirichlet difference basis phi_i = L_i - L_{i+2} whose mass matrix
 is pentadiagonal (with only even couplings) and whose stiffness matrix
-is diagonal.  Two-dimensional fields are tensor products with modal
+is diagonal, so the even and the odd functions each make a basis of
+their own (SpectralBasis1D.restrict).  Two-dimensional fields are tensor products with modal
 coefficient matrices.  One matrix E per degree diagonalizes both
 matrices at once (eigen_factors), which turns every operator of the
 time step into an elementwise one.
@@ -11,7 +12,7 @@ time step into an elementwise one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -68,10 +69,12 @@ def gauss_legendre(n):
 class SpectralBasis1D:
     """Dirichlet Legendre basis on one mapped interval.
 
-    dim = degree - 1 functions phi_i = L_i - L_{i+2} (reference
-    variable), mass[i][j] = (phi_j, phi_i) and diagonal stiffness
-    stiffness[i][i] = (phi_i', phi_i') on the reference interval;
-    interval maps x = offset + jacobian * xi.
+    The functions phi_k = L_k - L_{k+2} (reference variable) for the
+    k in `indices`: all of k = 0..degree - 2, or for parity 0 (1) the
+    even (odd) ones alone (restrict).  mass[i][j] = (phi_j, phi_i) and
+    diagonal stiffness stiffness[i][i] = (phi_i', phi_i') on the
+    reference interval, over those functions; interval maps
+    x = offset + jacobian * xi.
     """
 
     degree: int
@@ -83,6 +86,7 @@ class SpectralBasis1D:
     quad_nodes: np.ndarray
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray  # (dim, len(quad_nodes))
+    parity: int = None  # 0 even k alone, 1 odd k alone, None every k
 
     def __post_init__(self):
         for arr in (self.mass, self.stiffness, self.quad_nodes, self.quad_weights, self.basis_at_quad):
@@ -90,7 +94,12 @@ class SpectralBasis1D:
 
     @property
     def dim(self):
-        return self.degree - 1
+        return len(self.mass)
+
+    @property
+    def indices(self):
+        """The indices k of the functions phi_k the basis holds, ascending."""
+        return parity_indices(self.degree - 1, self.parity)
 
     @property
     def quad_count(self):
@@ -108,19 +117,47 @@ class SpectralBasis1D:
 
     @property
     def eigenvalues(self):
-        """lambda of eigen_factors(dim): E^T M E = diag(lambda), E^T S E = I."""
-        return eigen_factors(self.dim)[0]
+        """lambda of eigen_factors: E^T M E = diag(lambda), E^T S E = I."""
+        return eigen_factors(self.degree - 1, self.parity)[0]
 
     @property
     def eigenvectors(self):
-        """E of eigen_factors(dim); its inverse is E^T S."""
-        return eigen_factors(self.dim)[1]
+        """E of eigen_factors; its inverse is E^T S."""
+        return eigen_factors(self.degree - 1, self.parity)[1]
 
     def basis_values(self, x_physical):
-        """phi_i at physical points, shape (dim, npts)."""
+        """phi_k at physical points for the k in indices, shape (dim, npts)."""
         xi = (np.asarray(x_physical, dtype=float) - self.offset) / self.jacobian
         table = legendre_table(self.degree, xi)
-        return table[: self.dim] - table[2 : self.dim + 2]
+        full = self.degree - 1
+        return (table[:full] - table[2 : full + 2])[self.indices]
+
+    def restrict(self, parity):
+        """The basis of the functions of one parity of this full basis; itself for None.
+
+        The Shen mass matrix couples only indices of equal parity, so the
+        slices of mass, stiffness and basis_at_quad are the matrices and
+        values of the restricted basis; it shares the Gauss rule.
+        """
+        if parity is None:
+            return self
+        if self.parity is not None:
+            raise ValueError("only a full basis can be restricted")
+        keep = parity_indices(self.dim, parity)
+        return replace(
+            self,
+            mass=self.mass[np.ix_(keep, keep)],
+            stiffness=self.stiffness[np.ix_(keep, keep)],
+            basis_at_quad=self.basis_at_quad[keep],
+            parity=parity,
+        )
+
+
+def parity_indices(dim, parity):
+    """The indices of 0..dim - 1 of one parity (0 even, 1 odd); all of them for None."""
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity must be 0, 1 or None, got {parity!r}")
+    return np.arange(0 if parity is None else parity, dim, 1 if parity is None else 2)
 
 
 def shen_mass_matrix(dim):
@@ -138,21 +175,25 @@ def shen_stiffness_diagonal(dim):
     return 4.0 * i + 6.0
 
 
-# Memoised per dimension: the factors of the reference-interval matrices
-# depend on nothing else, and the arrays are read-only, so every caller can
-# share them.  Study levels use a handful of degrees, so the cache stays small.
+# Memoised per dimension and parity: the factors of the reference-interval
+# matrices depend on nothing else, and the arrays are read-only, so every
+# caller can share them.  Study levels use a handful of degrees, so the
+# cache stays small.
 @functools.cache
-def eigen_factors(dim):
+def eigen_factors(dim, parity=None):
     """(lam, E) with E^T M E = diag(lam) and E^T S E = I for the Shen matrices.
 
-    E = S^{-1/2} Q, where Q holds the eigenvectors of S^{-1/2} M S^{-1/2}
-    (S is diagonal); lam ascends.  scipy.linalg.eigh, not numpy.linalg.eigh:
-    numpy's call on a 31 x 31 matrix took 15.6 ms of CPU time with two
-    OpenBLAS threads, against 0.23 ms for scipy's, and slowed the numpy
-    work that followed it by 59 %.
+    M and S are the dim x dim Shen matrices, or their rows and columns of
+    one parity (parity_indices).  E = S^{-1/2} Q, where Q holds the
+    eigenvectors of S^{-1/2} M S^{-1/2} (S is diagonal); lam ascends.
+    scipy.linalg.eigh, not numpy.linalg.eigh: numpy's call on a 31 x 31
+    matrix took 15.6 ms of CPU time with two OpenBLAS threads, against
+    0.23 ms for scipy's, and slowed the numpy work that followed it by 59 %.
     """
-    root = 1.0 / np.sqrt(shen_stiffness_diagonal(dim))
-    lam, q = scipy.linalg.eigh(root[:, None] * shen_mass_matrix(dim) * root[None, :])
+    keep = parity_indices(dim, parity)
+    root = 1.0 / np.sqrt(shen_stiffness_diagonal(dim)[keep])
+    mass = shen_mass_matrix(dim)[np.ix_(keep, keep)]
+    lam, q = scipy.linalg.eigh(root[:, None] * mass * root[None, :])
     vectors = root[:, None] * q
     lam.flags.writeable = False
     vectors.flags.writeable = False
@@ -172,6 +213,43 @@ def to_eigen(coeffs, basis_x, basis_y):
 def from_eigen(coeffs, basis_x, basis_y):
     """Shen coefficients E_x v E_y^T of eigen-coordinates v (matrix or stack)."""
     return basis_x.eigenvectors @ coeffs @ basis_y.eigenvectors.T
+
+
+def restricted_coefficients(coeffs, basis_x, basis_y):
+    """The entries of full Shen coefficients (..., dim_x, dim_y) that two bases hold.
+
+    coeffs belong to the full bases that basis_x and basis_y restrict
+    (SpectralBasis1D.restrict).
+    """
+    return np.asarray(coeffs)[..., basis_x.indices[:, None], basis_y.indices]
+
+
+def full_coefficients(coeffs, basis_x, basis_y):
+    """Full Shen coefficients of coefficients on two (restricted) bases; zero elsewhere."""
+    full = np.zeros(coeffs.shape[:-2] + (basis_x.degree - 1, basis_y.degree - 1))
+    full[..., basis_x.indices[:, None], basis_y.indices] = coeffs
+    return full
+
+
+def mirror_parity(grid, basis, axis):
+    """The parity of the Shen functions that grid functions can load along one axis.
+
+    grid holds values on the Gauss grid, with `basis`'s nodes along
+    `axis`.  Where the reference rule is exactly symmetric (nodes
+    antisymmetric, weights symmetric) and every value is bitwise the
+    negative (the copy) of its mirror image under node reversal, the
+    Gauss projection onto the even (odd) functions phi_k, which are even
+    (odd) in the reference variable, vanishes in exact arithmetic:
+    returns 1 (0).  Otherwise, or where the values are both (zero), None.
+    """
+    nodes, weights = basis.quad_nodes, basis.quad_weights
+    if not ((nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()):
+        return None
+    mirror = np.flip(grid, axis)
+    odd, even = (mirror == -grid).all(), (mirror == grid).all()
+    if odd == even:
+        return None
+    return 1 if odd else 0
 
 
 def build_basis(degree, interval):
@@ -315,7 +393,7 @@ def factor_norms(table, r):
     return stack_norms(lambda t: _factor_squares(t, r), table.T)
 
 
-def level_norms(v, basis_x, basis_y, table=None, factors=None):
+def level_norms(v, basis_x, basis_y, table=None, factors=None, mass=None):
     """Grid norms of u_n - sum_p table[p, n] phi_p, one per level n of v.
 
     v is the (L, dim_x, dim_y) stack of the levels u_n in
@@ -329,9 +407,11 @@ def level_norms(v, basis_x, basis_y, table=None, factors=None):
     Both sums run over the profiles in order (problems.profile_sum) and
     each level is summed on its own, so a level's norm has the same bits
     in every stack.  Both parts share one power-of-two shift per level
-    where the squares overflow (stack_norms).
+    where the squares overflow (stack_norms).  mass is eigen_mass(basis_x,
+    basis_y), built here unless the caller passes the one it holds.
     """
-    mass = eigen_mass(basis_x, basis_y)
+    if mass is None:
+        mass = eigen_mass(basis_x, basis_y)
     if table is None:
         return stack_norms(lambda v: np.sum(mass * v**2, axis=(1, 2)), v)
     eigen, r = factors

@@ -454,6 +454,7 @@ def diagnostics_lines(cfg, problem, result):
         f"bootstrap_ratio = {cfg.bootstrap_ratio}",
         f"source_mode = {cfg.source_mode}",
         f"source_mode_used = {result.source_mode}",
+        f"marched_modes = {result.marched_modes} of {result.basis_x.dim * result.basis_y.dim}",
         f"tau = {fmt(result.tau)}",
         f"final_l2_norm = {fmt(result.norms[-1])}",
         f"max_l2_norm = {fmt(np.max(result.norms))}",

@@ -4,8 +4,9 @@ Everything here is deliberately structured differently from the code it
 validates: dense pivoted LU instead of the eigen-coordinate sweeps,
 direct endpoint-averaged weight sums instead of telescoped pair sums,
 library quadrature instead of the closed Gamma forms, numpy's Legendre
-series and Gauss rule for the matrix entries, and sums over the Gauss grid
-instead of the eigen-coordinate norms.  verify_checks() is the
+series and Gauss rule for the matrix entries, sums over the Gauss grid
+instead of the eigen-coordinate norms, and marches on the full bases
+instead of run()'s parity classes.  verify_checks() is the
 battery that `fracadi verify` prints.
 """
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .solver import (
     eigen_operators,
     project_time_series,
     reduce_order,
+    run,
     source_table,
+    stability_ratio,
 )
 from .weights import (
     build_correction_set,
@@ -421,6 +424,42 @@ def marched_every_level(name, degree, steps, m=0, source_mode="auto"):
     return solver
 
 
+def parity_reduction_gaps(name, degree, steps, m=0, source_mode="auto"):
+    """Gaps of run() of problem `name` up to T = 1 from a march on the full bases.
+
+    run() marches only the parity classes its data occupy; the direct
+    path is an AdiSolver on run()'s full bases, with starting values from
+    its own bootstrap_starting_values and exponents from default_sigmas.
+    Returns (gap, ratio_gap): the largest gap of the norms, the errors
+    and the final level (the grid norm of the difference, grid_norms),
+    relative to max ||u^n|| of the full march, and the relative gap of
+    the stability ratios.
+    """
+    spec = get_problem(name)
+    tp = reduce_order(spec)
+    exponents = default_sigmas(m)
+    result = run(spec, degree, steps, 1.0, correction_terms=m, exponents=exponents or None,
+                 source_mode=source_mode)
+    bx, by, tau = result.basis_x, result.basis_y, result.tau
+    full = AdiSolver(
+        tp, bx, by, tau, steps,
+        correction_terms=m,
+        exponents=exponents,
+        starting_values=bootstrap_starting_values(tp, bx, by, tau, m, source_mode=source_mode),
+        source_mode=source_mode,
+    )
+    diff = full.march() - result.coeffs
+    scale = np.max(full.norms)
+    gaps = [
+        np.max(np.abs(result.norms - full.norms)),
+        grid_norms(np.zeros((0, 1)), grid_values((), bx, by), bx, by, diff)[0],
+    ]
+    if tp.exact:
+        gaps.append(np.max(np.abs(result.errors - full.errors)))
+    ratio = stability_ratio(full.norms, full.half_source_norms, tau, 1.0)
+    return max(float(g) for g in gaps) / scale, abs(result.stability_ratio - ratio) / ratio
+
+
 def verify_checks():
     """Deterministic oracle cross-checks; yields (name, ok, metric)."""
     for n in (8, 24, 64):
@@ -460,3 +499,7 @@ def verify_checks():
     coarse = marched_every_level("compatible_smooth", 4, 2000)
     gap = max(direct_norm_gap(corrected), direct_norm_gap(coarse))
     yield "norms_vs_grid_sums", gap <= 1e-13, gap
+
+    # run() marches the odd parity class alone here
+    gap, ratio_gap = parity_reduction_gaps("compatible_nonsmooth", 12, 64, m=3)
+    yield "parity_reduction", gap <= 1e-13 and ratio_gap <= 1e-12, gap

@@ -13,7 +13,9 @@ BLOCK levels directly and reach the older ones through a sum of decaying
 exponentials (weights.far_exponentials), carried as a state of a few
 dozen levels.  So the march holds a fixed number of levels, whatever the
 step count: a history buffer of the near window and the panel, whose
-norms and errors it takes as the levels leave the buffer.
+norms and errors it takes as the levels leave the buffer.  run() marches
+only the parity classes of the basis that the data occupy
+(marched_parities).
 """
 from __future__ import annotations
 
@@ -33,11 +35,15 @@ from .basis import (
     eigen_mass,
     factor_norms,
     from_eigen,
+    full_coefficients,
     grid_factor,
     grid_values,
     level_blocks,
     level_norms,
+    mirror_parity,
+    parity_indices,
     projection_factors,
+    restricted_coefficients,
     shen_loads,
     to_eigen,
 )
@@ -473,6 +479,7 @@ class AdiSolver:
         self.norms = self.errors = None
 
         mass, stiff, cross, self._sweep = eigen_operators(self.coeffs, basis_x, basis_y)
+        self._mass = mass  # eigen_mass, for the norms and errors (_take)
         self._explicit = mass + self.coeffs.cross_coef * cross
 
         # The mass and stiffness applications are linear, so every order's
@@ -748,14 +755,14 @@ class AdiSolver:
         FloatingPointError names the first level of first..stop - 1 whose
         norm is not finite.
         """
-        bx, by = self.basis_x, self.basis_y
+        bx, by, mass = self.basis_x, self.basis_y, self._mass
         for b, e in level_blocks(stop - first, self.u[0].size):
             b, e = first + b, first + e
             v = self.u[b - self._base : e - self._base]
-            self._norms[b:e] = level_norms(v, bx, by)
+            self._norms[b:e] = level_norms(v, bx, by, mass=mass)
             if self._errors is not None:
                 table, factors = self._exact
-                self._errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors)
+                self._errors[b:e] = level_norms(v, bx, by, table[:, b:e], factors, mass)
         kept = np.flatnonzero((first <= self.keep) & (self.keep < stop))
         self._kept[kept] = from_eigen(self.u[self.keep[kept] - self._base], bx, by)
         _check_finite("solution", self._norms[first:stop], self.tau, self.steps, first=first)
@@ -812,12 +819,14 @@ class RunResult:
     """Final level, per-level norms and errors, and diagnostics of one march.
 
     coeffs holds the Shen coefficients of the last level alone, the
-    level that AdiSolver.march() keeps by default; norms, errors and
-    half_source_norms hold one value per level (per step for the last).
-    times, error_final and error_max are read from tau, norms and
-    errors; the last two are None without an exact solution.  wall_time
-    covers the bootstrap, the set-up and the march, which takes the
-    norms and errors.
+    level that AdiSolver.march() keeps by default, on the full bases
+    basis_x and basis_y; norms, errors and half_source_norms hold one
+    value per level (per step for the last).  parities are the parities
+    of the Shen functions the march carried along x and y (0 even, 1
+    odd, None both; marched_parities).  times, error_final and error_max
+    are read from tau, norms and errors; the last two are None without
+    an exact solution.  wall_time covers the bootstrap, the set-up and
+    the march, which takes the norms and errors.
     """
 
     tp: TransformedProblem
@@ -833,6 +842,7 @@ class RunResult:
     source_mode: str  # the mode the source was projected in, auto resolved
     errors: np.ndarray = None
     wall_time: float = 0.0
+    parities: tuple = (None, None)
 
     @property
     def times(self):
@@ -845,6 +855,12 @@ class RunResult:
     @property
     def error_max(self):
         return None if self.errors is None else float(np.max(self.errors))
+
+    @property
+    def marched_modes(self):
+        """The number of tensor modes the march carried (of basis_x.dim * basis_y.dim)."""
+        px, py = self.parities
+        return len(parity_indices(self.basis_x.dim, px)) * len(parity_indices(self.basis_y.dim, py))
 
     def field(self):
         """The last level as a ModalField2D."""
@@ -888,6 +904,58 @@ def _check_memory(tp, basis_x, basis_y, steps, m, levels):
         )
 
 
+# a profile that overflows on the grid fails the parity test, and the
+# march's own checks report it; no warnings on the way
+@np.errstate(over="ignore", invalid="ignore")
+def marched_parities(tp, basis_x, basis_y, starting_values=()):
+    """(parity_x, parity_y): the Shen functions a march of tp has to carry per axis.
+
+    0 (1) where the march needs the even (odd) functions phi_k alone,
+    None where it needs both.  The mass and stiffness matrices couple
+    only indices of equal parity, so a march stays on the parities its
+    data load.  A parity is left out along an axis only where, by
+    basis.mirror_parity, the Gauss-grid values of every profile of tp.f
+    and tp.g give it a projection that vanishes in exact arithmetic,
+    and where every starting value, (dim_x, dim_y) Shen coefficients, is
+    exactly zero on it.  The test is exact, with no tolerance.
+    """
+    profiles = tuple(dict.fromkeys(term.profile for term in tp.f + tp.g))
+    grid = grid_values(profiles, basis_x, basis_y)
+    parities = []
+    for axis, basis in ((1, basis_x), (2, basis_y)):
+        parity = mirror_parity(grid, basis, axis)
+        if parity is not None:
+            dropped = parity_indices(basis.dim, 1 - parity)
+            if any(np.take(v, dropped, axis=axis - 1).any() for v in starting_values):
+                parity = None
+        parities.append(parity)
+    return tuple(parities)
+
+
+def stability_ratio(norms, half_source_norms, tau, final_time):
+    """max_n ||u^n||^2 / (e^{2T} 2 tau sum_{k<n} h_k^2), the energy bound's ratio.
+
+    norms holds ||u^n|| for n = 0..M and half_source_norms the h_k of
+    the M steps.  The sum accumulates in sequence (cumsum), as a running
+    Python sum would.  Both norms are divided by a power of two near the
+    largest h_k first, which keeps the squares finite and leaves the
+    ratio bit-identical.  Where e^{2T} or the bound overflows
+    (T > 354.9), the ratio is 0 to double precision; an infinite bound
+    times a zero sum is NaN and not positive.  0 where no bound is positive.
+    """
+    try:
+        growth = math.exp(2.0 * final_time)
+    except OverflowError:
+        growth = math.inf
+    shift = np.frexp(np.max(half_source_norms, initial=0.0))[1]
+    half = np.ldexp(half_source_norms, -shift)
+    scaled = np.ldexp(norms[1:], -shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = growth * 2.0 * tau * np.cumsum(half**2)
+    positive = bound > 0.0
+    return float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
+
+
 def run(
     problem,
     degree,
@@ -907,6 +975,11 @@ def run(
     later steps use the starting-weight corrections.  A run of no steps
     records the zero initial level alone, without corrections; its error
     is the formula of basis.level_norms with v = 0.
+
+    The bootstrap and the march run on the bases restricted to the
+    parities the data occupy (marched_parities), as does the error of a
+    run of no steps; the final level is returned on the full bases.
+    Where the data occupy both parities the bases are the full ones.
     """
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
@@ -922,15 +995,20 @@ def run(
     exponents = _correction_exponents(m, exponents, steps)  # before any march
     if starting_values is not None:
         _check_starting_values(m, starting_values, steps, (basis_x.dim, basis_y.dim))
+    given = () if starting_values is None else starting_values
+    parities = marched_parities(tp, basis_x, basis_y, given)
+    bx, by = basis_x.restrict(parities[0]), basis_y.restrict(parities[1])
+    if starting_values is not None:
+        starting_values = [restricted_coefficients(v, bx, by) for v in starting_values]
     elif m:
         starting_values = bootstrap_starting_values(
-            tp, basis_x, basis_y, tau, m, ratio=bootstrap_ratio, source_mode=source_mode
+            tp, bx, by, tau, m, ratio=bootstrap_ratio, source_mode=source_mode
         )
     if steps:
         solver = AdiSolver(
             tp,
-            basis_x,
-            basis_y,
+            bx,
+            by,
             tau,
             steps,
             correction_terms=m,
@@ -942,34 +1020,17 @@ def run(
         norms, errors = solver.norms, solver.errors
         half_norms, source_mode = solver.half_source_norms, solver.source_mode
     else:  # the zero initial level alone
-        coeffs = np.zeros((1, basis_x.dim, basis_y.dim))
-        norms, errors = level_norms(coeffs, basis_x, basis_y), None
+        coeffs = np.zeros((1, bx.dim, by.dim))
+        norms, errors = level_norms(coeffs, bx, by), None
         if tp.exact:
-            exact = _exact_factors(tp, basis_x, basis_y, np.zeros(1))
-            errors = level_norms(coeffs, basis_x, basis_y, *exact)
+            exact = _exact_factors(tp, bx, by, np.zeros(1))
+            errors = level_norms(coeffs, bx, by, *exact)
         half_norms, source_mode = np.zeros(0), _resolve_source_mode(source_mode)
+    coeffs = full_coefficients(coeffs, bx, by)
     wall = time.perf_counter() - t0
 
     # the stability bound sums every half-source norm, marched or not
     _check_finite("source", half_norms, tau, steps)
-
-    # ratio of ||u^n||^2 to its a priori bound e^{2T} 2 tau sum_{k<n} h_k^2;
-    # cumsum accumulates in sequence, as a running Python sum would.  Both
-    # norms are divided by a power of two near the largest h_k first, which
-    # keeps the squares finite and leaves the ratio bit-identical.  Where
-    # e^{2T} or the bound overflows (T > 354.9), the ratio is 0 to double
-    # precision; an infinite bound times a zero sum is NaN and not positive
-    try:
-        growth = math.exp(2.0 * final_time)
-    except OverflowError:
-        growth = math.inf
-    shift = np.frexp(np.max(half_norms, initial=0.0))[1]
-    half = np.ldexp(half_norms, -shift)
-    scaled = np.ldexp(norms[1:], -shift)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = growth * 2.0 * tau * np.cumsum(half**2)
-    positive = bound > 0.0
-    ratio = float(np.max(scaled[positive] ** 2 / bound[positive])) if positive.any() else 0.0
 
     return RunResult(
         tp=tp,
@@ -979,10 +1040,11 @@ def run(
         coeffs=coeffs,
         norms=norms,
         half_source_norms=half_norms,
-        stability_ratio=ratio,
+        stability_ratio=stability_ratio(norms, half_norms, tau, final_time),
         correction_terms=m,
         exponents=exponents,
         source_mode=source_mode,
         errors=errors,
         wall_time=wall,
+        parities=parities,
     )

@@ -8,15 +8,19 @@ from fracadi.basis import (
     ModalField2D,
     ShenSystemSolver,
     build_basis,
+    eigen_mass,
     evaluate_field,
     factor_norms,
+    full_coefficients,
     gauss_legendre,
     grid_factor,
     grid_values,
     l2_error,
     legendre_table,
     level_norms,
+    mirror_parity,
     projection_factors,
+    restricted_coefficients,
     shen_mass_matrix,
     shen_stiffness_diagonal,
     to_eigen,
@@ -120,6 +124,106 @@ class TestBuildBasis:
         basis = build_basis(6, (-1.0, 1.0))
         with pytest.raises(ValueError):
             basis.mass[0, 0] = 1.0
+
+
+class TestParityRestriction:
+    @pytest.mark.parametrize("degree", [8, 9, 20])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_slices_of_the_full_basis(self, degree, parity):
+        full = build_basis(degree, (-2.0, 1.0))
+        part = full.restrict(parity)
+        keep = np.arange(parity, degree - 1, 2)
+        np.testing.assert_array_equal(part.indices, keep)
+        assert part.dim == len(keep) and part.parity == parity
+        np.testing.assert_array_equal(part.mass, full.mass[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(part.stiffness, full.stiffness[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(part.basis_at_quad, full.basis_at_quad[keep])
+        x = np.linspace(-2.0, 1.0, 7)
+        np.testing.assert_array_equal(part.basis_values(x), full.basis_values(x)[keep])
+        assert part.quad_nodes is full.quad_nodes
+
+    @pytest.mark.parametrize("degree", [8, 21])
+    def test_own_eigen_factors_split_the_full_ones(self, degree):
+        # the mass matrix couples only equal parities, so the two classes'
+        # eigenvalues are the full basis' eigenvalues
+        full = build_basis(degree, (-1.0, 1.0))
+        lams = []
+        for parity in (0, 1):
+            part = full.restrict(parity)
+            e, lam = part.eigenvectors, part.eigenvalues
+            np.testing.assert_allclose(e.T @ part.mass @ e, np.diag(lam), atol=1e-14)
+            np.testing.assert_allclose(e.T @ part.stiffness @ e, np.eye(part.dim), atol=1e-14)
+            lams.append(lam)
+        np.testing.assert_allclose(np.sort(np.concatenate(lams)), full.eigenvalues, rtol=1e-13)
+
+    def test_full_basis_restricts_to_itself(self):
+        full = build_basis(8, (-1.0, 1.0))
+        assert full.restrict(None) is full
+        assert full.parity is None and full.dim == 7
+        with pytest.raises(ValueError, match="only a full basis"):
+            full.restrict(1).restrict(1)
+        with pytest.raises(ValueError, match="parity must be 0, 1 or None"):
+            full.restrict(2)
+
+    def test_coefficients_scatter_and_gather(self, rng):
+        full = build_basis(9, (-1.0, 1.0))
+        bx, by = full.restrict(1), full.restrict(0)
+        part = rng.standard_normal((2, bx.dim, by.dim))
+        coeffs = full_coefficients(part, bx, by)
+        assert coeffs.shape == (2, 8, 8)
+        np.testing.assert_array_equal(coeffs[:, 1::2, ::2], part)
+        assert not coeffs[:, ::2].any() and not coeffs[:, :, 1::2].any()
+        np.testing.assert_array_equal(restricted_coefficients(coeffs, bx, by), part)
+        np.testing.assert_array_equal(restricted_coefficients(coeffs, full, full), coeffs)
+
+    def test_restricted_field_has_the_same_norm(self, rng):
+        # a field of one parity class has the same L2 norm on both bases
+        full = build_basis(10, (-1.0, 1.0))
+        bx, by = full.restrict(1), full.restrict(1)
+        part = rng.standard_normal((1, bx.dim, by.dim))
+        coeffs = full_coefficients(part, bx, by)
+        want = level_norms(to_eigen(coeffs, full, full), full, full)
+        got = level_norms(to_eigen(part, bx, by), bx, by, mass=eigen_mass(bx, by))
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+class TestMirrorParity:
+    @pytest.mark.parametrize(
+        "values, parity",
+        [
+            (lambda x, y: np.sin(np.pi * x) * np.cos(y), (1, 0)),
+            (lambda x, y: x**2 * y**3, (0, 1)),
+            (lambda x, y: np.exp(x) * y, (None, 1)),
+            (lambda x, y: 0.0 * x * y, (None, None)),
+        ],
+        ids=["odd-even", "even-odd", "none-odd", "zero"],
+    )
+    def test_symmetric_values_keep_one_parity(self, values, parity):
+        basis = build_basis(8, (-1.0, 1.0))
+        grid = grid_values((SpatialProfile(values=values),), basis, basis)
+        assert (mirror_parity(grid, basis, 1), mirror_parity(grid, basis, 2)) == parity
+
+    def test_every_profile_must_share_the_parity(self):
+        basis = build_basis(8, (-1.0, 1.0))
+        profiles = (
+            SpatialProfile(values=lambda x, y: x * y),
+            SpatialProfile(values=lambda x, y: x * y * y),
+        )
+        grid = grid_values(profiles, basis, basis)
+        assert (mirror_parity(grid, basis, 1), mirror_parity(grid, basis, 2)) == (1, None)
+
+    def test_needs_an_exactly_symmetric_rule(self):
+        # degree 4's 12 Gauss nodes miss antisymmetry by 2.8e-17
+        basis = build_basis(4, (-1.0, 1.0))
+        nodes = basis.quad_nodes
+        assert 0.0 < np.max(np.abs(nodes + nodes[::-1])) <= 1e-16
+        grid = grid_values((SpatialProfile(values=lambda x, y: x * y),), basis, basis)
+        assert mirror_parity(grid, basis, 1) is None
+
+    def test_non_finite_values_keep_both(self):
+        basis = build_basis(8, (-1.0, 1.0))
+        grid = np.full((1, basis.quad_count, basis.quad_count), np.nan)
+        assert mirror_parity(grid, basis, 1) is None
 
 
 class TestProjection:

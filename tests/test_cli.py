@@ -345,6 +345,18 @@ class TestMainRun:
         assert diag["source_mode"] == mode
         assert diag["source_mode_used"] == used
 
+    @pytest.mark.parametrize(
+        "problem, degree, modes",
+        [("compatible_smooth", "20", "81 of 361"), ("example_6_2", "8", "49 of 49")],
+    )
+    def test_marched_modes_are_recorded(self, tmp_path, capfd, problem, degree, modes):
+        # the odd-odd parity class alone on the symmetric problem, every
+        # mode on the printed domain
+        argv = ["run", "--problem", problem, "--N", degree, "--M", "4", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        capfd.readouterr()
+        assert read_kv(tmp_path / "diagnostics.txt")["marched_modes"] == modes
+
     def test_corrected_run_from_config_file(self, tmp_path, capfd):
         path = tmp_path / "case.ini"
         path.write_text(
@@ -918,8 +930,9 @@ class TestMainVerify:
     def test_all_checks_pass(self):
         code, out = run_command(["verify"])
         assert code == 0
-        assert out.count("PASS") == 12
+        assert out.count("PASS") == 13
         assert "PASS norms_vs_grid_sums" in out
+        assert "PASS parity_reduction" in out
         assert "PASS far_kernel_exponentials" in out
         assert "FAIL" not in out
         assert "all checks passed" in out

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import pathlib
 import re
 import tracemalloc
 from collections import namedtuple
@@ -18,11 +19,14 @@ from fracadi.basis import (
     ShenSystemSolver,
     build_basis,
     from_eigen,
+    full_coefficients,
     l2_error,
     level_norms,
+    restricted_coefficients,
     to_eigen,
 )
-from fracadi.oracle import half_sum_coefficients
+from fracadi.cli import build_custom_problem, load_config_file
+from fracadi.oracle import half_sum_coefficients, parity_reduction_gaps
 from fracadi.problems import (
     ProblemSpec,
     Rectangle,
@@ -42,16 +46,19 @@ from fracadi.solver import (
     TransformedProblem,
     bootstrap_starting_values,
     eigen_operators,
+    marched_parities,
     near_product,
     project_time_series,
     reduce_order,
     run,
     source_table,
+    stability_ratio,
     step_coefficients,
 )
 from fracadi.weights import apply_gl, build_correction_set, far_exponentials, shifted_weights
 
 UNIT_SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
+CUSTOM_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"
 
 # SeparableTerm's fields without its checks, for a source term with a
 # negative time exponent (singular at t = 0), which SeparableTerm rejects
@@ -1598,14 +1605,15 @@ class TestRun:
 
     def test_errors_and_norms_come_from_the_march(self):
         # march() leaves the levels' norms and errors on the solver, and
-        # run() reports them as they are
+        # run() reports them as they are; run() marches on the bases of
+        # the parities its data occupy
         tp = reduce_order(get_problem("compatible_nonsmooth"))
-        bx = build_basis(8, tp.domain.x_interval)
-        by = build_basis(8, tp.domain.y_interval)
+        res = run(tp, 8, 20, 1.0)
+        bx = build_basis(8, tp.domain.x_interval).restrict(res.parities[0])
+        by = build_basis(8, tp.domain.y_interval).restrict(res.parities[1])
         solver = AdiSolver(tp, bx, by, 0.05, 20)
         assert solver.norms is None and solver.errors is None
         solver.march()
-        res = run(tp, 8, 20, 1.0)
         np.testing.assert_array_equal(res.norms, solver.norms)
         np.testing.assert_array_equal(res.errors, solver.errors)
         quiet = AdiSolver(quiet_tp(), bx, by, 0.05, 20)
@@ -1705,14 +1713,16 @@ class TestRun:
     def test_uncorrected_run_keeps_starting_values(self):
         # without corrections the march starts after the given levels, as
         # an AdiSolver given them does, instead of from level 0
+        # (on the bases of the parities the data occupy, as run() marches)
         spec = get_problem("compatible_nonsmooth")
         tp = reduce_order(spec)
-        bx = build_basis(8, tp.domain.x_interval)
-        by = build_basis(8, tp.domain.y_interval)
-        start = [np.zeros((bx.dim, by.dim))] * 2
+        start = [np.zeros((7, 7))] * 2
         res = run(spec, 8, 10, 1.0, starting_values=start)
-        want = AdiSolver(tp, bx, by, 0.1, 10, starting_values=start, keep=range(11))
-        np.testing.assert_array_equal(res.coeffs, want.march()[-1:])
+        bx = build_basis(8, tp.domain.x_interval).restrict(res.parities[0])
+        by = build_basis(8, tp.domain.y_interval).restrict(res.parities[1])
+        marched = [restricted_coefficients(v, bx, by) for v in start]
+        want = AdiSolver(tp, bx, by, 0.1, 10, starting_values=marched, keep=range(11))
+        np.testing.assert_array_equal(res.coeffs, full_coefficients(want.march()[-1:], bx, by))
         np.testing.assert_array_equal(res.norms, want.norms)
         assert not res.norms[:3].any() and res.norms[3] > 0.0
 
@@ -1750,3 +1760,92 @@ class TestRun:
 
         err = l2_error(ModalField2D(coeffs, bx, by), lambda x, y: evaluate_terms(tp.exact, x, y, 0.5))
         assert err <= 1e-6
+
+
+def marched_parities_of(problem, degree, starting_values=()):
+    tp = reduce_order(problem)
+    bx = build_basis(degree, tp.domain.x_interval)
+    by = build_basis(degree, tp.domain.y_interval)
+    return marched_parities(tp, bx, by, starting_values)
+
+
+class TestParityReduction:
+    @pytest.mark.parametrize("degree", [8, 20, 64])
+    @pytest.mark.parametrize("name", ["compatible_smooth", "compatible_nonsmooth"])
+    def test_compatible_sources_keep_the_odd_parity(self, name, degree):
+        # sin(pi x) sin(pi y) is bitwise odd in x and y on the Gauss grid
+        assert marched_parities_of(get_problem(name), degree) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "name, degree",
+        [("example_6_1", 8), ("example_6_1", 20), ("example_6_2", 8), ("example_6_2", 20),
+         ("compatible_smooth", 4), ("compatible_nonsmooth", 4), ("custom", 16)],
+    )
+    def test_asymmetric_data_keep_both_parities(self, name, degree):
+        # the printed domains and the custom modes on (0, 2) x (-1, 1) are
+        # not symmetric on the grid, and degree 4's Gauss nodes are not
+        # exactly antisymmetric
+        if name == "custom":
+            problem = build_custom_problem(load_config_file(CUSTOM_CONFIG)[1])
+        else:
+            problem = get_problem(name)
+        assert marched_parities_of(problem, degree) == (None, None)
+
+    @pytest.mark.parametrize(
+        "index, parities", [((0, 1), (None, 1)), ((1, 0), (1, None)), ((0, 0), (None, None)),
+                            ((1, 1), (1, 1))]
+    )
+    def test_starting_values_bring_a_dropped_parity_back(self, index, parities):
+        start = np.zeros((7, 7))
+        start[index] = 1e-300
+        spec = get_problem("compatible_smooth")
+        assert marched_parities_of(spec, 8, [np.zeros((7, 7)), start]) == parities
+        res = run(spec, 8, 10, 1.0, starting_values=[start])
+        assert res.parities == parities
+        assert res.coeffs.shape == (1, 7, 7)
+
+    def test_zero_data_keep_both_parities(self):
+        assert marched_parities(quiet_tp(), *[build_basis(8, (-1.0, 1.0))] * 2) == (None, None)
+
+    @pytest.mark.parametrize(
+        "name, degree, steps, m, mode",
+        [
+            ("compatible_smooth", 20, 300, 0, "analytic"),
+            ("compatible_smooth", 12, 40, 0, "sampled"),
+            ("compatible_nonsmooth", 12, 64, 3, "analytic"),
+            ("compatible_nonsmooth", 20, 100, 3, "sampled"),
+        ],
+    )
+    def test_reduced_run_agrees_with_the_full_march(self, name, degree, steps, m, mode):
+        # the dropped classes carry round-off alone; norms, errors and the
+        # final level move by at most 1e-13 max ||u^n||
+        assert marched_parities_of(get_problem(name), degree) == (1, 1)
+        gap, ratio_gap = parity_reduction_gaps(name, degree, steps, m=m, source_mode=mode)
+        assert gap <= 1e-13
+        assert ratio_gap <= 1e-12
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_unreduced_run_is_the_full_march_bit_for_bit(self, m):
+        spec = get_problem("example_6_2")
+        tp = reduce_order(spec)
+        exponents = (1.1, 1.2, 1.3)[:m]
+        res = run(spec, 8, 20, 1.0, correction_terms=m, exponents=exponents or None)
+        assert res.parities == (None, None) and res.marched_modes == 49
+        bx, by = res.basis_x, res.basis_y
+        start = bootstrap_starting_values(tp, bx, by, 0.05, m)
+        solver = AdiSolver(tp, bx, by, 0.05, 20, correction_terms=m, exponents=exponents,
+                           starting_values=start)
+        np.testing.assert_array_equal(res.coeffs, solver.march())
+        np.testing.assert_array_equal(res.norms, solver.norms)
+        np.testing.assert_array_equal(res.errors, solver.errors)
+        np.testing.assert_array_equal(res.half_source_norms, solver.half_source_norms)
+        ratio = stability_ratio(solver.norms, solver.half_source_norms, 0.05, 1.0)
+        assert res.stability_ratio == ratio
+
+    def test_reduced_run_returns_the_full_basis(self):
+        res = run(get_problem("compatible_nonsmooth"), 9, 10, 1.0)
+        assert res.parities == (1, 1) and res.marched_modes == 16
+        assert (res.basis_x.dim, res.basis_y.dim) == (8, 8) and res.basis_x.parity is None
+        assert res.coeffs.shape == (1, 8, 8)
+        assert not res.coeffs[:, ::2].any() and not res.coeffs[:, :, ::2].any()
+        assert res.coeffs[0, 1, 1] != 0.0
