@@ -32,6 +32,8 @@ class Rectangle:
             raise ValueError("rectangle must have positive side lengths")
         if not all(map(math.isfinite, (self.ax, self.bx, self.ay, self.by))):
             raise ValueError("rectangle corners must be finite")
+        if math.inf in (self.bx - self.ax, self.by - self.ay):
+            raise ValueError("rectangle side lengths must be finite")
 
     @property
     def x_interval(self):

@@ -923,7 +923,7 @@ def marched_parities(tp, basis_x, basis_y, starting_values=()):
     grid = grid_values(profiles, basis_x, basis_y)
     parities = []
     for axis, basis in ((1, basis_x), (2, basis_y)):
-        parity = mirror_parity(grid, basis, axis)
+        parity = mirror_parity(grid, axis)
         if parity is not None:
             dropped = parity_indices(basis.dim, 1 - parity)
             if any(np.take(v, dropped, axis=axis - 1).any() for v in starting_values):

@@ -73,9 +73,13 @@ class TestGaussLegendre:
         assert gauss_rule_deviation(n) <= 1e-13
 
     def test_symmetry(self):
-        nodes, weights = gauss_legendre(15)
-        np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-15)
-        np.testing.assert_allclose(weights, weights[::-1], rtol=1e-14)
+        # every rule is exactly symmetric by construction, with no tolerance
+        for n in range(1, 201):
+            nodes, weights = gauss_legendre(n)
+            assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all(), n
+            assert (np.diff(nodes) > 0.0).all(), n
+            if n % 2:
+                assert nodes[n // 2] == 0.0 and not np.signbit(nodes[n // 2]), n
 
 
 class TestShenMatrices:
@@ -114,6 +118,11 @@ class TestBuildBasis:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             build_basis(8, (1.0, 1.0))
+
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-1e308, 1e308)])
+    def test_interval_length_must_be_finite(self, interval):
+        with pytest.raises(ValueError, match="positive finite length"):
+            build_basis(6, interval)
 
     def test_boundary_values_vanish_exactly(self):
         basis = build_basis(12, (-2.0, 5.0))
@@ -201,7 +210,7 @@ class TestMirrorParity:
     def test_symmetric_values_keep_one_parity(self, values, parity):
         basis = build_basis(8, (-1.0, 1.0))
         grid = grid_values((SpatialProfile(values=values),), basis, basis)
-        assert (mirror_parity(grid, basis, 1), mirror_parity(grid, basis, 2)) == parity
+        assert (mirror_parity(grid, 1), mirror_parity(grid, 2)) == parity
 
     def test_every_profile_must_share_the_parity(self):
         basis = build_basis(8, (-1.0, 1.0))
@@ -210,20 +219,12 @@ class TestMirrorParity:
             SpatialProfile(values=lambda x, y: x * y * y),
         )
         grid = grid_values(profiles, basis, basis)
-        assert (mirror_parity(grid, basis, 1), mirror_parity(grid, basis, 2)) == (1, None)
-
-    def test_needs_an_exactly_symmetric_rule(self):
-        # degree 4's 12 Gauss nodes miss antisymmetry by 2.8e-17
-        basis = build_basis(4, (-1.0, 1.0))
-        nodes = basis.quad_nodes
-        assert 0.0 < np.max(np.abs(nodes + nodes[::-1])) <= 1e-16
-        grid = grid_values((SpatialProfile(values=lambda x, y: x * y),), basis, basis)
-        assert mirror_parity(grid, basis, 1) is None
+        assert (mirror_parity(grid, 1), mirror_parity(grid, 2)) == (1, None)
 
     def test_non_finite_values_keep_both(self):
         basis = build_basis(8, (-1.0, 1.0))
         grid = np.full((1, basis.quad_count, basis.quad_count), np.nan)
-        assert mirror_parity(grid, basis, 1) is None
+        assert mirror_parity(grid, 1) is None
 
 
 class TestProjection:

@@ -347,7 +347,8 @@ class TestMainRun:
 
     @pytest.mark.parametrize(
         "problem, degree, modes",
-        [("compatible_smooth", "20", "81 of 361"), ("example_6_2", "8", "49 of 49")],
+        [("compatible_smooth", "20", "81 of 361"), ("compatible_smooth", "4", "1 of 9"),
+         ("example_6_2", "8", "49 of 49")],
     )
     def test_marched_modes_are_recorded(self, tmp_path, capfd, problem, degree, modes):
         # the odd-odd parity class alone on the symmetric problem, every
@@ -826,6 +827,11 @@ REJECTED_BEFORE_MARCH = {
     "domain-inf": (
         ["run", "--config", "{config}"], ("domain = 0, 2, -1, 1", "domain = 0, inf, -1, 1"),
         "problem.domain: rectangle corners must be finite",
+    ),
+    "domain-overflow": (
+        ["run", "--config", "{config}"],
+        ("domain = 0, 2, -1, 1", "domain = -1e308, 1e308, -1, 1"),
+        "problem.domain: rectangle side lengths must be finite",
     ),
     "weights-sigma-nan": (
         ["weights", "--order", "0.5", "--sigma", "nan"], None,
