@@ -271,7 +271,7 @@ def build_basis(degree, interval):
         degree=degree,
         interval=(a, b),
         jacobian=(b - a) / 2.0,
-        offset=(a + b) / 2.0,
+        offset=0.5 * a + 0.5 * b,  # a + b may overflow
         mass=shen_mass_matrix(dim),
         stiffness=np.diag(shen_stiffness_diagonal(dim)),
         quad_nodes=nodes,

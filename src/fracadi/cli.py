@@ -17,7 +17,7 @@ import configparser
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .weights import (
     StartingWeightError,
     binomial_weights,
     build_correction_set,
+    check_exponents,
     default_sigmas,
     shifted_weights,
 )
@@ -59,22 +60,54 @@ def fmt(value):
     return f"{value:.15g}"
 
 
+def _parse_floats(text, count=None):
+    parts = [p for p in text.replace(",", " ").split() if p]
+    vals = tuple(float(p) for p in parts)
+    if count is not None and len(vals) != count:
+        raise ValueError(f"expected {count} numbers, got {len(vals)}")
+    return vals
+
+
+def _parse_levels(text):
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+def _setting(default, parse, study=False, **flag):
+    """Field of a [run] key: its default, the parser of its INI text, its flag's options.
+
+    The key is also the flag --<key>, dashes for underscores, with dest
+    <key>; a study setting is a flag of `study` alone.
+    """
+    return field(default=default, metadata={"parse": parse, "study": study, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    """One resolved run or study request."""
+    """One resolved run or study request; fields in the order `--help` lists the flags."""
 
-    problem: str = None
-    custom: dict = None
-    N: int = None
-    M: int = None
-    T: float = 1.0
-    m: int = 0
-    sigma: tuple = None
-    bootstrap_ratio: int = BOOTSTRAP_RATIO
-    study_param: str = "tau"
-    levels: tuple = None
-    source_mode: str = "auto"
-    output: str = "."
+    output: str = _setting(".", str.strip, help="output directory (default .)")
+    problem: str = _setting(None, str.strip, help="registered problem id")
+    custom: dict = None  # the inline [problem] section
+    N: int = _setting(None, int, type=int, help="polynomial degree per direction")
+    M: int = _setting(None, int, type=int, help="number of time steps")
+    T: float = _setting(1.0, float, type=float, help="final time (default 1)")
+    m: int = _setting(0, int, type=int, help="correction terms (default 0)")
+    sigma: tuple = _setting(None, _parse_floats, type=float, nargs="+", help="correction exponents")
+    bootstrap_ratio: int = _setting(
+        BOOTSTRAP_RATIO, int, type=int,
+        help=f"fine/coarse step ratio for starting values (default {BOOTSTRAP_RATIO})",
+    )
+    source_mode: str = _setting(
+        "auto", str.strip, choices=SOURCE_MODES, help="reduced-source evaluation path"
+    )
+    study_param: str = _setting(
+        "tau", str.strip, study=True, choices=("tau", "N"),
+        help="which parameter the levels refine (default tau)",
+    )
+    levels: tuple = _setting(
+        None, _parse_levels, study=True, type=int, nargs="+",
+        help="refinement levels (M or N values)",
+    )
 
     def validate(self, need_study=False):
         """Check every field, collecting all errors; return the ProblemSpec."""
@@ -137,12 +170,11 @@ class RunConfig:
                 errors.append(
                     f"sigma: expected {self.m} exponents for m = {self.m}, got {len(self.sigma)}"
                 )
-            if any(s <= 0.0 for s in self.sigma):
-                errors.append("sigma: exponents must be positive")
-            elif not all(map(math.isfinite, self.sigma)):
-                errors.append("sigma: exponents must be finite")
-            if any(b <= a for a, b in zip(self.sigma, self.sigma[1:])):
-                errors.append("sigma: exponents must be strictly increasing")
+            elif self.m <= MAX_CORRECTION_TERMS:  # else m's message covers the count
+                try:
+                    check_exponents(self.sigma)
+                except ValueError as exc:
+                    errors.append(f"sigma: {exc}")
         if self.bootstrap_ratio < 1:
             errors.append(f"bootstrap_ratio: must be at least 1, got {self.bootstrap_ratio}")
         if self.source_mode not in SOURCE_MODES:
@@ -195,14 +227,6 @@ def _step_errors(spec, final_time, counts):
 
 
 # -- custom problems from config ------------------------------------------
-
-def _parse_floats(text, count=None):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    vals = tuple(float(p) for p in parts)
-    if count is not None and len(vals) != count:
-        raise ValueError(f"expected {count} numbers, got {len(vals)}")
-    return vals
-
 
 def _sine_mode(kx, ky, domain):
     """Mode sin(kx pi (x-ax)/Lx) sin(ky pi (y-ay)/Ly): zero on the boundary."""
@@ -309,25 +333,8 @@ def load_config_file(path):
     return run_section, problem_section
 
 
-def _parse_levels(text):
-    return tuple(int(v) for v in text.replace(",", " ").split())
-
-
-# Every [run] key, with the parser of its INI text; each is also a flag of
-# the same name (dest), whose list values become tuples.
-_RUN_KEYS = {
-    "problem": str.strip,
-    "N": int,
-    "M": int,
-    "T": float,
-    "m": int,
-    "sigma": _parse_floats,
-    "bootstrap_ratio": int,
-    "study_param": str.strip,
-    "levels": _parse_levels,
-    "source_mode": str.strip,
-    "output": str.strip,
-}
+# Every [run] key, with the parser of its INI text
+_RUN_KEYS = {f.name: f.metadata["parse"] for f in fields(RunConfig) if f.metadata}
 
 
 def build_run_config(args):
@@ -435,11 +442,10 @@ def snapshot_lines(result):
     values[1:-1, 1:-1] = evaluate_field(result.field(), xs[1:-1], ys[1:-1])
     if result.tp.lift is not None:
         values = values + result.tp.lift.values(xs[:, None], ys[None, :])
-    lines = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{fmt(x)} {fmt(y)} {fmt(values[i, j])}")
-    return lines
+    ys = [fmt(y) for y in ys]
+    return [
+        f"{x} {y} {fmt(v)}" for x, row in zip(map(fmt, xs), values) for y, v in zip(ys, row)
+    ]
 
 
 def diagnostics_lines(cfg, problem, result):
@@ -609,45 +615,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([f"usage: {message}"])
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file ([run] and optional [problem] sections)")
-    sub.add_argument("--output", help="output directory (default .)")
-    sub.add_argument("--problem", help="registered problem id")
-    sub.add_argument("--N", type=int, help="polynomial degree per direction")
-    sub.add_argument("--M", type=int, help="number of time steps")
-    sub.add_argument("--T", type=float, help="final time (default 1)")
-    sub.add_argument("--m", type=int, help="correction terms (default 0)")
-    sub.add_argument("--sigma", type=float, nargs="+", help="correction exponents")
-    sub.add_argument(
-        "--bootstrap-ratio",
-        dest="bootstrap_ratio",
-        type=int,
-        help=f"fine/coarse step ratio for starting values (default {BOOTSTRAP_RATIO})",
-    )
-    sub.add_argument(
-        "--source-mode",
-        dest="source_mode",
-        choices=SOURCE_MODES,
-        help="reduced-source evaluation path",
-    )
-
-
 def make_parser():
     parser = _Parser(prog="fracadi", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run_p = subs.add_parser("run", help="single march: snapshot + diagnostics")
-    _add_common(run_p)
-
-    study_p = subs.add_parser("study", help="refinement study: rate table")
-    _add_common(study_p)
-    study_p.add_argument(
-        "--study-param",
-        dest="study_param",
-        choices=("tau", "N"),
-        help="which parameter the levels refine (default tau)",
-    )
-    study_p.add_argument("--levels", type=int, nargs="+", help="refinement levels (M or N values)")
+    for command, text in (
+        ("run", "single march: snapshot + diagnostics"),
+        ("study", "refinement study: rate table"),
+    ):
+        sub = subs.add_parser(command, help=text)
+        sub.add_argument("--config", help="INI config file ([run] and optional [problem] sections)")
+        for f in fields(RunConfig):
+            if f.metadata and (command == "study" or not f.metadata["study"]):
+                flag = "--" + f.name.replace("_", "-")
+                sub.add_argument(flag, dest=f.name, **f.metadata["flag"])
 
     weights_p = subs.add_parser("weights", help="dump weight sequences")
     weights_p.add_argument("--order", type=float, required=True, help="operator order in [-1, 1]")

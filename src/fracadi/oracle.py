@@ -428,35 +428,25 @@ def parity_reduction_gaps(name, degree, steps, m=0, source_mode="auto"):
     """Gaps of run() of problem `name` up to T = 1 from a march on the full bases.
 
     run() marches only the parity classes its data occupy; the direct
-    path is an AdiSolver on run()'s full bases, with starting values from
-    its own bootstrap_starting_values and exponents from default_sigmas.
+    path is marched_every_level's AdiSolver on the full bases.
     Returns (gap, ratio_gap): the largest gap of the norms, the errors
     and the final level (the grid norm of the difference, grid_norms),
     relative to max ||u^n|| of the full march, and the relative gap of
     the stability ratios.
     """
-    spec = get_problem(name)
-    tp = reduce_order(spec)
-    exponents = default_sigmas(m)
-    result = run(spec, degree, steps, 1.0, correction_terms=m, exponents=exponents or None,
-                 source_mode=source_mode)
-    bx, by, tau = result.basis_x, result.basis_y, result.tau
-    full = AdiSolver(
-        tp, bx, by, tau, steps,
-        correction_terms=m,
-        exponents=exponents,
-        starting_values=bootstrap_starting_values(tp, bx, by, tau, m, source_mode=source_mode),
-        source_mode=source_mode,
-    )
-    diff = full.march() - result.coeffs
+    result = run(get_problem(name), degree, steps, 1.0, correction_terms=m,
+                 exponents=default_sigmas(m) or None, source_mode=source_mode)
+    full = marched_every_level(name, degree, steps, m, source_mode)
+    bx, by = result.basis_x, result.basis_y
+    diff = full.march()[-1:] - result.coeffs
     scale = np.max(full.norms)
     gaps = [
         np.max(np.abs(result.norms - full.norms)),
         grid_norms(np.zeros((0, 1)), grid_values((), bx, by), bx, by, diff)[0],
     ]
-    if tp.exact:
+    if full.tp.exact:
         gaps.append(np.max(np.abs(result.errors - full.errors)))
-    ratio = stability_ratio(full.norms, full.half_source_norms, tau, 1.0)
+    ratio = stability_ratio(full.norms, full.half_source_norms, full.tau, 1.0)
     return max(float(g) for g in gaps) / scale, abs(result.stability_ratio - ratio) / ratio
 
 

@@ -124,6 +124,14 @@ class TestBuildBasis:
         with pytest.raises(ValueError, match="positive finite length"):
             build_basis(6, interval)
 
+    def test_huge_finite_interval_maps_without_overflow(self):
+        # a + b overflows here, though the corners and the length are finite
+        basis = build_basis(6, (1e308, 1.5e308))
+        assert basis.offset == 1.25e308
+        nodes = basis.nodes
+        assert np.all(np.isfinite(nodes))
+        assert np.all((1e308 < nodes) & (nodes < 1.5e308))
+
     def test_boundary_values_vanish_exactly(self):
         basis = build_basis(12, (-2.0, 5.0))
         vals = basis.basis_values(np.array([-2.0, 5.0]))

@@ -1,5 +1,6 @@
 """Driver behavior: config parsing, rate tables, output files, exit codes."""
 import contextlib
+import dataclasses
 import gc
 import io
 import math
@@ -211,7 +212,7 @@ class TestRunConfigValidate:
         with pytest.raises(ConfigError) as info:
             cfg.validate()
         joined = "\n".join(info.value.messages)
-        assert "sigma: exponents must be strictly increasing" in joined
+        assert "sigma: correction exponents must be strictly increasing" in joined
 
     def test_study_needs_levels(self):
         cfg = RunConfig(problem="compatible_smooth", N=8, levels=(10,))
@@ -250,6 +251,25 @@ class TestConfigFile:
 
     def test_every_run_key_is_tested(self):
         assert set(RUN_KEY_VALUES) == set(_RUN_KEYS)
+
+    def test_every_flag_is_a_run_key(self, capfd):
+        # the reverse of the test above: every run and study flag but
+        # --config is the flag of a RunConfig field, and the study
+        # settings are flags of study alone
+        subs = next(a for a in make_parser()._actions if a.option_strings == []).choices
+        keys = {f.name for f in dataclasses.fields(RunConfig)} - {"custom"}
+        study_only = {"study_param", "levels"}
+        for command, names in (("run", keys - study_only), ("study", keys)):
+            flags = {
+                a.option_strings[0]: a.dest
+                for a in subs[command]._actions
+                if a.dest not in ("help", "config")
+            }
+            assert flags == {"--" + name.replace("_", "-"): name for name in names}
+        for argv in (["--study-param", "N"], ["--levels", "10", "20"]):
+            assert main(["run", "--problem", "compatible_smooth", *argv]) == 1
+            assert capfd.readouterr().err.startswith("config error: usage:")
+            assert make_parser().parse_args(["study", *argv]).command == "study"
 
     @pytest.mark.parametrize("key", list(_RUN_KEYS))
     def test_key_read_with_its_type_and_overridden_by_its_flag(self, tmp_path, key):
@@ -332,6 +352,21 @@ class TestMainRun:
         capfd.readouterr()
         for name in ("diagnostics.txt", "surface.dat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_huge_finite_domain_runs(self, tmp_path, capfd):
+        # the corners sum past the float range; their midpoint does not
+        text = CUSTOM_CONFIG.read_text(encoding="utf-8")
+        config = tmp_path / "huge.ini"
+        config.write_text(
+            text.replace("domain = 0, 2, -1, 1", "domain = 1e308, 1.5e308, -1, 1"),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config), "--output", str(tmp_path / "out")]) == 0
+        capfd.readouterr()
+        diag = read_kv(tmp_path / "out" / "diagnostics.txt")
+        for key in ("final_l2_norm", "max_l2_norm", "stability_ratio"):
+            assert math.isfinite(float(diag[key]))
+        assert float(diag["final_l2_norm"]) == pytest.approx(1.33734511090874e153, rel=1e-6)
 
     @pytest.mark.parametrize(
         "mode, used", [("auto", "analytic"), ("analytic", "analytic"), ("sampled", "sampled")]
@@ -785,10 +820,12 @@ REJECTED_BEFORE_MARCH = {
         "T: step T/20 = 4.99006302299659e-322 is below the smallest normal float",
     ),
     "sigma-nan": (
-        SMOOTH_RUN + ["--sigma", "nan", "--m", "1"], None, "sigma: exponents must be finite"
+        SMOOTH_RUN + ["--sigma", "nan", "--m", "1"], None,
+        "sigma: correction exponents must be finite",
     ),
     "sigma-inf": (
-        SMOOTH_RUN + ["--sigma", "inf", "--m", "1"], None, "sigma: exponents must be finite"
+        SMOOTH_RUN + ["--sigma", "inf", "--m", "1"], None,
+        "sigma: correction exponents must be finite",
     ),
     "sigma-without-m": (
         SMOOTH_RUN + ["--sigma", "1.1", "1.2"], None,
