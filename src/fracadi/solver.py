@@ -219,14 +219,15 @@ class StepCoefficients:
 def eigen_operators(coeffs, basis_x, basis_y):
     """The step's operators in eigen-coordinates: (mass, stiff, cross, sweep).
 
-    Each is a (dim_x, dim_y) array that multiplies eigen-coordinates
-    elementwise (see basis.eigen_factors, with E^T M E = diag(lam) and
-    E^T S E = I): the mass operator J_x J_y M_x u M_y becomes J_x J_y
-    lam_x lam_y, the stiffness operator (J_y / J_x) S_x u M_y + (J_x / J_y)
-    M_x u S_y becomes (J_y / J_x) lam_y + (J_x / J_y) lam_x, the splitting
-    term S_x u S_y / (J_x J_y) becomes 1 / (J_x J_y), and the product of
-    the two sweep factors p J M + q/(p J) S, with p = sqrt(mass_coef) and
-    q = grad_coef, becomes the product of their diagonals.
+    Each multiplies eigen-coordinates elementwise (see basis.eigen_factors,
+    with E^T M E = diag(lam) and E^T S E = I): mass, stiff and sweep are
+    (dim_x, dim_y) arrays, cross a float.  The mass operator J_x J_y M_x u
+    M_y becomes J_x J_y lam_x lam_y, the stiffness operator (J_y / J_x)
+    S_x u M_y + (J_x / J_y) M_x u S_y becomes (J_y / J_x) lam_y + (J_x /
+    J_y) lam_x, the splitting term S_x u S_y / (J_x J_y) becomes the scalar
+    1 / (J_x J_y), and the product of the two sweep factors p J M + q/(p J)
+    S, with p = sqrt(mass_coef) and q = grad_coef, becomes the product of
+    their diagonals.
     """
     jx, jy = basis_x.jacobian, basis_y.jacobian
     lx, ly = basis_x.eigenvalues[:, None], basis_y.eigenvalues[None, :]
@@ -234,19 +235,26 @@ def eigen_operators(coeffs, basis_x, basis_y):
     q = coeffs.grad_coef
     mass = eigen_mass(basis_x, basis_y)
     stiff = (jy / jx) * ly + (jx / jy) * lx
-    cross = np.full(mass.shape, 1.0 / (jx * jy))
+    cross = 1.0 / (jx * jy)
     sweep = (p * jx * lx + q / (p * jx)) * (p * jy * ly + q / (p * jy))
     return mass, stiff, cross, sweep
 
 
 def step_coefficients(tp, tau):
+    """StepCoefficients of a step tau > 0; ValueError names a step that overflows them."""
     if tau <= 0.0:
         raise ValueError("step must be positive")
-    mass = 1.0
-    for b, a in zip(tp.betas, tp.coeffs):
-        mass += 0.5 * a * (1.0 + b / 2.0) * tau ** (1.0 - b)
-    grad = 0.5 * tp.mu * (1.0 - tp.beta / 2.0) * tau ** (1.0 + tp.beta)
-    return StepCoefficients(mass_coef=mass, grad_coef=grad)
+    try:
+        mass = 1.0
+        for b, a in zip(tp.betas, tp.coeffs):
+            mass += 0.5 * a * (1.0 + b / 2.0) * tau ** (1.0 - b)
+        grad = 0.5 * tp.mu * (1.0 - tp.beta / 2.0) * tau ** (1.0 + tp.beta)
+        coeffs = StepCoefficients(mass_coef=mass, grad_coef=grad)
+        if all(map(math.isfinite, (mass, grad, coeffs.cross_coef))):
+            return coeffs
+    except OverflowError:
+        pass
+    raise ValueError(f"step {tau:.15g} overflows the step coefficients")
 
 
 def _resolve_source_mode(mode):
@@ -415,19 +423,20 @@ class AdiSolver:
     and sweep_solve applies the inverse of the symbol, computed once at
     construction, along the panel.  step_once is the same path with n = 1.
 
-    Holds the source's time factors and profile projections, the first
+    Holds the source as the trapezoid pairs of its time factors, one row
+    per step, and its profile projections (_prepare_source), the first
     BLOCK + PANEL - 1 lags of one memory kernel per operator (mass and
     stiffness; the operators' diagonals weight them into one memory sum)
     as one constant (2, PANEL, BLOCK) near table, whose row t holds the
     lags t..t + BLOCK - 1 that row t of a panel applies to the near window,
-    the inverse step symbol, in corrected runs the starting-weight loads
-    and the per-mode images of the starting differences, the exact
-    solution's time factors, the norms and errors by level, the buffer u
-    and the kept levels.  The
-    memory of the levels older than the near window of BLOCK levels is a
-    sum of exponentials (weights.far_exponentials): a state of one level
-    per rate, a few dozen in all, that the first step past the window
-    builds and every panel brings forward (_bring_far).  The starting
+    the inverse step symbol, in corrected runs the starting-weight loads,
+    one row per step, and the per-mode images of the starting differences,
+    the exact solution's time factors, the norms and errors by level, the
+    buffer u and the kept levels.  The memory of the levels older than the
+    near window of BLOCK levels is a sum of exponentials
+    (weights.far_exponentials): a state of one level per rate, a few dozen
+    in all, that the first step past the window builds and every panel
+    brings forward (_bring_far).  The starting
     values are fixed at construction: correction_load reads their
     images, not u[1..m].
     """
@@ -485,18 +494,18 @@ class AdiSolver:
         # The mass and stiffness applications are linear, so every order's
         # memory sum folds into one kernel per operator: row 0 (mass) sums
         # the memory orders, row 1 (stiffness) is the integral order -beta.
-        # Both operators are per-mode products here, so the step needs only
-        # the one memory sum weighted per column by their diagonals.
+        # _terms lists them once, as (row, order, scale).  Both operators
+        # are per-mode products here, so the step needs only the one
+        # memory sum weighted per column by their diagonals.
         # The near window reads the lags up to BLOCK + PANEL - 2 (its row
         # t the lags t..t + BLOCK - 1), and pair sums lam_j + lam_{j+1} need
-        # lam one index further.  The starting weights fold the same way
-        # into load rows (mass, stiffness, cross); frac rows k and k-1
-        # average the endpoint systems, and load row 0 is unused (stepping
+        # lam one index further.  The starting weights fold the same way:
+        # _loads[k] holds step k's loads (mass, stiffness, cross, each by
+        # starting value, as the rows of _images); frac rows k and k-1
+        # average the endpoint systems, and row 0 is unused (stepping
         # starts at k = m >= 1).
-        self._channels = (
-            [(b, 0.5 * a * self.tau ** (1.0 - b)) for b, a in zip(tp.betas, tp.coeffs)],
-            [(-tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta))],
-        )
+        self._terms = [(0, b, 0.5 * a * self.tau ** (1.0 - b)) for b, a in zip(tp.betas, tp.coeffs)]
+        self._terms.append((1, -tp.beta, 0.5 * tp.mu * self.tau ** (1.0 + tp.beta)))
         lags = BLOCK + PANEL - 1
         kernel = np.zeros((2, lags))
         self._far = None  # the far state, built by the first step past the window
@@ -504,23 +513,23 @@ class AdiSolver:
         self._loads = None
         if self.m:
             cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), exponents, steps)
-            self._loads = np.zeros((3, steps, self.m))
-            self._loads[0] = cs.delta
-            self._loads[2] = self.coeffs.cross_coef * cs.perturb
-        for row, terms in enumerate(self._channels):
-            for b, scale in terms:
-                lam = shifted_weights(b, lags)
-                kernel[row] += scale * (lam[1:] + lam[:-1])
-                if self._loads is not None:
-                    frac = cs.frac[b]
-                    self._loads[row, 1:] += scale * (frac[1:] + frac[:-1])
+            loads = np.zeros((steps, 3, self.m))
+            loads[:, 0] = cs.delta
+            loads[:, 2] = self.coeffs.cross_coef * cs.perturb
+        for row, b, scale in self._terms:
+            lam = shifted_weights(b, lags)
+            kernel[row] += scale * (lam[1:] + lam[:-1])
+            if self.m:
+                frac = cs.frac[b]
+                loads[1:, row] += scale * (frac[1:] + frac[:-1])
         # _near[r, t, i] is lag t + BLOCK - 1 - i of kernel row r: row t of a
         # panel reads the lags of its near levels, oldest first, at its end
         t, i = np.ogrid[:PANEL, :BLOCK]
         self._near = kernel[:, t + BLOCK - 1 - i]
         self._weights = np.stack([mass.ravel(), stiff.ravel()])
         self._inverse = self._symbol_inverse(kernel)
-        if self._loads is not None:
+        if self.m:
+            self._loads = loads.reshape(steps, 3 * self.m)
             self._images = self._starting_images((mass, stiff, cross))
 
         self._prepare_source(source_mode)
@@ -539,7 +548,7 @@ class AdiSolver:
 
         Rows o * m + j - 1 hold minus the mass (o = 0), stiffness (o = 1)
         and cross (o = 2) operator diagonal times u[j] - u[0], in the
-        order of a raveled (3, m) load column.
+        order of a row of _loads.
         """
         diffs = self.u[1 : self.m + 1] - self.u[0]
         images = np.stack([-op * diffs for op in operators])
@@ -567,11 +576,18 @@ class AdiSolver:
     # -- source handling ------------------------------------------------
 
     def _prepare_source(self, mode):
+        """The (steps, P) source_pairs, row k the trapezoid factors 0.5 tau s[k]
+        + 0.5 tau s[k + 1], and the (P, dim_x * dim_y) source_profiles, the
+        profiles' projections in eigen-coordinates; then the source check."""
         self.source_mode = mode
         bx, by = self.basis_x, self.basis_y
         source = project_time_series(self.tp, bx, by, self.tau, self.steps, mode)
-        self.source_factors, profiles, self.half_source_norms = source
-        self.source_profiles = bx.eigenvectors.T @ profiles @ by.eigenvectors
+        factors, profiles, self.half_source_norms = source
+        # halving before adding keeps the mean of two finite levels finite
+        half = 0.5 * self.tau
+        self.source_pairs = (half * factors[:, :-1] + half * factors[:, 1:]).T.copy()
+        eigen = bx.eigenvectors.T @ profiles @ by.eigenvectors
+        self.source_profiles = eigen.reshape(len(profiles), bx.dim * by.dim)
         # a march on a non-finite source would only spread it; the steps
         # before self.count are not marched.  SeparableTerm rejects negative
         # exponents, so only a hand-built term can be singular at t = 0,
@@ -585,7 +601,8 @@ class AdiSolver:
 
         Row t holds what levels 0..k give to the step from t_{k+t} to
         t_{k+t+1}: minus the memory of those levels, the trapezoidal
-        source 0.5 tau s[k+t] + 0.5 tau s[k+t+1], and on row 0 the explicit
+        source 0.5 tau s[k+t] + 0.5 tau s[k+t+1] (rows k..k+n-1 of
+        source_pairs times source_profiles), and on row 0 the explicit
         mass and splitting terms of u[k], all in eigen-coordinates.  The
         levels k+1..k+t, not yet known, enter through sweep_solve.  The
         memory is the weighted sum of the mass and stiffness memories.  The
@@ -624,12 +641,7 @@ class AdiSolver:
         shape = (n,) + self.u.shape[1:]
         rhs = np.negative(memory, out=memory).reshape(shape)
         rhs[0] += self._explicit * self.u[k - base]
-        # halving before adding keeps the mean of two finite levels finite
-        half = 0.5 * self.tau
-        factors = self.source_factors
-        pairs = half * factors[:, k : k + n] + half * factors[:, k + 1 : k + n + 1]
-        profiles = self.source_profiles.reshape(len(factors), self.u[0].size)
-        near_product(pairs.T, profiles, out=rhs.reshape(n, -1))
+        near_product(self.source_pairs[k : k + n], self.source_profiles, out=rhs.reshape(n, -1))
         return rhs
 
     def _bring_far(self, k):
@@ -666,10 +678,9 @@ class AdiSolver:
         _entry[q, PANEL - g + i] = e^{-s_q (BLOCK + g - 1 - i)} for the
         i-th of g leaving levels, and _decay[g - 1, q] = e^{-s_q g}.
         """
-        terms = [(r, b, scale) for r, channel in enumerate(self._channels) for b, scale in channel]
-        rates, w = far_exponentials(tuple(b for _, b, _ in terms), BLOCK, self.steps)
+        rates, w = far_exponentials(tuple(b for _, b, _ in self._terms), BLOCK, self.steps)
         coef = np.zeros((2, len(rates)))
-        for (row, b, scale), w_b in zip(terms, w):
+        for (row, b, scale), w_b in zip(self._terms, w):
             coef[row] += scale * w_b * (1.0 + b / 2.0 - (b / 2.0) * np.exp(rates))
         coef *= 1.0 + np.exp(-rates)
         t = np.arange(PANEL)
@@ -682,7 +693,7 @@ class AdiSolver:
     def correction_load(self, k, n):
         """Starting-weight additions to the right sides of steps k..k+n-1.
 
-        One product of the steps' load columns with the images of the
+        One product of the steps' rows of _loads with the images of the
         starting differences, which were taken at construction.  Returns
         an (n, dim_x, dim_y) stack.
         """
@@ -692,8 +703,7 @@ class AdiSolver:
             raise ValueError("corrected stepping starts at k = m")
         if k + n > self.steps:
             raise ValueError("step index out of range")
-        columns = self._loads[:, k : k + n].transpose(1, 0, 2).reshape(n, -1)
-        return (columns @ self._images).reshape((n,) + self.u.shape[1:])
+        return (self._loads[k : k + n] @ self._images).reshape((n,) + self.u.shape[1:])
 
     def sweep_solve(self, rhs, out=None):
         """Solve a panel of steps for the new levels, given their known parts.
@@ -993,6 +1003,8 @@ def run(
     t0 = time.perf_counter()
     m = int(correction_terms) if steps else 0
     exponents = _correction_exponents(m, exponents, steps)  # before any march
+    if steps:
+        step_coefficients(tp, tau)  # and an overflowing step
     if starting_values is not None:
         _check_starting_values(m, starting_values, steps, (basis_x.dim, basis_y.dim))
     given = () if starting_values is None else starting_values

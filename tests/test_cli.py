@@ -709,13 +709,13 @@ class TestMainExitCodes:
     def test_non_finite_level_in_the_march_is_a_numerical_failure(
         self, tmp_path, capfd, monkeypatch
     ):
-        # a source factor made infinite after the source check passed
+        # a source pair made infinite after the source check passed
         # reaches the march; the check at its last step stops it
         prepare = AdiSolver._prepare_source
 
         def poisoned(solver, mode):
             prepare(solver, mode)
-            solver.source_factors[:, 50] = np.inf
+            solver.source_pairs[49] = np.inf
 
         monkeypatch.setattr(AdiSolver, "_prepare_source", poisoned)
         config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "custom_example.ini"

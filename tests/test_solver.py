@@ -572,9 +572,9 @@ class TestAssembleRhs:
         bx = build_basis(7, tp.domain.x_interval)
         by = build_basis(7, tp.domain.y_interval)
         solver = AdiSolver(tp, bx, by, 0.1, 6)
-        factors, profiles = solver.source_factors, solver.source_profiles
+        factors, profiles = project_time_series(tp, bx, by, 0.1, 6)[0], solver.source_profiles
         want = np.tensordot(0.5 * 0.1 * factors[:, 0] + 0.5 * 0.1 * factors[:, 1], profiles, axes=1)
-        np.testing.assert_array_equal(solver.assemble_rhs(0, 1)[0], want)
+        np.testing.assert_array_equal(solver.assemble_rhs(0, 1)[0], want.reshape(bx.dim, by.dim))
 
     @pytest.mark.parametrize("mode", ["analytic", "sampled"])
     def test_panel_source_matches_direct_projections(self, mode):
@@ -708,8 +708,8 @@ class TestAssembleRhs:
         kernel[1] = 0.5 * tp.mu * tau ** (1.0 + tp.beta) * (lam[1:] + lam[:-1])
         weights = solver._weights
         explicit, sweep = solver._explicit.ravel(), solver._sweep.ravel()
-        profiles = solver.source_profiles.reshape(len(solver.source_factors), -1)
-        source = solver.source_factors.T @ profiles
+        factors = project_time_series(tp, bx, by, tau, steps)[0]
+        source = factors.T @ solver.source_profiles
         v = np.zeros_like(source)
         for k in range(steps):
             memory = ((kernel[:, k::-1] @ v[: k + 1]) * weights).sum(axis=0)
@@ -984,7 +984,7 @@ class TestHistoryBuffer:
         by = build_basis(6, tp.domain.y_interval)
         tau, steps, level = 0.01, 5 * BLOCK + 3, 3 * BLOCK + 7
         solver = AdiSolver(tp, bx, by, tau, steps)
-        solver.source_factors[:, level] = np.inf
+        solver.source_pairs[level - 1] = np.inf
         message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             solver.march()
@@ -1138,7 +1138,7 @@ class TestPanels:
         by = build_basis(6, tp.domain.y_interval)
         tau, steps = 0.01, 306
         solver = AdiSolver(tp, bx, by, tau, steps)
-        solver.source_factors[:, level] = np.inf
+        solver.source_pairs[level - 1] = np.inf
         message = f"non-finite solution norm at time level {level} of {steps} (t = {level * tau:.15g})"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             solver.march()
@@ -1154,7 +1154,7 @@ class TestPanels:
         bx = build_basis(6, tp.domain.x_interval)
         by = build_basis(6, tp.domain.y_interval)
         solver = AdiSolver(tp, bx, by, 0.01, 40)
-        solver.source_factors[:, 20] = np.inf
+        solver.source_pairs[19] = np.inf
         message = "non-finite solution norm at time level 20 of 40 (t = 0.2)"
         with pytest.raises(FloatingPointError, match=re.escape(message)):
             stepwise(solver)
@@ -1242,20 +1242,20 @@ class TestCorrectedMarch:
     @pytest.mark.parametrize("k", [3, 7, 11])
     def test_correction_load_matches_per_order_formula(self, rng, k):
         # the folded load table against the starting-weight families
-        # applied one memory order at a time, on a mapped domain; the
+        # applied one memory order at a time, on a mapped domain, for the
+        # single step k and for each row of the full panel from k; the
         # reference is formed with the Shen-basis matrices and mapped to
         # eigen-coordinates with E_x^T . E_y
         tp = quiet_tp()
         domain = Rectangle(0.0, 2.0, -1.0, 3.0)
         bx = build_basis(6, domain.x_interval)
         by = build_basis(6, domain.y_interval)
-        steps, tau, sigmas = 12, 1.0 / 16.0, (1.1, 1.2, 1.3)
+        steps, tau, sigmas = 20, 1.0 / 16.0, (1.1, 1.2, 1.3)
         starting = [rng.standard_normal((bx.dim, by.dim)) for _ in sigmas]
         solver = AdiSolver(
             tp, bx, by, tau, steps,
             correction_terms=3, exponents=sigmas, starting_values=starting,
         )
-        load = solver.correction_load(k, 1)[0]
 
         cs = build_correction_set(tuple(tp.betas) + (-tp.beta,), sigmas, steps)
         diffs = np.array(starting)
@@ -1264,20 +1264,26 @@ class TestCorrectedMarch:
         def combine(coef):
             return np.tensordot(coef, diffs, axes=(0, 0))
 
-        def averaged(order):
-            return cs.frac[order][k] + cs.frac[order][k - 1]
+        def per_order(step):
+            def averaged(order):
+                return cs.frac[order][step] + cs.frac[order][step - 1]
 
-        coef = cs.delta[k].copy()
-        for b, a in zip(tp.betas, tp.coeffs):
-            coef += 0.5 * a * tau ** (1.0 - b) * averaged(b)
-        want = -jx * jy * bx.mass @ combine(coef) @ by.mass
-        stiff = combine(0.5 * tp.mu * tau ** (1.0 + tp.beta) * averaged(-tp.beta))
-        want -= (jy / jx) * bx.stiffness @ stiff @ by.mass
-        want -= (jx / jy) * bx.mass @ stiff @ by.stiffness
-        cross = combine(cs.perturb[k])
-        want -= solver.coeffs.cross_coef * bx.stiffness @ cross @ by.stiffness / (jx * jy)
-        want = bx.eigenvectors.T @ want @ by.eigenvectors
-        np.testing.assert_allclose(load, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+            coef = cs.delta[step].copy()
+            for b, a in zip(tp.betas, tp.coeffs):
+                coef += 0.5 * a * tau ** (1.0 - b) * averaged(b)
+            want = -jx * jy * bx.mass @ combine(coef) @ by.mass
+            stiff = combine(0.5 * tp.mu * tau ** (1.0 + tp.beta) * averaged(-tp.beta))
+            want -= (jy / jx) * bx.stiffness @ stiff @ by.mass
+            want -= (jx / jy) * bx.mass @ stiff @ by.stiffness
+            cross = combine(cs.perturb[step])
+            want -= solver.coeffs.cross_coef * bx.stiffness @ cross @ by.stiffness / (jx * jy)
+            return bx.eigenvectors.T @ want @ by.eigenvectors
+
+        loads = [(k, solver.correction_load(k, 1)[0])]
+        loads += [(k + t, load) for t, load in enumerate(solver.correction_load(k, PANEL))]
+        for step, load in loads:
+            want = per_order(step)
+            np.testing.assert_allclose(load, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_correction_load_guards(self):
         tp, wfun = power_shape_problem((1.1, 1.7), (1.3, -0.4))
@@ -1641,6 +1647,29 @@ class TestRun:
                 ratio = max(ratio, res.norms[n] ** 2 / bound)
         assert ratio > 0.0
         assert res.stability_ratio == ratio
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("steps,final_time", [(1, 1e300), (10, 1e200)])
+    def test_overflowing_step_is_named(self, steps, final_time):
+        # the step coefficients grow with the step; a step that overflows
+        # them is named, with no overflow warning on the way
+        message = f"step {final_time / steps:.15g} overflows the step coefficients"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(get_problem("compatible_smooth"), 8, steps, final_time)
+
+    def test_overflowing_step_checked_before_any_march(self, monkeypatch):
+        # a corrected run names its overflowing step before the bootstrap
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started")
+
+        monkeypatch.setattr(solver_module, "bootstrap_starting_values", no_march)
+        monkeypatch.setattr(AdiSolver, "march", no_march)
+        message = "step 1e+299 overflows the step coefficients"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(
+                get_problem("compatible_nonsmooth"), 8, 10, 1e300,
+                correction_terms=3, exponents=(1.1, 1.2, 1.3),
+            )
 
     def test_huge_final_time_has_zero_stability_ratio(self):
         # tau = 0.5 is a sound step, but e^{2T} overflows from T = 354.9 on;
