@@ -12,6 +12,7 @@ time step into an elementwise one.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +22,14 @@ from .problems import SpatialProfile, profile_sum
 
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 100
+
+
+def index_arg(name, value):
+    """`value` as an int (operator.index); a TypeError naming `name` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def legendre_table(nmax, x):
@@ -259,6 +268,7 @@ def build_basis(degree, interval):
     level_norms rest on that exactness: on the basis the grid inner
     product is the L2 one, so a field's grid norm is its mass-matrix norm.
     """
+    degree = index_arg("degree", degree)
     if degree < 4:
         raise ValueError("degree must be at least 4")
     a, b = float(interval[0]), float(interval[1])

@@ -235,10 +235,7 @@ def _sine_mode(kx, ky, domain):
     def values(x, y):
         return np.sin(fx * (x - ax)) * np.sin(fy * (y - ay))
 
-    def laplacian(x, y):
-        return -(fx**2 + fy**2) * values(x, y)
-
-    return SpatialProfile(values=values, laplacian=laplacian)
+    return SpatialProfile(values=values)
 
 
 def build_custom_problem(section):
@@ -374,40 +371,21 @@ def convergence_rates(errors, params):
     return rates
 
 
-@dataclass
-class RateTable:
-    """Error/rate rows of one refinement study.
+def rate_lines(param_name, params, hs, l2_errors, max_errors):
+    """Lines of rates.csv: the header, then one row per refinement level.
 
     `params` labels the rows (1/tau or N); `hs` is the refined parameter
-    the rate formula divides by (tau itself for temporal studies).
+    the rate formula divides by (tau itself for temporal studies). An
+    undefined rate is a blank cell.
     """
-
-    param_name: str
-    params: tuple
-    l2_errors: tuple
-    max_errors: tuple
-    hs: tuple = None
-
-    rates: tuple = field(init=False)
-    max_rates: tuple = field(init=False)
-
-    def __post_init__(self):
-        hs = self.hs if self.hs is not None else self.params
-        self.rates = tuple(convergence_rates(self.l2_errors, hs))
-        self.max_rates = tuple(convergence_rates(self.max_errors, hs))
-
-    def header(self):
-        return f"{self.param_name}, l2_error, rate, max_l2_error, max_rate"
-
-    def csv_lines(self):
-        lines = [self.header()]
-        for p, e, r, em, rm in zip(
-            self.params, self.l2_errors, self.rates, self.max_errors, self.max_rates
-        ):
-            rs = fmt(r) if r is not None else ""
-            rms = fmt(rm) if rm is not None else ""
-            lines.append(f"{fmt(p)}, {fmt(e)}, {rs}, {fmt(em)}, {rms}")
-        return lines
+    rates = convergence_rates(l2_errors, hs)
+    max_rates = convergence_rates(max_errors, hs)
+    lines = [f"{param_name}, l2_error, rate, max_l2_error, max_rate"]
+    for p, e, r, em, rm in zip(params, l2_errors, rates, max_errors, max_rates):
+        rs = fmt(r) if r is not None else ""
+        rms = fmt(rm) if rm is not None else ""
+        lines.append(f"{fmt(p)}, {fmt(e)}, {rs}, {fmt(em)}, {rms}")
+    return lines
 
 
 def parse_rate_csv(path):
@@ -544,15 +522,13 @@ def cmd_study(args):
         *(errors(_execute(cfg, problem, steps, degree)) for degree, steps in jobs)
     )
 
-    table = RateTable(
-        param_name=param_name, params=params, l2_errors=l2_errors, max_errors=max_errors, hs=hs
-    )
+    rates = rate_lines(param_name, params, hs, l2_errors, max_errors)
     outdir = _ensure_outdir(cfg.output)
-    write_lines(outdir / "rates.csv", table.csv_lines())
+    write_lines(outdir / "rates.csv", rates)
     conv = [f"# {param_name} l2_error"]
-    conv += [f"{fmt(p)} {fmt(e)}" for p, e in zip(table.params, table.l2_errors)]
+    conv += [f"{fmt(p)} {fmt(e)}" for p, e in zip(params, l2_errors)]
     write_lines(outdir / "convergence.dat", conv)
-    for line in table.csv_lines():
+    for line in rates:
         print(line)
     print(f"wrote {outdir / 'rates.csv'}")
     print(f"wrote {outdir / 'convergence.dat'}")

@@ -405,8 +405,8 @@ def direct_norm_gap(solver):
 def marched_every_level(name, degree, steps, m=0, source_mode="auto"):
     """An AdiSolver of problem `name` up to T = 1, marched keeping every level.
 
-    Its m starting values come from bootstrap_starting_values and its
-    exponents from default_sigmas, as run() takes them.
+    Its m starting values come from bootstrap_starting_values, as run()
+    takes them, and its exponents from default_sigmas, the CLI's default.
     """
     tp = reduce_order(get_problem(name))
     bx = build_basis(degree, tp.domain.x_interval)

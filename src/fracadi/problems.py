@@ -218,6 +218,26 @@ def _sine_product(factor=np.pi):
     return SpatialProfile(values=values, laplacian=laplacian)
 
 
+def _rich_profile():
+    """q(x) q(y) with q(s) = (1 - s^2) e^{s/2}, zero on the boundary of (-1, 1)^2.
+
+    q'' = (-7/4 - 2 s - s^2/4) e^{s/2}.
+    """
+    def q(s):
+        return (1.0 - s**2) * np.exp(0.5 * s)
+
+    def q2(s):
+        return (-1.75 - 2.0 * s - 0.25 * s**2) * np.exp(0.5 * s)
+
+    def values(x, y):
+        return q(x) * q(y)
+
+    def laplacian(x, y):
+        return q2(x) * q(y) + q(x) * q2(y)
+
+    return SpatialProfile(values=values, laplacian=laplacian)
+
+
 def _smooth(name, domain, profile, laplacian_term):
     """u = t^3 * profile with the orders of Example 6.1.
 
@@ -314,6 +334,19 @@ def compatible_smooth():
     return _smooth("compatible_smooth", Rectangle(-1.0, 1.0, -1.0, 1.0), profile, lap)
 
 
+def compatible_rich():
+    """Smooth solution t^3 q(x) q(y), q(s) = (1 - s^2) e^{s/2}, on (-1, 1)^2.
+
+    Example 6.1's orders and exact homogeneous Dirichlet data, like
+    compatible_smooth, but the data are no discrete eigenmode: they live
+    in every mode of the basis, even and odd.
+    """
+    profile = _rich_profile()
+    # -mu Laplacian(u) = 2 t^3 (-Laplacian(q q)), mu = 2, on a profile of its own
+    lap = SeparableTerm(2.0, 3.0, SpatialProfile(lambda x, y: -profile.laplacian(x, y)))
+    return _smooth("compatible_rich", Rectangle(-1.0, 1.0, -1.0, 1.0), profile, lap)
+
+
 def compatible_nonsmooth():
     """Low-regularity powers with exact boundary data on (-1, 1)^2.
 
@@ -330,6 +363,7 @@ _REGISTRY = {
     "example_6_2": example_6_2,
     "compatible_smooth": compatible_smooth,
     "compatible_nonsmooth": compatible_nonsmooth,
+    "compatible_rich": compatible_rich,
 }
 
 PROBLEM_IDS = tuple(sorted(_REGISTRY))

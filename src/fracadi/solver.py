@@ -38,6 +38,7 @@ from .basis import (
     full_coefficients,
     grid_factor,
     grid_values,
+    index_arg,
     level_blocks,
     level_norms,
     mirror_parity,
@@ -454,6 +455,7 @@ class AdiSolver:
         source_mode="auto",
         keep=None,
     ):
+        steps = index_arg("steps", steps)
         if steps < 1:
             raise ValueError("need at least one step")
         source_mode = _resolve_source_mode(source_mode)
@@ -464,7 +466,7 @@ class AdiSolver:
         self.steps = steps
         self.coeffs = step_coefficients(tp, self.tau)
 
-        self.m = int(correction_terms)
+        self.m = index_arg("correction_terms", correction_terms)
         exponents = _correction_exponents(self.m, exponents, steps)
 
         starting_values = () if starting_values is None else starting_values
@@ -810,6 +812,7 @@ def bootstrap_starting_values(
     Integrates from 0 to count * tau with step tau / ratio and returns
     the values at the coarse times tau, 2 tau, ..., count * tau.
     """
+    count, ratio = index_arg("count", count), index_arg("ratio", ratio)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if ratio < 1:
@@ -991,6 +994,11 @@ def run(
     run of no steps; the final level is returned on the full bases.
     Where the data occupy both parities the bases are the full ones.
     """
+    degree, steps = index_arg("degree", degree), index_arg("steps", steps)
+    correction_terms = index_arg("correction_terms", correction_terms)
+    bootstrap_ratio = index_arg("bootstrap_ratio", bootstrap_ratio)
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
     if final_time <= 0.0:
         raise ValueError("final time must be positive")
     if not math.isfinite(final_time):
@@ -1001,7 +1009,7 @@ def run(
     tau = final_time / steps if steps else 0.0
 
     t0 = time.perf_counter()
-    m = int(correction_terms) if steps else 0
+    m = correction_terms if steps else 0
     exponents = _correction_exponents(m, exponents, steps)  # before any march
     if steps:
         step_coefficients(tp, tau)  # and an overflowing step

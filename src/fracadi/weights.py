@@ -35,7 +35,10 @@ FAR_TOLERANCE = 1e-15
 
 
 def default_sigmas(m):
-    """Correction exponents 1.1, 1.2, ... used when a run names none."""
+    """Correction exponents 1.1, 1.2, ...: the CLI's default when a run names none.
+
+    run() and AdiSolver apply no default: they refuse m > 0 without exponents.
+    """
     return tuple(1.1 + 0.1 * p for p in range(m))
 
 

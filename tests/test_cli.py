@@ -18,7 +18,6 @@ from fracadi import cli
 from fracadi.cli import (
     _RUN_KEYS,
     ConfigError,
-    RateTable,
     RunConfig,
     build_custom_problem,
     build_run_config,
@@ -28,6 +27,7 @@ from fracadi.cli import (
     main,
     make_parser,
     parse_rate_csv,
+    rate_lines,
 )
 from fracadi.oracle import weight_identity_residual
 from fracadi.solver import AdiSolver
@@ -99,28 +99,22 @@ class TestConvergenceRates:
 
 class TestRateTable:
     def make(self):
-        return RateTable(
-            param_name="one_over_tau",
-            params=(10.0, 20.0),
-            l2_errors=(1e-2, 2.5e-3),
-            max_errors=(2e-2, 5e-3),
-            hs=(0.1, 0.05),
-        )
+        return rate_lines("one_over_tau", (10.0, 20.0), (0.1, 0.05), (1e-2, 2.5e-3), (2e-2, 5e-3))
 
     def test_header(self):
-        assert self.make().header() == "one_over_tau, l2_error, rate, max_l2_error, max_rate"
+        assert self.make()[0] == "one_over_tau, l2_error, rate, max_l2_error, max_rate"
 
     def test_first_rate_blank(self):
-        lines = self.make().csv_lines()
+        lines = self.make()
         assert lines[1] == "10, 0.01, , 0.02, "
         assert lines[2] == "20, 0.0025, 2, 0.005, 2"
 
     def test_round_trip(self, tmp_path):
-        table = self.make()
+        lines = self.make()
         path = tmp_path / "rates.csv"
-        path.write_text("\n".join(table.csv_lines()) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         header, rows = parse_rate_csv(path)
-        assert header == table.header()
+        assert header == lines[0]
         assert rows[0] == (10.0, 0.01, None, 0.02, None)
         assert rows[1] == (20.0, 0.0025, 2.0, 0.005, 2.0)
 
@@ -184,6 +178,18 @@ class TestCustomProblem:
         section["zap"] = "1"
         with pytest.raises(ConfigError, match=r"problem\.zap: unknown key"):
             build_custom_problem(section)
+
+    def test_trailing_comma_after_the_last_pair(self):
+        section = self.full_section()
+        section["forcing_mode_1_1"] += ","
+        terms = build_custom_problem(section).forcing_terms
+        want = build_custom_problem(self.full_section()).forcing_terms
+        assert [(t.coefficient, t.exponent) for t in terms] == [
+            (t.coefficient, t.exponent) for t in want
+        ]
+        assert [t.profile.values(0.9, 0.1) for t in terms] == [
+            t.profile.values(0.9, 0.1) for t in want
+        ]
 
     def test_bad_mode_indices_rejected(self):
         section = self.full_section()
@@ -805,9 +811,52 @@ CUSTOM_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "cu
 SMOOTH_RUN = ["run", "--problem", "compatible_smooth", "--N", "8", "--M", "4"]
 NONSMOOTH = ["--problem", "compatible_nonsmooth", "--N", "8"]
 
-# (argv, edit of custom_example.ini as (old, new) or None, config error);
-# a "{config}" argument stands for the edited file
+# (argv, edit of custom_example.ini as (old, new), the text of a whole
+# config file or None, config error); a "{config}" argument stands for
+# the edited or written file
 REJECTED_BEFORE_MARCH = {
+    "no-problem": (["run", "--N", "8", "--M", "4"], None,
+                   "problem: no problem id given and no [problem] section defined"),
+    "problem-id-and-section": (
+        ["run", "--config", str(CUSTOM_CONFIG), "--problem", "compatible_smooth"], None,
+        "problem: both a registry id and an inline [problem] section given",
+    ),
+    "no-N": (["run", "--problem", "compatible_smooth", "--M", "4"], None,
+             "N: polynomial degree is required"),
+    "study-param-unknown": (
+        ["study", "--config", "{config}"],
+        "[run]\nproblem = compatible_smooth\nN = 8\nlevels = 10, 20\nstudy_param = x\n",
+        "study_param: must be 'tau' or 'N', got 'x'",
+    ),
+    "levels-not-positive": (
+        ["study", "--problem", "compatible_smooth", "--N", "8", "--levels", "0", "10"], None,
+        "levels: refinement levels must be positive integers",
+    ),
+    "N-levels-below-4": (
+        ["study", "--problem", "compatible_smooth", "--study-param", "N", "--M", "10",
+         "--levels", "3", "8"], None,
+        "levels: N levels must be at least 4",
+    ),
+    "sigma-count": (
+        ["run"] + NONSMOOTH + ["--M", "10", "--m", "3", "--sigma", "1.1", "1.2"], None,
+        "sigma: expected 3 exponents for m = 3, got 2",
+    ),
+    "bootstrap-ratio-zero": (
+        ["run"] + NONSMOOTH + ["--M", "10", "--m", "1", "--bootstrap-ratio", "0"], None,
+        "bootstrap_ratio: must be at least 1, got 0",
+    ),
+    "source-mode-unknown": (
+        ["run", "--config", "{config}"], ("[run]", "[run]\nsource_mode = x"),
+        "source_mode: must be auto, analytic or sampled, got 'x'",
+    ),
+    "M-not-integer": (
+        ["run", "--config", "{config}"], ("M = 100", "M = ten"),
+        "run.M: invalid literal for int() with base 10: 'ten'",
+    ),
+    "mu-count": (
+        ["run", "--config", "{config}"], ("mu = 1.5", "mu = 1.5, 2"),
+        "problem.mu: expected 1 numbers, got 2",
+    ),
     "T-nan": (SMOOTH_RUN + ["--T", "nan"], None, "T: final time must be finite, got nan"),
     "T-inf": (SMOOTH_RUN + ["--T", "inf"], None, "T: final time must be finite, got inf"),
     "T-huge": (
@@ -918,10 +967,13 @@ class TestRejectedBeforeMarch:
     def test_config_error_names_the_field(self, tmp_path, capfd, monkeypatch, case):
         argv, edit, message = REJECTED_BEFORE_MARCH[case]
         if edit is not None:
-            text = CUSTOM_CONFIG.read_text(encoding="utf-8")
-            assert edit[0] in text
+            text = edit
+            if isinstance(edit, tuple):
+                text = CUSTOM_CONFIG.read_text(encoding="utf-8")
+                assert edit[0] in text
+                text = text.replace(*edit)
             config = tmp_path / "edited.ini"
-            config.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+            config.write_text(text, encoding="utf-8")
             argv = [str(config) if a == "{config}" else a for a in argv]
         outdir = tmp_path / "out"
         if argv[0] != "weights":

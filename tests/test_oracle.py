@@ -248,8 +248,14 @@ class TestMatrixChecks:
 
 
 class TestDirectNormGap:
-    def test_run_matches_grid_sums(self):
-        solver = marched_every_level("compatible_nonsmooth", 8, 30, source_mode="sampled")
+    @pytest.mark.parametrize(
+        "name, m, mode",
+        [("compatible_nonsmooth", 0, "sampled"), ("compatible_rich", 0, "auto"),
+         ("compatible_rich", 3, "sampled")],
+    )
+    def test_run_matches_grid_sums(self, name, m, mode):
+        # compatible_rich's data live in every mode, so every mode is checked
+        solver = marched_every_level(name, 8, 30, m=m, source_mode=mode)
         assert direct_norm_gap(solver) <= 1e-13
 
     @pytest.mark.parametrize("name", ["half_source_norms", "norms", "errors"])

@@ -218,6 +218,7 @@ class TestRegistry:
     def test_problem_ids(self):
         assert PROBLEM_IDS == (
             "compatible_nonsmooth",
+            "compatible_rich",
             "compatible_smooth",
             "example_6_1",
             "example_6_2",
@@ -338,7 +339,7 @@ class TestResiduals:
 
 class TestBoundaryMismatch:
     def test_compatible_problems_have_zero_boundary_data(self):
-        for name in ("compatible_smooth", "compatible_nonsmooth"):
+        for name in ("compatible_smooth", "compatible_nonsmooth", "compatible_rich"):
             assert boundary_mismatch(get_problem(name), 1.0) <= 1e-14
 
     def test_printed_gaussian_example_defect(self):

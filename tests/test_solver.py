@@ -1401,6 +1401,42 @@ class TestSolverValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             AdiSolver(quiet_tp(), self.bx, self.by, 0.1, 6, correction_terms=-1)
 
+    @pytest.mark.parametrize("override,error,message", [
+        pytest.param({"degree": 8.5}, TypeError, "degree must be an integer, got 8.5", id="degree"),
+        pytest.param({"steps": 10.0}, TypeError, "steps must be an integer, got 10.0", id="steps"),
+        pytest.param(
+            {"correction_terms": 1.5}, TypeError, "correction_terms must be an integer, got 1.5",
+            id="correction_terms",
+        ),
+        pytest.param(
+            {"bootstrap_ratio": 2.5}, TypeError, "bootstrap_ratio must be an integer, got 2.5",
+            id="bootstrap_ratio",
+        ),
+        pytest.param({"steps": -3}, ValueError, "step count must be nonnegative, got -3", id="negative-steps"),
+    ])
+    def test_run_counts_must_be_integers(self, no_tables, monkeypatch, override, error, message):
+        # a count is rejected by name before any basis or table is built;
+        # correction_terms = 1.5 once marched as m = 1
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(solver_module, "build_basis", no_basis)
+        args = {"degree": 8, "steps": 10, "correction_terms": 1, "exponents": (1.1,)}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run(get_problem("compatible_nonsmooth"), final_time=1.0, **{**args, **override})
+
+    def test_solver_counts_must_be_integers(self):
+        tp = quiet_tp()
+        for name, call in (
+            ("degree", lambda: build_basis(8.0, (-1.0, 1.0))),
+            ("steps", lambda: AdiSolver(tp, self.bx, self.by, 0.1, 6.0)),
+            ("correction_terms", lambda: AdiSolver(tp, self.bx, self.by, 0.1, 6, correction_terms=1.0)),
+            ("count", lambda: bootstrap_starting_values(tp, self.bx, self.by, 0.1, 2.0)),
+            ("ratio", lambda: bootstrap_starting_values(tp, self.bx, self.by, 0.1, 2, ratio=2.5)),
+        ):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                call()
+
     def test_corrections_need_exponents(self):
         with pytest.raises(ValueError, match="exponents"):
             AdiSolver(quiet_tp(), self.bx, self.by, 0.1, 6, correction_terms=2)
@@ -1855,8 +1891,9 @@ class TestParityReduction:
         assert ratio_gap <= 1e-12
 
     @pytest.mark.parametrize("m", [0, 3])
-    def test_unreduced_run_is_the_full_march_bit_for_bit(self, m):
-        spec = get_problem("example_6_2")
+    @pytest.mark.parametrize("name", ["example_6_2", "compatible_rich"])
+    def test_unreduced_run_is_the_full_march_bit_for_bit(self, name, m):
+        spec = get_problem(name)
         tp = reduce_order(spec)
         exponents = (1.1, 1.2, 1.3)[:m]
         res = run(spec, 8, 20, 1.0, correction_terms=m, exponents=exponents or None)
